@@ -4,16 +4,25 @@ Reduction keeps every anchor, everything at or after the last anchor's
 position, and an optional protected prefix; all other live entries are
 discarded. Positions are absolute and never reused, so rotary encodings
 stay valid after discards.
+
+Entries live in preallocated arrays, a contiguous take on the
+PagedAttention layout (Kwon et al., 2023): keys and values each in one
+(n_layers, n_heads, capacity, head_dim) array, with per-slot positions
+and (is_anchor, seq_index) flag rows beside them. The first len(cache)
+slots are live, in position order; capacity grows geometrically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 from .masks import TokenFlags
+
+_MIN_CAPACITY = 16
 
 
 @dataclass
@@ -32,53 +41,121 @@ class CacheStats:
     total_discards: int = 0
 
 
-@dataclass
 class AnchorKVCache:
     """Ordered live cache entries plus lifetime occupancy statistics.
 
-    Entries with position < protected_upto are exempt from discard (used
-    to keep full attention over a retained region, e.g. a source text).
+    Entries with position < protected_upto are exempt from discard. The
+    mask still blocks them for queries in later sequences, so protecting
+    them only keeps them live; it does not change any output.
     """
 
-    protected_upto: int = 0
-    entries: list[CacheEntry] = field(default_factory=list)
-    stats: CacheStats = field(default_factory=CacheStats)
+    def __init__(self, protected_upto: int = 0) -> None:
+        self.protected_upto = protected_upto
+        self.stats = CacheStats()
+        self._live = 0
+        self._positions = np.empty(0, dtype=np.int64)
+        self._flags = np.empty((0, 2), dtype=np.int64)
+        self._keys = np.empty((0, 0, 0, 0))
+        self._values = np.empty((0, 0, 0, 0))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._live
 
-    def append(self, entry: CacheEntry) -> None:
-        if self.entries and entry.position <= self.entries[-1].position:
+    def _write(
+        self,
+        positions: Sequence[int] | np.ndarray,
+        flags: Sequence[TokenFlags] | np.ndarray,
+        keys: Sequence[np.ndarray] | np.ndarray,
+        values: Sequence[np.ndarray] | np.ndarray,
+    ) -> None:
+        """Copy T entries into the slots after the live ones; keys and
+        values hold one (n_heads, T, head_dim) array per layer."""
+        positions = np.asarray(positions, dtype=np.int64)
+        n, end = self._live, self._live + len(positions)
+        last = self._positions[n - 1 : n]
+        if np.any(positions[1:] <= positions[:-1]) or np.any(positions[:1] <= last):
             raise ContractError(
                 f"cache positions must be strictly increasing: "
-                f"{entry.position} after {self.entries[-1].position}"
+                f"{positions.tolist()} after {last.tolist()}"
             )
-        self.entries.append(entry)
-        self.stats.total_appends += 1
-        self.stats.peak_live_count = max(self.stats.peak_live_count, len(self.entries))
+        if end > len(self._positions):
+            self._grow(end, (len(keys), *np.shape(keys[0])))
+        self._positions[n:end] = positions
+        self._flags[n:end] = flags
+        self._keys[:, :, n:end] = keys
+        self._values[:, :, n:end] = values
+        self._live = end
+
+    def _grow(self, needed: int, kv_shape: tuple[int, int, int, int]) -> None:
+        n = self._live
+        capacity = max(needed, 2 * len(self._positions), _MIN_CAPACITY)
+        n_layers, n_heads, _, head_dim = kv_shape
+        keys = np.empty((n_layers, n_heads, capacity, head_dim))
+        values = np.empty_like(keys)
+        positions = np.empty(capacity, dtype=np.int64)
+        flags = np.empty((capacity, 2), dtype=np.int64)
+        if n:
+            keys[:, :, :n] = self._keys[:, :, :n]
+            values[:, :, :n] = self._values[:, :, :n]
+            positions[:n] = self._positions[:n]
+            flags[:n] = self._flags[:n]
+        self._keys, self._values, self._positions, self._flags = keys, values, positions, flags
+
+    def _count_appends(self, count: int) -> None:
+        self.stats.total_appends += count
+        self.stats.peak_live_count = max(self.stats.peak_live_count, self._live)
+
+    def _write_entry(self, e: CacheEntry) -> None:
+        self._write(
+            [e.position], [(e.is_anchor, e.seq_index)], e.keys[:, :, None], e.values[:, :, None]
+        )
+
+    def append(self, entry: CacheEntry) -> None:
+        self._write_entry(entry)
+        self._count_appends(1)
+
+    def extend_from_forward(
+        self,
+        new_keys: list[np.ndarray],
+        new_values: list[np.ndarray],
+        positions: Sequence[int] | np.ndarray,
+        flags: Sequence[TokenFlags] | np.ndarray,
+    ) -> None:
+        """Append one entry per processed token from a forward output
+        (per layer (n_heads, T, head_dim) keys and values); flags are
+        TokenFlags or (is_anchor, seq_index) rows."""
+        self._write(positions, flags, new_keys, new_values)
+        self._count_appends(len(positions))
 
     def reduction(self) -> None:
-        """Discard non-anchor, non-protected entries before the last anchor."""
-        last_anchor_pos = None
-        for entry in reversed(self.entries):
-            if entry.is_anchor and entry.position >= self.protected_upto:
-                last_anchor_pos = entry.position
-                break
-        if last_anchor_pos is None:
+        """Discard non-anchor, non-protected entries before the last anchor,
+        compacting the live slots in place."""
+        n = self._live
+        positions = self._positions[:n]
+        anchors = self._flags[:n, 0] != 0
+        keyed = np.flatnonzero(anchors & (positions >= self.protected_upto))
+        if len(keyed) == 0:
             return
-        kept = [
-            e
-            for e in self.entries
-            if e.is_anchor or e.position >= last_anchor_pos or e.position < self.protected_upto
-        ]
-        self.stats.total_discards += len(self.entries) - len(kept)
-        self.entries = kept
+        keep = anchors | (positions >= positions[keyed[-1]]) | (positions < self.protected_upto)
+        kept = int(np.count_nonzero(keep))
+        if kept == n:
+            return
+        for arr in (self._keys, self._values):
+            arr[:, :, :kept] = arr[:, :, :n][:, :, keep]
+        self._positions[:kept] = positions[keep]
+        self._flags[:kept] = self._flags[:n][keep]
+        self.stats.total_discards += n - kept
+        self._live = kept
+
+    def flag_array(self) -> np.ndarray:
+        """Live (is_anchor, seq_index) rows, shape (live, 2); a view."""
+        return self._flags[: self._live]
 
     def live_flags(self) -> list[TokenFlags]:
-        return [TokenFlags(e.is_anchor, e.seq_index) for e in self.entries]
+        return [TokenFlags(bool(a), s) for a, s in self.flag_array().tolist()]
 
     def live_positions(self) -> list[int]:
-        return [e.position for e in self.entries]
+        return self._positions[: self._live].tolist()
 
     def reduction_metric(self) -> float:
         """Fraction of all entries ever appended that have been discarded."""
@@ -87,43 +164,38 @@ class AnchorKVCache:
         return self.stats.total_discards / self.stats.total_appends
 
     def stacked(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Per-layer (K, V) arrays of shape (n_heads, live, head_dim)."""
-        if not self.entries:
+        """Per-layer (K, V) of shape (n_heads, live, head_dim): views of the
+        live slots, valid until the cache is next modified."""
+        if not self._live:
             return None
-        n_layers = self.entries[0].keys.shape[0]
-        keys = np.stack([e.keys for e in self.entries], axis=2)
-        values = np.stack([e.values for e in self.entries], axis=2)
-        return [(keys[li], values[li]) for li in range(n_layers)]
+        keys = self._keys[:, :, : self._live]
+        values = self._values[:, :, : self._live]
+        return list(zip(keys, values))
 
     def clone(self) -> "AnchorKVCache":
-        """Independent copy sharing entry arrays (entries are immutable);
-        the clone starts with fresh statistics for its own appends."""
+        """Independent copy of the live entries; the clone starts with
+        fresh statistics for its own appends."""
         c = AnchorKVCache(protected_upto=self.protected_upto)
-        c.entries = list(self.entries)
-        c.stats = CacheStats(peak_live_count=len(self.entries))
+        n = self._live
+        if n:
+            c._write(
+                self._positions[:n], self._flags[:n],
+                self._keys[:, :, :n], self._values[:, :, :n],
+            )
+        c.stats.peak_live_count = n
         return c
 
-    def extend_from_forward(
-        self,
-        new_keys: list[np.ndarray],
-        new_values: list[np.ndarray],
-        positions: list[int],
-        flags: list[TokenFlags],
-    ) -> None:
-        """Append one entry per processed token from a forward output."""
-        stacked_k = np.stack(new_keys, axis=0)  # (n_layers, n_heads, T, head_dim)
-        stacked_v = np.stack(new_values, axis=0)
-        for t, (pos, flag) in enumerate(zip(positions, flags)):
-            self.append(
-                CacheEntry(
-                    position=pos,
-                    is_anchor=flag.is_anchor,
-                    seq_index=flag.seq_index,
-                    keys=np.ascontiguousarray(stacked_k[:, :, t, :]),
-                    values=np.ascontiguousarray(stacked_v[:, :, t, :]),
-                )
-            )
+    @property
+    def entries(self) -> list[CacheEntry]:
+        """The live entries as records holding copies of their rows."""
+        return [
+            CacheEntry(p, bool(a), s, self._keys[:, :, i].copy(), self._values[:, :, i].copy())
+            for i, (p, (a, s)) in enumerate(zip(self.live_positions(), self.flag_array().tolist()))
+        ]
 
-
-def cache_reduction_metric(cache: AnchorKVCache) -> float:
-    return cache.reduction_metric()
+    @entries.setter
+    def entries(self, entries: list[CacheEntry]) -> None:
+        """Replace the live entries; statistics are left unchanged."""
+        self._live = 0
+        for e in entries:
+            self._write_entry(e)

@@ -467,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--protect-prefix", type=int, default=0,
-                   help="cache positions below this are never discarded")
+                   help="cache positions below this are never discarded; the mask "
+                        "still blocks them for later sequences, so the output is unchanged")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 

@@ -23,7 +23,7 @@ from .cache import AnchorKVCache
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
 from .infer import _log_softmax, continuation_rows, next_seq_index
-from .masks import TokenFlags, anchor_mask, causal_mask
+from .masks import TokenFlags, anchor_mask, causal_mask, segment_flags
 from .model import ModelWeights, forward
 
 REFERENCE_FULL_SCALE = (
@@ -323,7 +323,7 @@ def _continuation_logprob(
     rest = choice[:-1]
     flags = [TokenFlags(False, cont_seq)] * len(rest)
     start = len(prompt)
-    rows = continuation_rows(flags, cache.live_flags(), use_ansan)
+    rows = continuation_rows(flags, cache.flag_array(), use_ansan)
     out = forward(
         weights, rest, rows, cache.stacked(),
         positions=np.arange(start, start + len(rest)),
@@ -355,10 +355,7 @@ def _score_cached(
         mask = anchor_mask(demo_part) if use_ansan else causal_mask(demo_len)
         out = forward(weights, demo_part.ids, mask, None, positions=np.arange(demo_len))
         demo_cache.extend_from_forward(
-            out.new_keys,
-            out.new_values,
-            list(range(demo_len)),
-            [TokenFlags(a, s) for a, s in zip(demo_part.is_anchor, demo_part.seq_index)],
+            out.new_keys, out.new_values, np.arange(demo_len), segment_flags(demo_part)
         )
         demo_last_logits = out.logits[-1]
         if reduce_cache:
@@ -375,20 +372,17 @@ def _score_cached(
         if prep.prompt.ids[:demo_len] != demo_ids:
             raise ContractError("demonstration part must be identical across items")
         ctx_ids = prep.prompt.ids[demo_len:]
-        ctx_flags = [
-            TokenFlags(a, s)
-            for a, s in zip(prep.prompt.is_anchor[demo_len:], prep.prompt.seq_index[demo_len:])
-        ]
+        ctx_flags = segment_flags(prep.prompt)[demo_len:]
         item_cache = demo_cache.clone()
         if ctx_ids:
-            rows = continuation_rows(ctx_flags, item_cache.live_flags(), use_ansan)
+            rows = continuation_rows(ctx_flags, item_cache.flag_array(), use_ansan)
             out = forward(
                 weights, ctx_ids, rows, item_cache.stacked(),
                 positions=np.arange(demo_len, len(prep.prompt)),
             )
             item_cache.extend_from_forward(
                 out.new_keys, out.new_values,
-                list(range(demo_len, len(prep.prompt))), ctx_flags,
+                np.arange(demo_len, len(prep.prompt)), ctx_flags,
             )
             last_logits = out.logits[-1]
             acct.appends += len(ctx_ids)

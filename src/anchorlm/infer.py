@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .cache import AnchorKVCache, CacheStats
 from .corpus import SegmentedText
 from .errors import ContractError
-from .masks import TokenFlags, anchor_mask, causal_mask, decode_mask_row
+from .masks import (
+    TokenFlags,
+    anchor_mask,
+    causal_mask,
+    decode_mask_row,
+    mask_rows,
+    segment_flags,
+)
 from .model import ModelWeights, forward
 
 
@@ -30,7 +38,7 @@ class GenerationConfig:
     temperature: float | None = None  # None = greedy
     sample_seed: int = 0
     reduction_enabled: bool = True
-    protected_upto: int = 0
+    protected_upto: int = 0  # kept live, but still masked: outputs do not change
     collect_logits: bool = False  # keep the logits each token was sampled from
 
     def __post_init__(self) -> None:
@@ -64,20 +72,13 @@ def _sample(logits_row: np.ndarray, cfg: GenerationConfig, rng: np.random.Genera
 
 
 def continuation_rows(
-    new_flags: list[TokenFlags], live: list[TokenFlags], ansan: bool
+    new_flags: Sequence[TokenFlags] | np.ndarray,
+    live: Sequence[TokenFlags] | np.ndarray,
+    ansan: bool,
 ) -> np.ndarray:
     """Mask rows for T new tokens attending into live entries plus each
-    other, built row by row with the decoding-time rule."""
-    n_live, n_new = len(live), len(new_flags)
-    bits = np.zeros((n_new, n_live + n_new), dtype=np.uint8)
-    preceding = list(live)
-    for t, flags in enumerate(new_flags):
-        if ansan:
-            bits[t, : n_live + t + 1] = decode_mask_row(flags, preceding)
-        else:
-            bits[t, : n_live + t + 1] = 1
-        preceding.append(flags)
-    return bits
+    other; causal rows when ansan is False."""
+    return mask_rows(new_flags, live, ansan)
 
 
 def next_seq_index(seg: SegmentedText) -> int:
@@ -112,9 +113,8 @@ def generate(
     )
     prefix_seconds = time.perf_counter() - t0
 
-    prefix_flags = [TokenFlags(a, s) for a, s in zip(prefix.is_anchor, prefix.seq_index)]
     cache.extend_from_forward(
-        out.new_keys, out.new_values, list(range(len(prefix))), prefix_flags
+        out.new_keys, out.new_values, np.arange(len(prefix)), segment_flags(prefix)
     )
     if cfg.reduction_enabled:
         cache.reduction()
@@ -129,7 +129,7 @@ def generate(
     while len(generated) < cfg.max_new_tokens and generated[-1] != cfg.eos_id:
         token = generated[-1]
         flags = TokenFlags(token == cfg.anchor_token_id, cur_seq)
-        row = decode_mask_row(flags, cache.live_flags())
+        row = decode_mask_row(flags, cache.flag_array())
         t0 = time.perf_counter()
         out = forward(weights, [token], row, cache.stacked(), positions=[next_pos])
         decode_seconds += time.perf_counter() - t0

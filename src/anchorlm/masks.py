@@ -11,25 +11,38 @@ sequence k and key j (j <= i):
   * allowed otherwise.
 
 Masks are dense 0/1 matrices; at this scale exact testability beats
-sparse storage. Full L x L matrices serve training, single rows serve
-cached decoding.
+sparse storage. One vectorized rule, `mask_rows`, builds every mask:
+full L x L matrices for training and rows over the live cache entries
+for cached decoding and scoring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import SegmentedText
 
 
-@dataclass(frozen=True)
-class TokenFlags:
-    """Anchor flag and sequence index of one token, as masking sees it."""
+class TokenFlags(NamedTuple):
+    """Anchor flag and sequence index of one token, as masking sees it.
+
+    A sequence of TokenFlags converts to an (N, 2) integer array of
+    (is_anchor, seq_index) rows, the layout the cache stores flags in.
+    """
 
     is_anchor: bool
     seq_index: int
+
+
+def _flag_rows(flags: Sequence[TokenFlags] | np.ndarray) -> np.ndarray:
+    return np.asarray(flags, dtype=np.int64).reshape(-1, 2)
+
+
+def segment_flags(seg: SegmentedText) -> np.ndarray:
+    """(is_anchor, seq_index) rows of every token in a segment, (len, 2)."""
+    return _flag_rows(np.column_stack((seg.is_anchor, seg.seq_index)))
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -37,30 +50,46 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=np.uint8))
 
 
+def mask_rows(
+    new_flags: Sequence[TokenFlags] | np.ndarray,
+    key_flags: Sequence[TokenFlags] | np.ndarray = (),
+    ansan: bool = True,
+) -> np.ndarray:
+    """Mask rows for T new tokens over K earlier keys followed by the new
+    tokens themselves, shape (T, K + T).
+
+    Flags are (is_anchor, seq_index) rows in position order. The earlier
+    keys precede every new token, so only the anchor rule (module
+    docstring) can block them; the new-token block is also causal.
+    With ansan False the rows are plain causal.
+    """
+    new = _flag_rows(new_flags)
+    keys = np.concatenate([_flag_rows(key_flags), new])
+    n_new, n_keys = len(new), len(keys)
+    allowed = np.arange(n_keys) <= np.arange(n_keys - n_new, n_keys)[:, None]
+    if ansan:
+        # visible: a key not in an earlier sequence, or an anchor key
+        # seen by a non-anchor query
+        same_or_later_seq = keys[:, 1] >= new[:, 1, None]
+        anchor_for_plain_query = (keys[:, 0] != 0) & (new[:, 0, None] == 0)
+        allowed &= same_or_later_seq | anchor_for_plain_query
+    return allowed.astype(np.uint8)
+
+
 def anchor_mask(seg: SegmentedText) -> np.ndarray:
     """Anchor-based mask over one segmented block (see module docstring)."""
-    anchors = np.asarray(seg.is_anchor, dtype=bool)
-    seqs = np.asarray(seg.seq_index, dtype=np.int64)
-    earlier_seq = seqs[None, :] < seqs[:, None]  # key's sequence precedes query's
-    blocked = (~anchors[:, None] & ~anchors[None, :] & earlier_seq) | (
-        anchors[:, None] & earlier_seq
-    )
-    return (causal_mask(len(seg)).astype(bool) & ~blocked).astype(np.uint8)
+    return mask_rows(segment_flags(seg))
 
 
-def decode_mask_row(current: TokenFlags, live_entries: list[TokenFlags]) -> np.ndarray:
+def decode_mask_row(
+    current: TokenFlags, live_entries: Sequence[TokenFlags] | np.ndarray
+) -> np.ndarray:
     """One decoding-time mask row: bits over live cache entries plus self.
 
     Entries must be in original position order and precede the current
-    token, so the causal condition holds for every entry; only the two
-    anchor cases can block. The trailing self bit is always 1.
+    token; the trailing self bit is always 1.
     """
-    bits = np.ones(len(live_entries) + 1, dtype=np.uint8)
-    for j, entry in enumerate(live_entries):
-        if entry.seq_index < current.seq_index:
-            if current.is_anchor or not entry.is_anchor:
-                bits[j] = 0
-    return bits
+    return mask_rows([current], live_entries)[0]
 
 
 def dump_mask(bits: np.ndarray) -> str:

@@ -350,6 +350,9 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelWeights, int, str, dict[str, np.ndarray]]:
+    """Inverse of save_checkpoint. A malformed header, a payload whose
+    length differs from the declared tensors, or a tensor whose shape
+    does not fit the declared config raises InputError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -357,35 +360,48 @@ def load_checkpoint(
     header_end = blob.find(b"\nend\n")
     if not blob.startswith(_CKPT_MAGIC.encode()) or header_end < 0:
         raise InputError(f"not a checkpoint file: {path}")
-    header = blob[: header_end + 5].decode("utf-8").splitlines()
     payload = blob[header_end + 5 :]
+    try:
+        header = blob[: header_end + 5].decode("utf-8").splitlines()
+        fields: dict[str, str] = {}
+        tensor_decls: list[tuple[str, tuple[int, ...]]] = []
+        for line in header[1:-1]:
+            if line.startswith("tensor "):
+                name, *dims = line.split()[1:]
+                tensor_decls.append((name, tuple(int(d) for d in dims)))
+            else:
+                key, value = line.split(" = ", 1)
+                fields[key] = value
+        config = ModelConfig(**{
+            f: (float(fields[f]) if f in ("rope_base", "norm_eps") else int(fields[f]))
+            for f in _CONFIG_FIELDS
+        })
+        step, vocab_sha256 = int(fields["step"]), fields["vocab_sha256"]
+    except (UnicodeDecodeError, ValueError, KeyError, ContractError) as exc:
+        raise InputError(f"malformed checkpoint header in {path}: {exc!r}") from exc
 
-    fields: dict[str, str] = {}
-    tensor_decls: list[tuple[str, tuple[int, ...]]] = []
-    for line in header[1:-1]:
-        if line.startswith("tensor "):
-            parts = line.split()
-            tensor_decls.append((parts[1], tuple(int(d) for d in parts[2:])))
-        else:
-            key, value = line.split(" = ", 1)
-            fields[key] = value
-
-    config = ModelConfig(**{
-        f: (float(fields[f]) if f in ("rope_base", "norm_eps") else int(fields[f]))
-        for f in _CONFIG_FIELDS
-    })
+    sizes = [math.prod(shape) for _, shape in tensor_decls]
+    if any(d < 0 for _, shape in tensor_decls for d in shape) or 8 * sum(sizes) != len(payload):
+        raise InputError(
+            f"checkpoint {path} holds {len(payload)} payload bytes, "
+            f"but its header declares {8 * sum(sizes)}"
+        )
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in tensor_decls:
-        n = int(np.prod(shape)) if shape else 1
+    for (name, shape), n in zip(tensor_decls, sizes):
         arrays[name] = np.frombuffer(
             payload, dtype="<f8", count=n, offset=offset
         ).reshape(shape).copy()
         offset += n * 8
 
     weights = init_weights(config, seed=0)
-    for name, _ in weights.named_arrays():
+    for name, expected in weights.named_arrays():
         if name not in arrays:
             raise InputError(f"checkpoint {path} is missing tensor {name}")
+        if arrays[name].shape != expected.shape:
+            raise InputError(
+                f"checkpoint {path}: tensor {name} has shape {arrays[name].shape}, "
+                f"the config needs {expected.shape}"
+            )
         weights.set_array(name, arrays.pop(name))
-    return weights, int(fields["step"]), fields["vocab_sha256"], arrays
+    return weights, step, vocab_sha256, arrays

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from anchorlm.cache import AnchorKVCache, CacheEntry, cache_reduction_metric
+from anchorlm.cache import AnchorKVCache, CacheEntry
+from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
+from anchorlm.infer import continuation_rows
+from anchorlm.masks import TokenFlags
+from anchorlm.model import forward
 from oracles import naive_reduction
 
 
@@ -124,17 +128,17 @@ def test_metric_ratio():
     cache = filled("nnnnnnnnAn")  # 10 appends, anchor at 8
     cache.reduction()
     assert cache.stats.total_discards == 8
-    assert cache_reduction_metric(cache) == 0.8
+    assert cache.reduction_metric() == 0.8
 
 
 def test_metric_no_reduction_zero():
     cache = filled("nnn")
-    assert cache_reduction_metric(cache) == 0.0
+    assert cache.reduction_metric() == 0.0
 
 
 def test_metric_undefined_on_empty():
     with pytest.raises(UndefinedMetricError):
-        cache_reduction_metric(AnchorKVCache())
+        AnchorKVCache().reduction_metric()
 
 
 def test_stats_monotone_and_consistent():
@@ -169,3 +173,72 @@ def test_clone_is_independent():
     clone.append(entry(3))
     assert len(cache) == 3 and len(clone) == 4
     assert clone.stats.total_appends == 1  # clone counts only its own appends
+
+
+# -- array layout -----------------------------------------------------------------
+
+
+def forwarded(weights, seg, start, stop, cache):
+    """Run tokens [start, stop) of seg against the cache and append them."""
+    part = seg.slice(start, stop)
+    new_flags = [TokenFlags(a, s) for a, s in zip(part.is_anchor, part.seq_index)]
+    rows = continuation_rows(new_flags, cache.flag_array(), ansan=True)
+    out = forward(weights, part.ids, rows, cache.stacked(), positions=np.arange(start, stop))
+    cache.extend_from_forward(out.new_keys, out.new_values, list(range(start, stop)), new_flags)
+    return out
+
+
+def test_stacked_returns_views_of_the_cache():
+    cache = filled("nnAnn")
+    first = cache.stacked()
+    second = cache.stacked()
+    for (k1, v1), (k2, v2) in zip(first, second):
+        assert np.shares_memory(k1, k2) and np.shares_memory(v1, v2)
+        assert not np.shares_memory(k1, v1)
+
+
+def test_clone_and_source_stay_independent(tiny_weights):
+    seg = SegmentedText(
+        ids=[1, 2, 3, 4, 5, 6, 7, 8],
+        is_anchor=[False, True, False, False, True, False, False, False],
+        seq_index=[0, 0, 1, 1, 1, 2, 2, 2],
+    )
+    source = AnchorKVCache()
+    forwarded(tiny_weights, seg, 0, 4, source)
+    clone = source.clone()
+    before = [(k.copy(), v.copy()) for k, v in source.stacked()]
+
+    forwarded(tiny_weights, seg, 4, 6, clone)
+    clone.reduction()
+    assert source.live_positions() == [0, 1, 2, 3]
+    for (k, v), (k0, v0) in zip(source.stacked(), before):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)
+
+    clone_positions = clone.live_positions()
+    clone_before = [(k.copy(), v.copy()) for k, v in clone.stacked()]
+    source.reduction()
+    forwarded(tiny_weights, seg, 4, 8, source)
+    assert clone.live_positions() == clone_positions == [1, 4, 5]
+    for (k, v), (k0, v0) in zip(clone.stacked(), clone_before):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)
+
+
+def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
+    seg = SegmentedText(
+        ids=[3, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+        is_anchor=[False, False, True, False, True, False, False, True, False, False],
+        seq_index=[0, 0, 0, 1, 1, 2, 2, 2, 3, 3],
+    )
+    cache = AnchorKVCache()
+    outputs = {}
+    for start, stop in ((0, 5), (5, 8), (8, 10)):
+        out = forwarded(tiny_weights, seg, start, stop, cache)
+        for t, pos in enumerate(range(start, stop)):
+            outputs[pos] = [(k[:, t], v[:, t]) for k, v in zip(out.new_keys, out.new_values)]
+        cache.reduction()
+    positions = cache.live_positions()
+    assert positions == [2, 4, 7, 8, 9]
+    for layer, (keys, values) in enumerate(cache.stacked()):
+        for slot, pos in enumerate(positions):
+            k, v = outputs[pos][layer]
+            assert np.array_equal(keys[:, slot], k) and np.array_equal(values[:, slot], v)

@@ -1,0 +1,55 @@
+"""Property tests: the vectorized mask rule and the array-backed cache
+against the brute-force oracles, over generated flag layouts, split
+points and reduction schedules."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchorlm.cache import AnchorKVCache
+from anchorlm.infer import continuation_rows
+from anchorlm.masks import TokenFlags
+from oracles import naive_anchor_mask, naive_reduction
+
+# Sequences as (length, ends in an anchor) runs: the SegmentedText layout.
+runs = st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=10)
+
+
+@st.composite
+def schedules(draw):
+    """A flag layout cut into chunks, each followed by a reduction or not."""
+    flags = [
+        TokenFlags(anchored and i == length - 1, seq)
+        for seq, (length, anchored) in enumerate(draw(runs))
+        for i in range(length)
+    ]
+    cuts = draw(st.sets(st.integers(1, len(flags) - 1), max_size=6)) if len(flags) > 1 else set()
+    bounds = [0, *sorted(cuts), len(flags)]
+    reduce_after = draw(st.lists(st.booleans(), min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    return flags, list(zip(bounds, bounds[1:], reduce_after))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(schedules())
+def test_rule_and_reduction_match_oracles(schedule):
+    flags, chunks = schedule
+    oracle = naive_anchor_mask([f.is_anchor for f in flags], [f.seq_index for f in flags])
+    cache = AnchorKVCache()
+    for start, stop, reduce_now in chunks:
+        live = cache.live_positions()
+        new = list(range(start, stop))
+        rows = continuation_rows(flags[start:stop], cache.flag_array(), ansan=True)
+        assert np.array_equal(rows, oracle[start:stop][:, live + new])
+        # what reduction discarded is blocked for every later query
+        dropped = sorted(set(range(start)) - set(live))
+        assert not oracle[start:, dropped].any()
+
+        # each key row holds its own position, so misaligned rows show
+        keys = np.broadcast_to(np.asarray(new, dtype=float)[:, None], (len(new), 2))
+        cache.extend_from_forward([keys[None]], [keys[None]], new, flags[start:stop])
+        if reduce_now:
+            cache.reduction()
+            seen = [(p, flags[p].is_anchor) for p in range(stop)]
+            assert set(cache.live_positions()) == naive_reduction(seen)
+        (stored, _), = cache.stacked()
+        assert stored[0, :, 0].tolist() == cache.live_positions()

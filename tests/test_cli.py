@@ -282,6 +282,19 @@ def test_numeric_error_exit_code(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_truncated_checkpoint_is_input_error(workspace, tmp_path, capsys):
+    blob = (workspace / "train" / "ckpt.bin").read_bytes()
+    broken = tmp_path / "truncated.bin"
+    broken.write_bytes(blob[:-100])
+    code = main([
+        "generate", "--ckpt", str(broken), "--vocab", str(workspace / "data" / "vocab.txt"),
+        "--prompt", "the amber lamp", "--policy", "ac", "--out", str(tmp_path / "g"),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "payload" in err and "Traceback" not in err
+
+
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("ANCHORLM_DATA_DIR", str(tmp_path / "envruns"))
     assert main(["synth", "--docs", "2", "--items", "1"]) == 0

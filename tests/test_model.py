@@ -3,7 +3,7 @@ import pytest
 
 from anchorlm.cache import AnchorKVCache, CacheEntry
 from anchorlm.corpus import SegmentedText
-from anchorlm.errors import ContractError, NumericError
+from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.masks import TokenFlags, anchor_mask, causal_mask
 from anchorlm.model import (
     ModelConfig,
@@ -232,6 +232,37 @@ def test_checkpoint_round_trip(tmp_path, tiny_weights):
     for (_, x), (_, y) in zip(tiny_weights.named_arrays(), loaded.named_arrays()):
         assert np.array_equal(x, y)
     assert np.array_equal(opt_loaded["opt.m.head"], opt["opt.m.head"])
+
+
+def _truncate(blob):
+    return blob[:-5]
+
+
+def _append_bytes(blob):
+    return blob + b"\x00" * 8
+
+
+def _break_header_line(blob):
+    return blob.replace(b"step = 42", b"step 42")
+
+
+def _misdeclare_shape(blob):
+    # same payload size, but a shape the config cannot use
+    return blob.replace(b"tensor final_gain 16", b"tensor final_gain 4 4")
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, _append_bytes, _break_header_line, _misdeclare_shape]
+)
+def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tiny_weights, step=42, vocab_sha256="ab" * 32)
+    blob = path.read_bytes()
+    broken = corrupt(blob)
+    assert broken != blob
+    path.write_bytes(broken)
+    with pytest.raises(InputError):
+        load_checkpoint(path)
 
 
 def test_zero_like_shapes(tiny_weights):
