@@ -1,9 +1,8 @@
 """Anchor-aware keys/values cache with the reduction rule.
 
-Reduction keeps every anchor, everything at or after the last anchor's
-position, and an optional protected prefix; all other live entries are
-discarded. Positions are absolute and never reused, so rotary encodings
-stay valid after discards.
+Reduction keeps every anchor and everything at or after the last
+anchor's position; all other live entries are discarded. Positions are
+absolute and never reused, so rotary encodings stay valid after discards.
 
 Entries live in preallocated arrays, a contiguous take on the
 PagedAttention layout (Kwon et al., 2023): keys and values each in one
@@ -42,15 +41,9 @@ class CacheStats:
 
 
 class AnchorKVCache:
-    """Ordered live cache entries plus lifetime occupancy statistics.
+    """Ordered live cache entries plus lifetime occupancy statistics."""
 
-    Entries with position < protected_upto are exempt from discard. The
-    mask still blocks them for queries in later sequences, so protecting
-    them only keeps them live; it does not change any output.
-    """
-
-    def __init__(self, protected_upto: int = 0) -> None:
-        self.protected_upto = protected_upto
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._live = 0
         self._positions = np.empty(0, dtype=np.int64)
@@ -128,15 +121,15 @@ class AnchorKVCache:
         self._count_appends(len(positions))
 
     def reduction(self) -> None:
-        """Discard non-anchor, non-protected entries before the last anchor,
-        compacting the live slots in place."""
+        """Discard non-anchor entries before the last anchor, compacting the
+        live slots in place; the newest entry is always kept."""
         n = self._live
         positions = self._positions[:n]
         anchors = self._flags[:n, 0] != 0
-        keyed = np.flatnonzero(anchors & (positions >= self.protected_upto))
+        keyed = np.flatnonzero(anchors)
         if len(keyed) == 0:
             return
-        keep = anchors | (positions >= positions[keyed[-1]]) | (positions < self.protected_upto)
+        keep = anchors | (positions >= positions[keyed[-1]])
         kept = int(np.count_nonzero(keep))
         if kept == n:
             return
@@ -157,6 +150,11 @@ class AnchorKVCache:
     def live_positions(self) -> list[int]:
         return self._positions[: self._live].tolist()
 
+    def next_positions(self, count: int) -> np.ndarray:
+        """Positions of count tokens after the newest live entry (from 0)."""
+        start = int(self._positions[self._live - 1]) + 1 if self._live else 0
+        return np.arange(start, start + count)
+
     def reduction_metric(self) -> float:
         """Fraction of all entries ever appended that have been discarded."""
         if self.stats.total_appends == 0:
@@ -175,7 +173,7 @@ class AnchorKVCache:
     def clone(self) -> "AnchorKVCache":
         """Independent copy of the live entries; the clone starts with
         fresh statistics for its own appends."""
-        c = AnchorKVCache(protected_upto=self.protected_upto)
+        c = AnchorKVCache()
         n = self._live
         if n:
             c._write(

@@ -274,7 +274,6 @@ def cmd_generate(args) -> int:
         temperature=args.temperature,
         sample_seed=args.sample_seed,
         reduction_enabled=args.reduce == "on",
-        protected_upto=args.protect_prefix,
     )
     result = generate(weights, prefix, cfg)
 
@@ -466,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strip-anchors", action="store_true")
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--protect-prefix", type=int, default=0,
-                   help="cache positions below this are never discarded; the mask "
-                        "still blocks them for later sequences, so the output is unchanged")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 

@@ -22,7 +22,14 @@ import numpy as np
 from .cache import AnchorKVCache
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
-from .infer import _log_softmax, continuation_rows, next_seq_index
+from .infer import (
+    _log_softmax,
+    advance,
+    attend,
+    continuation_logprob,
+    next_seq_index,
+    score_continuation,
+)
 from .masks import TokenFlags, anchor_mask, causal_mask, segment_flags
 from .model import ModelWeights, forward
 
@@ -95,12 +102,16 @@ def load_mc_items(path: str | Path) -> list[MCItem]:
             continue
         try:
             rec = json.loads(line)
-            item = MCItem(rec["context"], tuple(rec["choices"]), int(rec["gold"]))
+            context, choices, gold = rec["context"], rec["choices"], rec["gold"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"bad task record at {path}:{ln}: {exc}") from exc
-        if not item.choices or not 0 <= item.gold < len(item.choices):
+        if not (isinstance(context, str) and isinstance(choices, list)
+                and all(isinstance(c, str) for c in choices) and type(gold) is int):
+            raise InputError(f"bad task record at {path}:{ln}: needs a string context, "
+                             "a list of string choices and an integer (not bool) gold")
+        if not choices or not 0 <= gold < len(choices):
             raise InputError(f"bad choices/gold at {path}:{ln}")
-        items.append(item)
+        items.append(MCItem(context, tuple(choices), gold))
     if not items:
         raise InputError(f"task file {path} contains no items")
     return items
@@ -260,77 +271,16 @@ def _prepare_items(
     return prepared, skipped
 
 
-def _score_choice_uncached(
-    weights: ModelWeights,
-    prompt: SegmentedText,
-    choice: list[int],
-    cont_seq: int,
-    use_ansan: bool,
-) -> float:
-    """One full prompt+choice forward; no keys/values reuse at all."""
-    if not choice:
-        return 0.0
-    rest = choice[:-1]
-    combined = SegmentedText(
-        ids=list(prompt.ids) + rest,
-        is_anchor=list(prompt.is_anchor) + [False] * len(rest),
-        seq_index=list(prompt.seq_index) + [cont_seq] * len(rest),
-    )
-    total = len(combined)
-    mask = anchor_mask(combined) if use_ansan else causal_mask(total)
-    out = forward(weights, combined.ids, mask, None, positions=np.arange(total))
-    start = len(prompt)
-    score = float(_log_softmax(out.logits[start - 1])[choice[0]])
-    for t in range(len(rest)):
-        score += float(_log_softmax(out.logits[start + t])[choice[t + 1]])
-    return score
-
-
 def _score_noncache(
     weights: ModelWeights, prepared: list[_PreparedItem | None], use_ansan: bool
 ) -> list[list[float]]:
     """Recompute the full prompt for every choice; no cache reuse."""
-    all_scores = []
-    for prep in prepared:
-        if prep is None:
-            all_scores.append([])
-            continue
-        cont_seq = next_seq_index(prep.prompt)
-        all_scores.append(
-            [
-                _score_choice_uncached(weights, prep.prompt, cids, cont_seq, use_ansan)
-                for cids in prep.choice_ids
-            ]
-        )
-    return all_scores
-
-
-def _continuation_logprob(
-    weights: ModelWeights,
-    prompt: SegmentedText,
-    last_logits: np.ndarray,
-    cache: AnchorKVCache,
-    choice: list[int],
-    cont_seq: int,
-    use_ansan: bool,
-) -> float:
-    """Log-likelihood of choice tokens scored against a live cache."""
-    if not choice:
-        return 0.0
-    score = float(_log_softmax(last_logits)[choice[0]])
-    if len(choice) == 1:
-        return score
-    rest = choice[:-1]
-    flags = [TokenFlags(False, cont_seq)] * len(rest)
-    start = len(prompt)
-    rows = continuation_rows(flags, cache.flag_array(), use_ansan)
-    out = forward(
-        weights, rest, rows, cache.stacked(),
-        positions=np.arange(start, start + len(rest)),
-    )
-    for t in range(len(rest)):
-        score += float(_log_softmax(out.logits[t])[choice[t + 1]])
-    return score
+    return [
+        [] if prep is None else [
+            score_continuation(weights, prep.prompt, cids, use_ansan) for cids in prep.choice_ids
+        ]
+        for prep in prepared
+    ]
 
 
 def _score_cached(
@@ -347,17 +297,10 @@ def _score_cached(
         return [[] for _ in prepared], acct
 
     demo_cache = AnchorKVCache()
-    demo_last_logits = None
     demo_len = first.demo_len
     demo_ids = first.prompt.ids[:demo_len]
     if demo_len > 0:
-        demo_part = first.prompt.slice(0, demo_len)
-        mask = anchor_mask(demo_part) if use_ansan else causal_mask(demo_len)
-        out = forward(weights, demo_part.ids, mask, None, positions=np.arange(demo_len))
-        demo_cache.extend_from_forward(
-            out.new_keys, out.new_values, np.arange(demo_len), segment_flags(demo_part)
-        )
-        demo_last_logits = out.logits[-1]
+        advance(weights, demo_cache, demo_ids, segment_flags(first.prompt)[:demo_len], use_ansan)
         if reduce_cache:
             demo_cache.reduction()
         acct.appends += demo_cache.stats.total_appends
@@ -371,31 +314,24 @@ def _score_cached(
             continue
         if prep.prompt.ids[:demo_len] != demo_ids:
             raise ContractError("demonstration part must be identical across items")
+        # _prepare_items keeps only items with context after the demos
         ctx_ids = prep.prompt.ids[demo_len:]
-        ctx_flags = segment_flags(prep.prompt)[demo_len:]
         item_cache = demo_cache.clone()
-        if ctx_ids:
-            rows = continuation_rows(ctx_flags, item_cache.flag_array(), use_ansan)
-            out = forward(
-                weights, ctx_ids, rows, item_cache.stacked(),
-                positions=np.arange(demo_len, len(prep.prompt)),
-            )
-            item_cache.extend_from_forward(
-                out.new_keys, out.new_values,
-                np.arange(demo_len, len(prep.prompt)), ctx_flags,
-            )
-            last_logits = out.logits[-1]
-            acct.appends += len(ctx_ids)
-        else:
-            last_logits = demo_last_logits
+        logits = advance(
+            weights, item_cache, ctx_ids, segment_flags(prep.prompt)[demo_len:], use_ansan
+        )
+        acct.appends += len(ctx_ids)
         acct.peak = max(acct.peak, item_cache.stats.peak_live_count)
-        cont_seq = next_seq_index(prep.prompt)
-        scores = [
-            _continuation_logprob(
-                weights, prep.prompt, last_logits, item_cache, cids, cont_seq, use_ansan
-            )
-            for cids in prep.choice_ids
-        ]
+        # every choice is scored against the same item cache, never appended to it
+        cont = TokenFlags(False, next_seq_index(prep.prompt))
+        scores = []
+        for cids in prep.choice_ids:
+            choice_logits = logits[-1:]
+            if len(cids) > 1:
+                rest = cids[:-1]
+                out = attend(weights, item_cache, rest, [cont] * len(rest), use_ansan)
+                choice_logits = np.concatenate([choice_logits, out.logits])
+            scores.append(continuation_logprob(choice_logits, cids))
         all_scores.append(scores)
     return all_scores, acct
 

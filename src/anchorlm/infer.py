@@ -1,4 +1,5 @@
-"""Anchor-based autoregressive generation and continuation scoring.
+"""Anchor-based autoregressive generation and continuation scoring, both
+built on one cached step (`attend`, and `advance`, which also caches).
 
 Generation processes the prefix under anchor masks, reduces the cache
 once, then decodes token by token; whenever a generated anchor token has
@@ -19,15 +20,8 @@ import numpy as np
 from .cache import AnchorKVCache, CacheStats
 from .corpus import SegmentedText
 from .errors import ContractError
-from .masks import (
-    TokenFlags,
-    anchor_mask,
-    causal_mask,
-    decode_mask_row,
-    mask_rows,
-    segment_flags,
-)
-from .model import ModelWeights, forward
+from .masks import TokenFlags, mask_rows, segment_flags
+from .model import ForwardOutput, ModelWeights, forward
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,6 @@ class GenerationConfig:
     temperature: float | None = None  # None = greedy
     sample_seed: int = 0
     reduction_enabled: bool = True
-    protected_upto: int = 0  # kept live, but still masked: outputs do not change
     collect_logits: bool = False  # keep the logits each token was sampled from
 
     def __post_init__(self) -> None:
@@ -50,6 +43,9 @@ class GenerationConfig:
 
 @dataclass
 class GenerationResult:
+    """prefix_seconds and decode_seconds time whole `advance` calls (mask
+    rows, forward and cache write), not reduction or sampling."""
+
     ids: list[int]
     live_sizes: list[int]  # live cache size when each token was sampled
     stats: CacheStats
@@ -71,21 +67,43 @@ def _sample(logits_row: np.ndarray, cfg: GenerationConfig, rng: np.random.Genera
     return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
-def continuation_rows(
-    new_flags: Sequence[TokenFlags] | np.ndarray,
-    live: Sequence[TokenFlags] | np.ndarray,
-    ansan: bool,
-) -> np.ndarray:
-    """Mask rows for T new tokens attending into live entries plus each
-    other; causal rows when ansan is False."""
-    return mask_rows(new_flags, live, ansan)
-
-
 def next_seq_index(seg: SegmentedText) -> int:
     """Sequence index for a token appended after this segment."""
     if len(seg) == 0:
         return 0
     return seg.seq_index[-1] + (1 if seg.is_anchor[-1] else 0)
+
+
+def attend(
+    weights: ModelWeights,
+    cache: AnchorKVCache,
+    ids: Sequence[int],
+    flags: Sequence[TokenFlags] | np.ndarray,
+    ansan: bool = True,
+) -> ForwardOutput:
+    """Run new tokens against the live cache and each other under the
+    anchor rule (causal when ansan is False); the cache is not changed.
+    Positions continue from the newest entry, which reduction never drops."""
+    rows = mask_rows(flags, cache.flag_array(), ansan)
+    return forward(weights, ids, rows, cache.stacked(), positions=cache.next_positions(len(ids)))
+
+
+def advance(
+    weights: ModelWeights,
+    cache: AnchorKVCache,
+    ids: Sequence[int],
+    flags: Sequence[TokenFlags] | np.ndarray,
+    ansan: bool = True,
+) -> np.ndarray:
+    """`attend`, then append the tokens' keys/values; returns the logits."""
+    out = attend(weights, cache, ids, flags, ansan)
+    cache.extend_from_forward(out.new_keys, out.new_values, cache.next_positions(len(ids)), flags)
+    return out.logits
+
+
+def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:
+    """Sum of log-probabilities of continuation[t] under logits row t."""
+    return sum((float(_log_softmax(row)[tok]) for row, tok in zip(logits, continuation)), 0.0)
 
 
 def generate(
@@ -101,50 +119,36 @@ def generate(
         )
     prefix.validate()
     rng = np.random.default_rng(cfg.sample_seed)
-    cache = AnchorKVCache(protected_upto=cfg.protected_upto)
+    cache = AnchorKVCache()
 
     t0 = time.perf_counter()
-    out = forward(
-        weights,
-        prefix.ids,
-        anchor_mask(prefix),
-        None,
-        positions=np.arange(len(prefix)),
-    )
+    logits = advance(weights, cache, prefix.ids, segment_flags(prefix))
     prefix_seconds = time.perf_counter() - t0
-
-    cache.extend_from_forward(
-        out.new_keys, out.new_values, np.arange(len(prefix)), segment_flags(prefix)
-    )
     if cfg.reduction_enabled:
         cache.reduction()
 
-    generated = [_sample(out.logits[-1], cfg, rng)]
+    generated = [_sample(logits[-1], cfg, rng)]
     live_sizes = [len(cache)]
-    sampled_logits = [out.logits[-1].copy()] if cfg.collect_logits else []
+    sampled_logits = [logits[-1].copy()] if cfg.collect_logits else []
     cur_seq = next_seq_index(prefix)
-    next_pos = len(prefix)
     decode_seconds = 0.0
 
     while len(generated) < cfg.max_new_tokens and generated[-1] != cfg.eos_id:
         token = generated[-1]
         flags = TokenFlags(token == cfg.anchor_token_id, cur_seq)
-        row = decode_mask_row(flags, cache.flag_array())
         t0 = time.perf_counter()
-        out = forward(weights, [token], row, cache.stacked(), positions=[next_pos])
+        logits = advance(weights, cache, [token], [flags])
         decode_seconds += time.perf_counter() - t0
-        cache.extend_from_forward(out.new_keys, out.new_values, [next_pos], [flags])
-        next_pos += 1
         if flags.is_anchor:
             # The anchor's keys/values are cached, so its sequence can now
             # collapse onto it; the next token opens a new sequence.
             if cfg.reduction_enabled:
                 cache.reduction()
             cur_seq += 1
-        generated.append(_sample(out.logits[-1], cfg, rng))
+        generated.append(_sample(logits[-1], cfg, rng))
         live_sizes.append(len(cache))
         if cfg.collect_logits:
-            sampled_logits.append(out.logits[-1].copy())
+            sampled_logits.append(logits[-1].copy())
 
     return GenerationResult(
         ids=generated,
@@ -168,7 +172,8 @@ def score_continuation(
 
     Continuation tokens are scored as non-anchor members of the sequence
     that follows the context (a new sequence when the context ends in an
-    anchor).
+    anchor). One forward runs over the context and every continuation
+    token but the last, whose logits no score reads.
     """
     total = len(context) + len(continuation)
     if total > weights.config.context_len:
@@ -181,16 +186,8 @@ def score_continuation(
     if len(context) == 0:
         raise ContractError("scoring requires a nonempty context")
 
-    seq = next_seq_index(context)
-    combined = SegmentedText(
-        ids=list(context.ids) + list(continuation),
-        is_anchor=list(context.is_anchor) + [False] * len(continuation),
-        seq_index=list(context.seq_index) + [seq] * len(continuation),
-    )
-    mask = anchor_mask(combined) if use_ansan else causal_mask(total)
-    out = forward(weights, combined.ids, mask, None, positions=np.arange(total))
-
-    score = 0.0
-    for t in range(len(context) - 1, total - 1):
-        score += float(_log_softmax(out.logits[t])[combined.ids[t + 1]])
-    return score
+    rest = list(continuation[:-1])
+    rest_flags = np.repeat([[0, next_seq_index(context)]], len(rest), axis=0)
+    flags = np.concatenate([segment_flags(context), rest_flags])
+    out = attend(weights, AnchorKVCache(), list(context.ids) + rest, flags, use_ansan)
+    return continuation_logprob(out.logits[len(context) - 1 :], continuation)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SegmentedText
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, InputError, NumericError
 from .masks import anchor_mask, causal_mask
 from .model import ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint
 
@@ -58,8 +58,12 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "TrainConfig":
+        try:
+            content = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read train config {path}: {exc}") from exc
         values: dict = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in content.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -72,7 +76,10 @@ class TrainConfig:
         for key, text in values.items():
             if key not in known:
                 raise ConfigError(f"unknown train config key: {key}")
-            parsed[key] = _coerce(text, known[key].type)
+            try:
+                parsed[key] = _coerce(text, known[key].type)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for train config key {key}: {text!r}") from exc
         parsed.update(overrides)
         return cls(**parsed)
 

@@ -4,8 +4,7 @@ import pytest
 from anchorlm.cache import AnchorKVCache, CacheEntry
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
-from anchorlm.infer import continuation_rows
-from anchorlm.masks import TokenFlags
+from anchorlm.masks import TokenFlags, mask_rows
 from anchorlm.model import forward
 from oracles import naive_reduction
 
@@ -15,9 +14,9 @@ def entry(pos, anchor=False, seq=0):
     return CacheEntry(position=pos, is_anchor=anchor, seq_index=seq, keys=kv, values=kv)
 
 
-def filled(flags, protected_upto=0):
+def filled(flags):
     """Cache from a flag string like 'nnAnn' (A = anchor)."""
-    cache = AnchorKVCache(protected_upto=protected_upto)
+    cache = AnchorKVCache()
     for pos, ch in enumerate(flags):
         cache.append(entry(pos, anchor=ch == "A"))
     return cache
@@ -98,20 +97,6 @@ def test_anchor_and_tail_conservation():
             assert {p for p in range(last, len(flags))} <= live
 
 
-def test_protected_prefix_survives():
-    cache = filled("nnnAn", protected_upto=2)
-    cache.reduction()
-    # positions 0,1 protected; anchor at 3; tail 3,4; position 2 discarded
-    assert cache.live_positions() == [0, 1, 3, 4]
-
-
-def test_protected_anchor_only_means_identity():
-    # the only anchor sits inside the protected prefix: nothing to key on
-    cache = filled("An nn".replace(" ", ""), protected_upto=1)
-    cache.reduction()
-    assert cache.stats.total_discards == 0
-
-
 def test_live_flags_order():
     cache = AnchorKVCache()
     cache.append(entry(0, anchor=False, seq=0))
@@ -158,15 +143,6 @@ def test_stats_monotone_and_consistent():
         assert 0.0 <= cache.reduction_metric() <= 1.0
 
 
-def test_metric_formula_with_protected_prefix():
-    # N=5, one anchor, one tail entry, one protected non-anchor
-    cache = filled("nnnAn", protected_upto=1)
-    cache.reduction()
-    n, anchors, tail, protected = 5, 1, 1, 1
-    assert cache.reduction_metric() == (n - anchors - tail - protected) / n
-    assert cache.live_positions() == [0, 3, 4]
-
-
 def test_clone_is_independent():
     cache = filled("nAn")
     clone = cache.clone()
@@ -182,7 +158,7 @@ def forwarded(weights, seg, start, stop, cache):
     """Run tokens [start, stop) of seg against the cache and append them."""
     part = seg.slice(start, stop)
     new_flags = [TokenFlags(a, s) for a, s in zip(part.is_anchor, part.seq_index)]
-    rows = continuation_rows(new_flags, cache.flag_array(), ansan=True)
+    rows = mask_rows(new_flags, cache.flag_array(), ansan=True)
     out = forward(weights, part.ids, rows, cache.stacked(), positions=np.arange(start, stop))
     cache.extend_from_forward(out.new_keys, out.new_values, list(range(start, stop)), new_flags)
     return out

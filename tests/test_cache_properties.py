@@ -1,14 +1,16 @@
 """Property tests: the vectorized mask rule and the array-backed cache
 against the brute-force oracles, over generated flag layouts, split
-points and reduction schedules."""
+points and reduction schedules; and generation with reduction on
+against reduction off, over generated prefixes and sampling seeds."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorlm.cache import AnchorKVCache
-from anchorlm.infer import continuation_rows
-from anchorlm.masks import TokenFlags
+from anchorlm.corpus import SegmentedText
+from anchorlm.infer import GenerationConfig, generate
+from anchorlm.masks import TokenFlags, mask_rows
 from oracles import naive_anchor_mask, naive_reduction
 
 # Sequences as (length, ends in an anchor) runs: the SegmentedText layout.
@@ -38,7 +40,7 @@ def test_rule_and_reduction_match_oracles(schedule):
     for start, stop, reduce_now in chunks:
         live = cache.live_positions()
         new = list(range(start, stop))
-        rows = continuation_rows(flags[start:stop], cache.flag_array(), ansan=True)
+        rows = mask_rows(flags[start:stop], cache.flag_array(), ansan=True)
         assert np.array_equal(rows, oracle[start:stop][:, live + new])
         # what reduction discarded is blocked for every later query
         dropped = sorted(set(range(start)) - set(live))
@@ -53,3 +55,44 @@ def test_rule_and_reduction_match_oracles(schedule):
             assert set(cache.live_positions()) == naive_reduction(seen)
         (stored, _), = cache.stacked()
         assert stored[0, :, 0].tolist() == cache.live_positions()
+
+
+ANCHOR_ID = 4
+
+
+@st.composite
+def prefixes(draw):
+    """A prompt of at most 36 tokens whose anchors carry the anchor id; it
+    ends in an anchor or not."""
+    layout = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=6))
+    plain = st.integers(0, 10).filter(lambda t: t != ANCHOR_ID)
+    ids, anchors, seqs = [], [], []
+    for seq, (length, anchored) in enumerate(layout):
+        for i in range(length):
+            is_anchor = anchored and i == length - 1
+            ids.append(ANCHOR_ID if is_anchor else draw(plain))
+            anchors.append(is_anchor)
+            seqs.append(seq)
+    return SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(prefix=prefixes(), seed=st.integers(0, 2**16))
+def test_reduction_is_lossless_in_generation(tiny_weights, prefix, seed):
+    # temperature sampling over 11 near-uniform logits emits <AC> often,
+    # so most examples reduce the cache mid-generation too
+    on, off = (
+        generate(tiny_weights, prefix, GenerationConfig(
+            max_new_tokens=16, anchor_token_id=ANCHOR_ID, temperature=1.0,
+            sample_seed=seed, reduction_enabled=reduce, collect_logits=True,
+        ))
+        for reduce in (True, False)
+    )
+    assert on.ids == off.ids
+    for a, b in zip(on.sampled_logits, off.sampled_logits):
+        assert np.max(np.abs(a - b)) / np.abs(b).max() < 1e-5
+    for res in (on, off):
+        live = res.final_cache.live_positions()
+        assert all(p < q for p, q in zip(live, live[1:]))
+        # every token but the last sampled one has been cached
+        assert live[-1] == len(prefix) + len(res.ids) - 2

@@ -250,6 +250,52 @@ def test_missing_items_is_input_error(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("record", [
+    '{"context": "the lamp", "choices": ["a", "b"], "gold": "x"}',
+    '{"context": "the lamp", "choices": "bc", "gold": 0}',
+    '{"context": 5, "choices": ["a", "b"], "gold": 0}',
+], ids=["gold-not-int", "choices-not-list", "context-not-str"])
+def test_malformed_task_record_is_input_error(workspace, tmp_path, capsys, record):
+    items = tmp_path / "task.jsonl"
+    items.write_text(record + "\n", encoding="utf-8")
+    code = main([
+        "eval", "--task", "mc", "--ckpt", str(workspace / "train" / "ckpt.bin"),
+        "--vocab", str(workspace / "data" / "vocab.txt"),
+        "--policy", "ac", "--items", str(items), "--out", str(tmp_path / "m"),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "task.jsonl:1" in err and "Traceback" not in err
+
+
+def train_with_config(workspace, tmp_path, config):
+    return main([
+        "train", "--data", str(workspace / "data"), "--config", str(config),
+        "--n-layers", "1", "--n-heads", "2", "--d-model", "16",
+        "--out", str(tmp_path / "t"),
+    ])
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"steps = 1\nseed = \xff\n"], ids=["missing", "not-utf8"]
+)
+def test_unreadable_train_config_is_input_error(workspace, tmp_path, capsys, content):
+    config = tmp_path / "train.cfg"
+    if content is not None:
+        config.write_bytes(content)
+    assert train_with_config(workspace, tmp_path, config) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "train.cfg" in err and "Traceback" not in err
+
+
+def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("steps = 1\nbatch_size = abc\n", encoding="utf-8")
+    assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "batch_size" in err and "Traceback" not in err
+
+
 def test_checkpoint_cadence(workspace, tmp_path):
     out = tmp_path / "cadenced"
     assert main([

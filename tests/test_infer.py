@@ -3,13 +3,8 @@ import pytest
 
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError
-from anchorlm.infer import (
-    GenerationConfig,
-    continuation_rows,
-    generate,
-    score_continuation,
-)
-from anchorlm.masks import TokenFlags
+from anchorlm.infer import GenerationConfig, generate, score_continuation
+from anchorlm.masks import TokenFlags, mask_rows
 from anchorlm.model import init_weights
 from conftest import random_segmented, tiny_config
 
@@ -118,14 +113,6 @@ def test_generation_config_validation():
         GenerationConfig(max_new_tokens=1, temperature=0.0)
 
 
-def test_protected_prefix_never_discarded(tiny_weights):
-    prefix = anchored_prefix()
-    res = generate(
-        tiny_weights, prefix, gen_cfg(max_new_tokens=10, protected_upto=2)
-    )
-    assert {0, 1} <= set(res.final_cache.live_positions())
-
-
 # -- score_continuation ---------------------------------------------------------
 
 
@@ -184,13 +171,13 @@ def test_score_matches_generate_path(tiny_weights):
 def test_continuation_rows_causal_and_ansan():
     live = [TokenFlags(True, 0), TokenFlags(False, 1)]
     new = [TokenFlags(False, 1), TokenFlags(False, 1)]
-    ansan = continuation_rows(new, live, ansan=True)
-    causal = continuation_rows(new, live, ansan=False)
+    ansan = mask_rows(new, live, ansan=True)
+    causal = mask_rows(new, live, ansan=False)
     assert ansan.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     assert causal.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     # a later-sequence query blocks the live non-anchor under ansan
     new2 = [TokenFlags(False, 2)]
-    assert continuation_rows(new2, live, ansan=True).tolist() == [[1, 0, 1]]
+    assert mask_rows(new2, live, ansan=True).tolist() == [[1, 0, 1]]
 
 
 def test_score_continuation_random_masks_agree(tiny_weights):
