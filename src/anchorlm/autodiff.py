@@ -80,9 +80,6 @@ class Tensor:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":

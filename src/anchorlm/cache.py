@@ -144,9 +144,6 @@ class AnchorKVCache:
         """Live (is_anchor, seq_index) rows, shape (live, 2); a view."""
         return self._flags[: self._live]
 
-    def live_flags(self) -> list[TokenFlags]:
-        return [TokenFlags(bool(a), s) for a, s in self.flag_array().tolist()]
-
     def live_positions(self) -> list[int]:
         return self._positions[: self._live].tolist()
 

@@ -350,7 +350,7 @@ def cmd_eval(args) -> int:
             manifest.add_input(args.demo_pool)
         report = run_mc_task(
             weights, vocab, items, args.shots, policy,
-            use_ansan=args.ansan, reuse_demo_cache=args.reuse_demo_cache,
+            use_ansan=args.mask_mode == "ansan", reuse_demo_cache=args.reuse_demo_cache,
             demo_pool=demo_pool, seed=args.seed,
             measure_timing=args.timing, accel_baseline=args.baseline,
         )
@@ -475,12 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--text", help="plain-text file for --task ppl")
-    p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal")
+    p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal",
+                   help="attention masks for --task ppl and mc")
     p.add_argument("--eval-context-len", type=int, default=0)
     p.add_argument("--items", help="task file for --task mc/ablation")
     p.add_argument("--demo-pool", help="demonstration pool task file")
     p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--ansan", action="store_true")
     p.add_argument("--reuse-demo-cache", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--baseline", choices=["noncache", "fullcache"], default="noncache")

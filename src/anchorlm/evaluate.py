@@ -111,6 +111,8 @@ def load_mc_items(path: str | Path) -> list[MCItem]:
                              "a list of string choices and an integer (not bool) gold")
         if not choices or not 0 <= gold < len(choices):
             raise InputError(f"bad choices/gold at {path}:{ln}")
+        if not all(tokenize(c) for c in choices):
+            raise InputError(f"a choice at {path}:{ln} has no tokens")
         items.append(MCItem(context, tuple(choices), gold))
     if not items:
         raise InputError(f"task file {path} contains no items")
@@ -262,6 +264,9 @@ def _prepare_items(
     for item in items:
         prompt, demo_len = build_mc_prompt(demo_texts, item.context, vocab, policy)
         choice_ids = [vocab.encode_text(c) for c in item.choices]
+        # an empty continuation would score 0.0 and beat every real choice
+        if not all(choice_ids):
+            raise ContractError(f"a choice of item {item.context!r} has no tokens")
         longest = max(len(c) for c in choice_ids)
         if len(prompt) == demo_len or len(prompt) + longest > context_len:
             prepared.append(None)
@@ -287,10 +292,10 @@ def _score_cached(
     weights: ModelWeights,
     prepared: list[_PreparedItem | None],
     use_ansan: bool,
-    reduce_cache: bool,
 ) -> tuple[list[list[float]], _CacheAccounting]:
-    """Process the demonstration part once, optionally reduce it to its
-    anchors, and reuse the cache across items and choices."""
+    """Process the demonstration part once, reduce it to its anchors under
+    anchor masks (the only masks that make reduction lossless), and reuse
+    the cache across items and choices."""
     acct = _CacheAccounting()
     first = next((p for p in prepared if p is not None), None)
     if first is None:
@@ -301,7 +306,7 @@ def _score_cached(
     demo_ids = first.prompt.ids[:demo_len]
     if demo_len > 0:
         advance(weights, demo_cache, demo_ids, segment_flags(first.prompt)[:demo_len], use_ansan)
-        if reduce_cache:
+        if use_ansan:
             demo_cache.reduction()
         acct.appends += demo_cache.stats.total_appends
         acct.discards += demo_cache.stats.total_discards
@@ -373,9 +378,7 @@ def run_mc_task(
     )
 
     if reuse_demo_cache:
-        scores, acct = _score_cached(
-            weights, prepared, use_ansan, reduce_cache=use_ansan
-        )
+        scores, acct = _score_cached(weights, prepared, use_ansan)
     else:
         scores = _score_noncache(weights, prepared, use_ansan)
         acct = _CacheAccounting()
@@ -404,13 +407,13 @@ def run_mc_task(
 
     if measure_timing:
         def run_anchor() -> None:
-            _score_cached(weights, prepared, use_ansan=True, reduce_cache=True)
+            _score_cached(weights, prepared, use_ansan=True)
 
         def run_baseline() -> None:
             if accel_baseline == "noncache":
                 _score_noncache(weights, prepared, use_ansan=True)
             else:
-                _score_cached(weights, prepared, use_ansan=False, reduce_cache=False)
+                _score_cached(weights, prepared, use_ansan=False)
 
         anchor_time = min(_timed(run_anchor) for _ in range(3))
         baseline_time = min(_timed(run_baseline) for _ in range(3))
@@ -462,17 +465,16 @@ def ablation_anchor_positions(
     shots: int,
     demo_pool: list[MCItem] | None = None,
     seed: int = 0,
-    use_ansan: bool = True,
-    reuse_demo_cache: bool = True,
 ) -> AblationReport:
-    """Run the same task under each policy arm with matched seeds."""
+    """Run the same task under each policy arm with matched seeds, anchor
+    masks and a reused, reduced demonstration cache."""
     digest = item_order_digest(items)
     rows: dict[str, MetricsReport] = {}
     for name, (weights, policy) in arms.items():
         if item_order_digest(items) != digest:
             raise ContractError("item order changed between ablation arms")
         rows[name] = run_mc_task(
-            weights, vocab, items, shots, policy, use_ansan, reuse_demo_cache,
+            weights, vocab, items, shots, policy, use_ansan=True, reuse_demo_cache=True,
             demo_pool=demo_pool, seed=seed, task_name=f"ablation:{name}",
         )
     return AblationReport(rows=rows, item_order_digest=digest)

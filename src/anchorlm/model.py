@@ -47,55 +47,32 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
-class LayerWeights:
-    attn_gain: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ffn_gain: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the one canonical order that
+    initialization draws in, checkpoints store and the optimizer walks."""
+    d, ff, vocab = config.d_model, config.d_ff, config.vocab_size
+    shapes: dict[str, tuple[int, ...]] = {"embedding": (vocab, d)}
+    for i in range(config.n_layers):
+        for name, shape in (
+            ("attn_gain", (d,)), ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)),
+            ("wo", (d, d)), ("ffn_gain", (d,)), ("w1", (d, ff)), ("w2", (ff, d)),
+        ):
+            shapes[f"layer{i}.{name}"] = shape
+    shapes["final_gain"] = (d,)
+    shapes["head"] = (d, vocab)
+    return shapes
 
 
 @dataclass
 class ModelWeights:
     config: ModelConfig
-    embedding: np.ndarray
-    layers: list[LayerWeights]
-    final_gain: np.ndarray
-    head: np.ndarray
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) order used by checkpoints and the optimizer."""
-        out = [("embedding", self.embedding)]
-        for i, lw in enumerate(self.layers):
-            for f in ("attn_gain", "wq", "wk", "wv", "wo", "ffn_gain", "w1", "w2"):
-                out.append((f"layer{i}.{f}", getattr(lw, f)))
-        out.append(("final_gain", self.final_gain))
-        out.append(("head", self.head))
-        return out
-
-    def set_array(self, name: str, value: np.ndarray) -> None:
-        if name == "embedding":
-            self.embedding = value
-        elif name == "final_gain":
-            self.final_gain = value
-        elif name == "head":
-            self.head = value
-        else:
-            layer, f = name.split(".")
-            setattr(self.layers[int(layer[5:])], f, value)
+    arrays: dict[str, np.ndarray]  # name -> array, in param_shapes order
 
     def copy(self) -> "ModelWeights":
-        clone = zero_like(self)
-        for name, arr in self.named_arrays():
-            clone.set_array(name, arr.copy())
-        return clone
+        return ModelWeights(self.config, {name: a.copy() for name, a in self.arrays.items()})
 
     def n_params(self) -> int:
-        return sum(a.size for _, a in self.named_arrays())
+        return sum(a.size for a in self.arrays.values())
 
 
 @dataclass
@@ -107,53 +84,18 @@ class ForwardOutput:
 
 
 def init_weights(config: ModelConfig, seed: int, anchor_id: int | None = None) -> ModelWeights:
-    """Scaled-normal init (std 0.02); the anchor token's embedding row is
+    """Gains start at one; every other array is a normal(0, 0.02) draw,
+    taken in param_shapes order. The anchor token's embedding row is
     reset to the mean of all other rows when anchor_id is given."""
     rng = np.random.default_rng(seed)
-
-    def normal(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, 0.02, size=shape)
-
-    embedding = normal(config.vocab_size, config.d_model)
-    layers = [
-        LayerWeights(
-            attn_gain=np.ones(config.d_model),
-            wq=normal(config.d_model, config.d_model),
-            wk=normal(config.d_model, config.d_model),
-            wv=normal(config.d_model, config.d_model),
-            wo=normal(config.d_model, config.d_model),
-            ffn_gain=np.ones(config.d_model),
-            w1=normal(config.d_model, config.d_ff),
-            w2=normal(config.d_ff, config.d_model),
-        )
-        for _ in range(config.n_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        embedding=embedding,
-        layers=layers,
-        final_gain=np.ones(config.d_model),
-        head=normal(config.d_model, config.vocab_size),
-    )
+    arrays = {
+        name: np.ones(shape) if name.endswith("_gain") else rng.normal(0.0, 0.02, size=shape)
+        for name, shape in param_shapes(config).items()
+    }
     if anchor_id is not None:
-        others = np.delete(embedding, anchor_id, axis=0)
-        embedding[anchor_id] = others.mean(axis=0)
-    return weights
-
-
-def zero_like(weights: ModelWeights) -> ModelWeights:
-    cfg = weights.config
-    return ModelWeights(
-        config=cfg,
-        embedding=np.zeros_like(weights.embedding),
-        layers=[
-            LayerWeights(**{f: np.zeros_like(getattr(lw, f)) for f in (
-                "attn_gain", "wq", "wk", "wv", "wo", "ffn_gain", "w1", "w2")})
-            for lw in weights.layers
-        ],
-        final_gain=np.zeros_like(weights.final_gain),
-        head=np.zeros_like(weights.head),
-    )
+        embedding = arrays["embedding"]
+        embedding[anchor_id] = np.delete(embedding, anchor_id, axis=0).mean(axis=0)
+    return ModelWeights(config, arrays)
 
 
 def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +135,7 @@ def _masked_softmax(scores: Tensor, mask_bits: np.ndarray) -> Tensor:
 
 
 def _as_tensors(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
-    return {name: Tensor(a, requires_grad=requires_grad) for name, a in weights.named_arrays()}
+    return {name: Tensor(a, requires_grad=requires_grad) for name, a in weights.arrays.items()}
 
 
 def _forward_graph(
@@ -283,8 +225,9 @@ def forward(
 
 def loss_and_grads(
     weights: ModelWeights, block: SegmentedText, mask_bits: np.ndarray
-) -> tuple[float, ModelWeights]:
-    """Mean next-token cross-entropy over the block and its exact gradient."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean next-token cross-entropy over the block and its exact gradient,
+    one array per parameter name."""
     L = len(block)
     if L < 2:
         raise ContractError("training block must contain at least 2 tokens")
@@ -305,12 +248,8 @@ def loss_and_grads(
         raise NumericError("non-finite training loss")
 
     loss.backward()
-    grads = zero_like(weights)
-    for name, _ in weights.named_arrays():
-        g = params[name].grad
-        if g is not None:
-            grads.set_array(name, g)
-    return float(loss.data), grads
+    # every parameter feeds the loss, so backward gives each one a gradient
+    return float(loss.data), {name: p.grad for name, p in params.items()}
 
 
 # -- checkpoint io -----------------------------------------------------------
@@ -330,9 +269,10 @@ def save_checkpoint(
     opt_state: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Text manifest followed by raw little-endian float64 tensors in
-    manifest-declared order."""
+    manifest-declared order: the parameters in param_shapes order, then
+    the optimizer state sorted by name."""
     cfg = weights.config
-    tensors = list(weights.named_arrays())
+    tensors = [(name, weights.arrays[name]) for name in param_shapes(cfg)]
     if opt_state:
         tensors += sorted(opt_state.items())
     lines = [_CKPT_MAGIC]
@@ -394,14 +334,14 @@ def load_checkpoint(
         ).reshape(shape).copy()
         offset += n * 8
 
-    weights = init_weights(config, seed=0)
-    for name, expected in weights.named_arrays():
+    shapes = param_shapes(config)
+    for name, shape in shapes.items():
         if name not in arrays:
             raise InputError(f"checkpoint {path} is missing tensor {name}")
-        if arrays[name].shape != expected.shape:
+        if arrays[name].shape != shape:
             raise InputError(
                 f"checkpoint {path}: tensor {name} has shape {arrays[name].shape}, "
-                f"the config needs {expected.shape}"
+                f"the config needs {shape}"
             )
-        weights.set_array(name, arrays.pop(name))
+    weights = ModelWeights(config, {name: arrays.pop(name) for name in shapes})
     return weights, step, vocab_sha256, arrays

@@ -49,6 +49,10 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in (0, 1)")
         if (self.steps is None) == (self.epochs is None):
             raise ConfigError("exactly one of steps / epochs must be set")
+        for name in ("steps", "epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -208,7 +212,7 @@ def schedule_digest(cfg: TrainConfig, n_blocks: int, total_steps: int) -> str:
 
 def weights_digest(weights: ModelWeights) -> str:
     h = hashlib.sha256()
-    for _, arr in weights.named_arrays():
+    for arr in weights.arrays.values():
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -246,8 +250,7 @@ def train(
     weights = initial.copy() if initial is not None else init_weights(
         model_config, cfg.seed, anchor_id=anchor_id
     )
-    params = dict(weights.named_arrays())
-    optimizer = AdamW(list(params), cfg)
+    optimizer = AdamW(list(weights.arrays), cfg)
     if opt_state:
         optimizer.load_state_arrays(opt_state)
     masks = [_block_mask(b, cfg.mask_mode) for b in blocks]
@@ -276,12 +279,11 @@ def train(
         for bi in batch:
             loss, grads = loss_and_grads(weights, blocks[bi], masks[bi])
             loss_sum += loss
-            gdict = dict(grads.named_arrays())
             if grad_sum is None:
-                grad_sum = gdict
+                grad_sum = grads
             else:
-                for name in grad_sum:
-                    grad_sum[name] += gdict[name]
+                for name, g in grads.items():
+                    grad_sum[name] += g
             report.tokens_seen += len(blocks[bi])
         mean_loss = loss_sum / len(batch)
         if not np.isfinite(mean_loss):
@@ -289,7 +291,7 @@ def train(
         for g in grad_sum.values():
             g /= len(batch)
         clip_global_norm(grad_sum, cfg.grad_clip)
-        optimizer.step(params, grad_sum, step)
+        optimizer.step(weights.arrays, grad_sum, step)
         report.records.append(
             StepRecord(step, mean_loss, optimizer.lr_at(step), (time.perf_counter() - t0) * 1e3)
         )

@@ -68,6 +68,39 @@ def _gelu_scalar(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x * x * x)))
 
 
+def naive_init(config, seed: int, anchor_id: int | None = None) -> dict[str, np.ndarray]:
+    """Parameters built in the documented draw order from one generator:
+    embedding, then per layer attn_gain, wq, wk, wv, wo, ffn_gain, w1, w2,
+    then final_gain and head. Gains are ones and take no draws; every
+    other array is the next block of normal(0, 0.02) draws. With anchor_id,
+    the anchor's embedding row becomes the mean of all other rows."""
+    rng = np.random.default_rng(seed)
+    d, ff, vocab = config.d_model, config.d_ff, config.vocab_size
+
+    def normal(rows: int, cols: int) -> np.ndarray:
+        return rng.normal(0.0, 0.02, size=(rows, cols))
+
+    arrays = {"embedding": normal(vocab, d)}
+    for li in range(config.n_layers):
+        arrays[f"layer{li}.attn_gain"] = np.ones(d)
+        arrays[f"layer{li}.wq"] = normal(d, d)
+        arrays[f"layer{li}.wk"] = normal(d, d)
+        arrays[f"layer{li}.wv"] = normal(d, d)
+        arrays[f"layer{li}.wo"] = normal(d, d)
+        arrays[f"layer{li}.ffn_gain"] = np.ones(d)
+        arrays[f"layer{li}.w1"] = normal(d, ff)
+        arrays[f"layer{li}.w2"] = normal(ff, d)
+    arrays["final_gain"] = np.ones(d)
+    arrays["head"] = normal(d, vocab)
+    if anchor_id is not None:
+        total = np.zeros(d)
+        for row in range(vocab):
+            if row != anchor_id:
+                total = total + arrays["embedding"][row]
+        arrays["embedding"][anchor_id] = total / (vocab - 1)
+    return arrays
+
+
 def naive_attention(
     dims: dict[str, float],
     arrays: dict[str, np.ndarray],

@@ -88,7 +88,7 @@ def test_criterion_2_attention_oracle_equivalence():
             "d_model": config.d_model, "norm_eps": config.norm_eps,
             "rope_base": config.rope_base,
         }
-        want = naive_attention(dims, dict(weights.named_arrays()), ids, mask,
+        want = naive_attention(dims, weights.arrays, ids, mask,
                                list(range(len(ids))))
         np.testing.assert_allclose(got, want, rtol=1e-6)
     report_pass(2, started, "50 random models, rtol 1e-6")
@@ -109,12 +109,12 @@ def test_criterion_3_gradient_correctness():
     )
     mask = anchor_mask(seg)
     _, grads = loss_and_grads(weights, seg, mask)
-    analytic = dict(grads.named_arrays())
+    analytic = grads
 
     def loss_value():
         return loss_and_grads(weights, seg, mask)[0]
 
-    fd = finite_difference_grads(loss_value, dict(weights.named_arrays()), step=1e-4)
+    fd = finite_difference_grads(loss_value, weights.arrays, step=1e-4)
     worst = 0.0
     for name in analytic:
         denom = np.maximum(np.maximum(np.abs(fd[name]), np.abs(analytic[name])), 1e-3)

@@ -102,11 +102,11 @@ def test_live_flags_order():
     cache.append(entry(0, anchor=False, seq=0))
     cache.append(entry(1, anchor=True, seq=0))
     cache.append(entry(2, anchor=False, seq=1))
-    flags = cache.live_flags()
-    assert [f.is_anchor for f in flags] == [False, True, False]
-    assert [f.seq_index for f in flags] == [0, 0, 1]
+    flags = cache.flag_array()
+    assert [bool(a) for a in flags[:, 0]] == [False, True, False]
+    assert flags[:, 1].tolist() == [0, 0, 1]
     cache.reduction()
-    assert len(cache.live_flags()) == 2
+    assert len(cache.flag_array()) == 2
 
 
 def test_metric_ratio():

@@ -183,7 +183,7 @@ def test_eval_mc(workspace, tmp_path):
         "--vocab", str(workspace / "data" / "vocab.txt"),
         "--policy", "ac", "--items", str(workspace / "synth" / "task.jsonl"),
         "--demo-pool", str(workspace / "synth" / "demos.jsonl"),
-        "--shots", "2", "--ansan", "--reuse-demo-cache",
+        "--shots", "2", "--mask-mode", "ansan", "--reuse-demo-cache",
         "--out", str(out),
     ]) == 0
     metrics = (out / "metrics.txt").read_text()
@@ -254,7 +254,8 @@ def test_missing_items_is_input_error(workspace, tmp_path, capsys):
     '{"context": "the lamp", "choices": ["a", "b"], "gold": "x"}',
     '{"context": "the lamp", "choices": "bc", "gold": 0}',
     '{"context": 5, "choices": ["a", "b"], "gold": 0}',
-], ids=["gold-not-int", "choices-not-list", "context-not-str"])
+    '{"context": "the lamp", "choices": ["a", "  "], "gold": 0}',
+], ids=["gold-not-int", "choices-not-list", "context-not-str", "choice-without-tokens"])
 def test_malformed_task_record_is_input_error(workspace, tmp_path, capsys, record):
     items = tmp_path / "task.jsonl"
     items.write_text(record + "\n", encoding="utf-8")
@@ -266,6 +267,21 @@ def test_malformed_task_record_is_input_error(workspace, tmp_path, capsys, recor
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "task.jsonl:1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "budget", [["--steps", "0"], ["--epochs", "0"], ["--steps", "-3"]],
+    ids=["steps-0", "epochs-0", "steps-negative"],
+)
+def test_nonpositive_train_budget_is_config_error(workspace, tmp_path, capsys, budget):
+    code = main([
+        "train", "--data", str(workspace / "data"), *budget,
+        "--n-layers", "1", "--n-heads", "2", "--d-model", "16",
+        "--out", str(tmp_path / "t"),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert budget[0][2:] in err and "Traceback" not in err
 
 
 def train_with_config(workspace, tmp_path, config):
@@ -314,7 +330,7 @@ def test_numeric_error_exit_code(workspace, tmp_path, capsys):
     from anchorlm.model import load_checkpoint, save_checkpoint
 
     weights, step, _, opt = load_checkpoint(workspace / "train" / "ckpt.bin")
-    weights.embedding[:] = np.inf
+    weights.arrays["embedding"][:] = np.inf
     broken = tmp_path / "broken.bin"
     vocab_path = workspace / "data" / "vocab.txt"
     save_checkpoint(broken, weights, step, _sha256(vocab_path), opt)

@@ -43,7 +43,7 @@ def ac_model(ac_vocab):
 
 def zero_weights(config):
     w = init_weights(config, seed=0)
-    for _, arr in w.named_arrays():
+    for arr in w.arrays.values():
         arr[:] = 0.0
     return w
 
@@ -118,9 +118,9 @@ def test_perplexity_errors(tiny_weights):
 
 def rigged_model(config, favored):
     w = zero_weights(config)
-    w.embedding[:] = 1.0
-    w.final_gain[:] = 1.0
-    w.head[:, favored] = 5.0
+    w.arrays["embedding"][:] = 1.0
+    w.arrays["final_gain"][:] = 1.0
+    w.arrays["head"][:, favored] = 5.0
     return w
 
 
@@ -166,7 +166,7 @@ def test_per_item_argmax_consistency(ac_vocab, ac_model):
     items, pool = make_task(5, seed=3)
     demo_texts = [p.context + " " + p.choices[p.gold] for p in pool[:2]]
     prepared, _ = _prepare_items(items, demo_texts, ac_vocab, AC, 256)
-    cached, _ = _score_cached(ac_model, prepared, use_ansan=True, reduce_cache=True)
+    cached, _ = _score_cached(ac_model, prepared, use_ansan=True)
     plain = _score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
         if a:
@@ -187,6 +187,14 @@ def test_item_skipped_when_choice_overflows(ac_vocab):
     report = run_mc_task(weights, ac_vocab, items, 0, AC, True, False)
     assert report.n_items == 2
     assert report.n_skipped == 1
+
+
+@pytest.mark.parametrize("reuse_demo_cache", [False, True], ids=["noncache", "cached"])
+def test_choice_without_tokens_is_contract_error(ac_vocab, ac_model, reuse_demo_cache):
+    # an empty continuation would sum to a log-probability of 0.0 and win
+    item = MCItem("a b c .", ("a", "   ", "b"), 0)
+    with pytest.raises(ContractError, match="no tokens"):
+        run_mc_task(ac_model, ac_vocab, [item], 0, AC, True, reuse_demo_cache)
 
 
 def test_demo_pool_required(ac_vocab, ac_model):
@@ -297,6 +305,9 @@ def test_items_file_errors(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"context": "x", "choices": ["a"], "gold": 3}\n', encoding="utf-8")
     with pytest.raises(InputError):
+        load_mc_items(bad)
+    bad.write_text('{"context": "x", "choices": ["a", ""], "gold": 0}\n', encoding="utf-8")
+    with pytest.raises(InputError, match="no tokens"):
         load_mc_items(bad)
 
 

@@ -127,7 +127,7 @@ def test_empty_continuation_scores_zero(tiny_weights):
 def test_uniform_model_continuation_score():
     config = tiny_config()
     weights = init_weights(config, seed=0)
-    for _, arr in weights.named_arrays():
+    for arr in weights.arrays.values():
         arr[:] = 0.0
     got = score_continuation(weights, ctx([1, 2]), [3, 4, 5], use_ansan=False)
     assert abs(got - (-3 * np.log(config.vocab_size))) < 1e-9
@@ -137,11 +137,11 @@ def test_rigged_model_picks_favored_choice():
     config = tiny_config()
     weights = init_weights(config, seed=0)
     favored = 6
-    for name, arr in weights.named_arrays():
+    for arr in weights.arrays.values():
         arr[:] = 0.0
-    weights.embedding[:] = 1.0
-    weights.final_gain[:] = 1.0
-    weights.head[:, favored] = 5.0  # constant hidden state -> logits favor one id
+    weights.arrays["embedding"][:] = 1.0
+    weights.arrays["final_gain"][:] = 1.0
+    weights.arrays["head"][:, favored] = 5.0  # constant hidden state -> logits favor one id
     choices = [[2], [favored], [3]]
     scores = [
         score_continuation(weights, ctx([1, 2, 3]), c, use_ansan=False) for c in choices

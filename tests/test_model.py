@@ -11,16 +11,16 @@ from anchorlm.model import (
     init_weights,
     load_checkpoint,
     loss_and_grads,
+    param_shapes,
     save_checkpoint,
-    zero_like,
 )
 from conftest import random_segmented, tiny_config
-from oracles import finite_difference_grads, naive_attention
+from oracles import finite_difference_grads, naive_attention, naive_init
 
 
 def zeroed(config):
     w = init_weights(config, seed=0)
-    for name, arr in w.named_arrays():
+    for arr in w.arrays.values():
         arr[:] = 0.0
     return w
 
@@ -38,7 +38,7 @@ def oracle_inputs(weights):
         "norm_eps": cfg.norm_eps,
         "rope_base": cfg.rope_base,
     }
-    return dims, dict(weights.named_arrays())
+    return dims, weights.arrays
 
 
 def test_config_validation():
@@ -121,14 +121,13 @@ def test_gradients_match_finite_differences():
     )
     mask = anchor_mask(seg)
     _, grads = loss_and_grads(weights, seg, mask)
-    arrays = dict(weights.named_arrays())
 
     def loss_value():
         return loss_and_grads(weights, seg, mask)[0]
 
-    fd = finite_difference_grads(loss_value, arrays, step=1e-4)
-    for name, _ in weights.named_arrays():
-        analytic = dict(grads.named_arrays())[name]
+    fd = finite_difference_grads(loss_value, weights.arrays, step=1e-4)
+    assert list(grads) == list(weights.arrays)
+    for name, analytic in grads.items():
         denom = np.maximum(np.maximum(np.abs(fd[name]), np.abs(analytic)), 1e-3)
         assert np.max(np.abs(fd[name] - analytic) / denom) < 1e-4, name
 
@@ -138,19 +137,31 @@ def test_init_deterministic_and_seed_sensitive():
     a = init_weights(config, seed=3)
     b = init_weights(config, seed=3)
     c = init_weights(config, seed=4)
-    for (_, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
+    for x, y in zip(a.arrays.values(), b.arrays.values()):
         assert np.array_equal(x, y)
-    assert any(
-        not np.array_equal(x, y)
-        for (_, x), (_, y) in zip(a.named_arrays(), c.named_arrays())
-    )
+    assert any(not np.array_equal(x, y) for x, y in zip(a.arrays.values(), c.arrays.values()))
+
+
+@pytest.mark.parametrize("anchor_id", [None, 4])
+@pytest.mark.parametrize("config", [
+    tiny_config(),
+    ModelConfig(vocab_size=9, n_layers=3, n_heads=2, d_model=8, d_ff=12, context_len=8),
+])
+def test_init_matches_documented_draw_order(config, anchor_id):
+    want = naive_init(config, seed=11, anchor_id=anchor_id)
+    got = init_weights(config, seed=11, anchor_id=anchor_id)
+    assert list(got.arrays) == list(want)
+    for name, arr in want.items():
+        assert got.arrays[name].dtype == np.float64
+        assert np.array_equal(got.arrays[name], arr), name
 
 
 def test_anchor_embedding_row_is_mean_of_others():
     config = tiny_config()
     w = init_weights(config, seed=1, anchor_id=4)
-    others = np.delete(w.embedding, 4, axis=0)
-    np.testing.assert_allclose(w.embedding[4], others.mean(axis=0), rtol=1e-12)
+    embedding = w.arrays["embedding"]
+    others = np.delete(embedding, 4, axis=0)
+    np.testing.assert_allclose(embedding[4], others.mean(axis=0), rtol=1e-12)
 
 
 def test_cache_equivalence_token_by_token(tiny_weights):
@@ -213,7 +224,7 @@ def test_positions_must_increase(tiny_weights):
 
 def test_non_finite_raises():
     weights = init_weights(tiny_config(), seed=0)
-    weights.embedding[1] = np.inf
+    weights.arrays["embedding"][1] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         forward(weights, [1, 2, 3], causal_mask(3))
 
@@ -224,12 +235,13 @@ def test_short_block_rejected(tiny_weights):
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_weights):
-    opt = {"opt.m.head": np.full_like(tiny_weights.head, 0.5)}
+    opt = {"opt.m.head": np.full_like(tiny_weights.arrays["head"], 0.5)}
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, tiny_weights, step=42, vocab_sha256="ab" * 32, opt_state=opt)
     loaded, step, sha, opt_loaded = load_checkpoint(path)
     assert step == 42 and sha == "ab" * 32
-    for (_, x), (_, y) in zip(tiny_weights.named_arrays(), loaded.named_arrays()):
+    assert list(loaded.arrays) == list(param_shapes(tiny_weights.config))
+    for x, y in zip(tiny_weights.arrays.values(), loaded.arrays.values()):
         assert np.array_equal(x, y)
     assert np.array_equal(opt_loaded["opt.m.head"], opt["opt.m.head"])
 
@@ -263,9 +275,3 @@ def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
     path.write_bytes(broken)
     with pytest.raises(InputError):
         load_checkpoint(path)
-
-
-def test_zero_like_shapes(tiny_weights):
-    z = zero_like(tiny_weights)
-    for (_, a), (_, b) in zip(tiny_weights.named_arrays(), z.named_arrays()):
-        assert a.shape == b.shape and not b.any()

@@ -36,7 +36,7 @@ def test_zero_learning_rate_leaves_weights_bitwise(tmp_path):
     config = tiny_config(vocab_size=64)
     initial = init_weights(config, seed=5)
     report = train(small_cfg(steps=1, learning_rate=0.0), config, blocks, initial=initial)
-    for (_, a), (_, b) in zip(initial.named_arrays(), report.final_weights.named_arrays()):
+    for a, b in zip(initial.arrays.values(), report.final_weights.arrays.values()):
         assert np.array_equal(a, b)
 
 
@@ -117,7 +117,7 @@ def test_divergence_aborts(tmp_path):
     _, blocks = make_blocks(tmp_path)
     config = tiny_config(vocab_size=64)
     bad = init_weights(config, seed=0)
-    bad.embedding[:] = np.inf
+    bad.arrays["embedding"][:] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         train(small_cfg(steps=1), config, blocks, initial=bad)
 
@@ -155,6 +155,16 @@ def test_config_validation():
         TrainConfig(steps=1, adam_beta1=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(steps=1, mask_mode="diagonal")
+
+
+@pytest.mark.parametrize("name, value", [("steps", 0), ("steps", -2), ("epochs", 0)])
+def test_nonpositive_budget_is_config_error(tmp_path, name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
+    path = tmp_path / "train.cfg"
+    path.write_text(f"{name} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig.from_file(path)
 
 
 def test_config_file_round_trip(tmp_path):
