@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor records its parents and a backward closure only while some input
-requires gradients, so the same forward code serves training (taped) and
-inference (tape-free). Gradient correctness is pinned down by the
+A Tensor records its parents and a backward closure while some input
+requires gradients. Its operators also work on plain arrays, and `exp`,
+`tanh`, `concat`, `take` and `data_of` build a node only for a Tensor, so
+one forward source runs on Tensors (training) or on arrays (inference, no
+Tensor built). Gradient correctness is pinned down by the
 finite-difference tests, not by construction.
 """
 
@@ -208,7 +210,23 @@ def ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def data_of(value: Tensor | Array) -> Array:
+    """The array behind a Tensor, or the array itself."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def exp(x: Tensor | Array) -> Tensor | Array:
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def tanh(x: Tensor | Array) -> Tensor | Array:
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def concat(tensors: Sequence[Tensor | Array], axis: int = -1) -> Tensor | Array:
+    """Join along axis; a node only when some part is a Tensor."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [ensure_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -220,9 +238,11 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._op(data, tuple(tensors), bwd)
 
 
-def take(tensor: Tensor, indices: np.ndarray) -> Tensor:
+def take(tensor: Tensor | Array, indices: np.ndarray) -> Tensor | Array:
     """Row gather along axis 0 (embedding lookup)."""
     indices = np.asarray(indices, dtype=np.int64)
+    if not isinstance(tensor, Tensor):
+        return tensor[indices]
     data = tensor.data[indices]
 
     def bwd(g):

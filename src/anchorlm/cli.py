@@ -150,8 +150,12 @@ def _read_data_cfg(data_dir: Path) -> dict[str, str]:
     cfg_path = data_dir / "data.cfg"
     if not cfg_path.exists():
         raise InputError(f"{data_dir} is not a prepared data directory (no data.cfg)")
+    try:
+        text = cfg_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {cfg_path}: {exc}") from exc
     out = {}
-    for line in cfg_path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if "=" in line:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
@@ -169,8 +173,14 @@ _TRAIN_FLAG_FIELDS = (
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     data_cfg = _read_data_cfg(data_dir)
+    try:
+        context_len = int(data_cfg["context_len"])
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"{data_dir / 'data.cfg'} needs an integer context_len: {exc!r}") from exc
     vocab = Vocab.load(data_dir / "vocab.txt")
     blocks = load_blocks(data_dir / "blocks.jsonl")
+    if any(max(b.ids, default=0) >= len(vocab) for b in blocks):
+        raise InputError(f"blocks.jsonl holds token ids >= the vocab size {len(vocab)}")
 
     # precedence: flags > config file > defaults
     overrides = {
@@ -197,7 +207,7 @@ def cmd_train(args) -> int:
         n_heads=args.n_heads,
         d_model=args.d_model,
         d_ff=args.d_ff if args.d_ff else 4 * args.d_model,
-        context_len=int(data_cfg["context_len"]),
+        context_len=context_len,
     )
 
     out = _resolve_out(args.out, "train", str(data_dir))

@@ -160,7 +160,7 @@ class Vocab:
     def load(cls, path: str | Path) -> "Vocab":
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read vocab file {path}: {exc}") from exc
         expected = [PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN]
         if lines[: len(expected)] != expected:
@@ -346,10 +346,16 @@ def save_blocks(path: str | Path, blocks: list[SegmentedText]) -> None:
             )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_blocks(path: str | Path) -> list[SegmentedText]:
+    """Inverse of save_blocks. Ids must be ints >= 0, anchors 0 or 1 and
+    seqs ints in a valid layout; anything else raises InputError."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read block file {path}: {exc}") from exc
     blocks = []
     for ln, line in enumerate(raw.splitlines(), 1):
@@ -357,13 +363,16 @@ def load_blocks(path: str | Path) -> list[SegmentedText]:
             continue
         try:
             rec = json.loads(line)
-            seg = SegmentedText(
-                ids=list(rec["ids"]),
-                is_anchor=[bool(a) for a in rec["anchor"]],
-                seq_index=list(rec["seq"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            ids, anchors, seqs = list(rec["ids"]), list(rec["anchor"]), list(rec["seq"])
+            if not all(_is_int(i) and i >= 0 for i in ids):
+                raise InputError("ids must be non-negative integers")
+            if not all(_is_int(a) and a in (0, 1) for a in anchors):
+                raise InputError("anchor flags must be 0 or 1")
+            if not all(_is_int(q) for q in seqs):
+                raise InputError("seq indices must be integers")
+            seg = SegmentedText(ids=ids, is_anchor=[bool(a) for a in anchors], seq_index=seqs)
+            seg.validate()
+        except (json.JSONDecodeError, KeyError, TypeError, InputError, ContractError) as exc:
             raise InputError(f"bad block record at {path}:{ln}: {exc}") from exc
-        seg.validate()
         blocks.append(seg)
     return blocks

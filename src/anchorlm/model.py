@@ -3,8 +3,9 @@
 Pre-norm RMS normalization, rotary position encoding applied at absolute
 positions, multi-head attention with a masked softmax that renormalizes
 over unmasked keys only, a GELU feed-forward block, and an untied output
-head. The same forward graph serves training (with gradients from the
-in-repo autodiff) and cached inference (tape-free).
+head. One forward source (`_forward_graph`) serves both uses: inference
+runs it over the plain weight arrays and builds no autodiff Tensor;
+training runs it over Tensors, which record the tape for backward.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, take, take_pairs
+from .autodiff import Tensor, concat, data_of, exp, take, take_pairs, tanh
 from .corpus import SegmentedText
 from .errors import ContractError, InputError, NumericError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+Node = Tensor | np.ndarray  # what the forward helpers compute on
 
 
 @dataclass(frozen=True)
@@ -105,48 +108,45 @@ def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray
     return np.cos(angles), np.sin(angles)
 
 
-def _rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray, half: int) -> Tensor:
+def _rotate(x: Node, cos: np.ndarray, sin: np.ndarray, half: int) -> Node:
     x1 = x[:, :, :half]
     x2 = x[:, :, half:]
     return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def _rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    scale = ((x * x).mean(axis=-1, keepdims=True) + eps) ** -0.5
+def _rmsnorm(x: Node, gain: Node, eps: float) -> Node:
+    # sum * (1/n), as Tensor.mean computes it, so both array types agree bitwise
+    scale = ((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps) ** -0.5
     return x * scale * gain
 
 
-def _gelu(x: Tensor) -> Tensor:
+def _gelu(x: Node) -> Node:
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + inner.tanh())
+    return 0.5 * x * (1.0 + tanh(inner))
 
 
-def _masked_softmax(scores: Tensor, mask_bits: np.ndarray) -> Tensor:
-    """Renormalize exp(scores) over unmasked keys; masked keys contribute 0.
+def _masked_softmax(scores: Node, keep: np.ndarray) -> Node:
+    """Renormalize exp(scores) over kept keys; masked keys contribute 0.
 
     Every row carries at least the self bit, so the denominator is positive.
-    The row max over unmasked keys is subtracted as a constant for stability
+    The row max over kept keys is subtracted as a constant for stability
     (softmax is shift-invariant, so this changes nothing mathematically).
+    Multiplying by the bool mask casts it to exact 0.0/1.0 elementwise.
     """
-    keep = mask_bits.astype(bool)[None, :, :]
-    rowmax = np.max(np.where(keep, scores.data, -np.inf), axis=-1, keepdims=True)
-    e = (scores - rowmax).exp() * mask_bits.astype(np.float64)[None, :, :]
+    rowmax = np.max(np.where(keep, data_of(scores), -np.inf), axis=-1, keepdims=True)
+    e = exp(scores - rowmax) * keep
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_tensors(weights: ModelWeights, requires_grad: bool) -> dict[str, Tensor]:
-    return {name: Tensor(a, requires_grad=requires_grad) for name, a in weights.arrays.items()}
-
-
 def _forward_graph(
-    params: dict[str, Tensor],
+    params: dict[str, Node],
     config: ModelConfig,
     ids: np.ndarray,
     mask_bits: np.ndarray,
     cache_kv: list[tuple[np.ndarray, np.ndarray]] | None,
     positions: np.ndarray,
     collect_attn: bool,
-) -> tuple[Tensor, ForwardOutput]:
+) -> tuple[Node, ForwardOutput]:
     T = len(ids)
     n_cached = cache_kv[0][0].shape[1] if cache_kv else 0
     if mask_bits.shape != (T, n_cached + T):
@@ -156,9 +156,12 @@ def _forward_graph(
         )
     if np.any(np.diff(positions) <= 0):
         raise ContractError("positions must be strictly increasing")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
 
     H, hd, half = config.n_heads, config.head_dim, config.head_dim // 2
     cos, sin = _rope_tables(config, positions)
+    keep = mask_bits.astype(bool)[None, :, :]
     out = ForwardOutput(logits=np.empty(0), new_keys=[], new_values=[])
 
     h = take(params["embedding"], ids)  # (T, d_model)
@@ -171,27 +174,27 @@ def _forward_graph(
         q = _rotate(q, cos, sin, half)
         k = _rotate(k, cos, sin, half)
         if cache_kv:
-            k_all = concat([Tensor(cache_kv[li][0]), k], axis=1)
-            v_all = concat([Tensor(cache_kv[li][1]), v], axis=1)
+            k_all = concat([cache_kv[li][0], k], axis=1)
+            v_all = concat([cache_kv[li][1], v], axis=1)
         else:
             k_all, v_all = k, v
         scores = (q @ k_all.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))
-        attn = _masked_softmax(scores, mask_bits)
+        attn = _masked_softmax(scores, keep)
         if collect_attn:
-            out.attn.append(attn.data.copy())
+            out.attn.append(data_of(attn).copy())
         ctx = (attn @ v_all).swapaxes(0, 1).reshape(T, config.d_model)
         h = h + ctx @ p("wo")
         f = _rmsnorm(h, p("ffn_gain"), config.norm_eps)
         h = h + _gelu(f @ p("w1")) @ p("w2")
-        if not np.all(np.isfinite(h.data)):
+        if not np.all(np.isfinite(data_of(h))):
             raise NumericError(f"non-finite activations after layer {li}")
-        out.new_keys.append(k.data)
-        out.new_values.append(v.data)
+        out.new_keys.append(data_of(k))
+        out.new_values.append(data_of(v))
 
     logits = _rmsnorm(h, params["final_gain"], config.norm_eps) @ params["head"]
-    if not np.all(np.isfinite(logits.data)):
+    out.logits = data_of(logits)
+    if not np.all(np.isfinite(out.logits)):
         raise NumericError("non-finite logits in forward pass")
-    out.logits = logits.data
     return logits, out
 
 
@@ -205,7 +208,8 @@ def forward(
 ) -> ForwardOutput:
     """Run the model over T tokens, optionally attending into cached
     keys/values. mask_bits has shape (T, cached + T); positions are
-    absolute and are never renumbered after cache reduction."""
+    absolute and are never renumbered after cache reduction. Ids outside
+    [0, vocab_size) raise ContractError."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")
@@ -216,9 +220,8 @@ def forward(
         positions = np.arange(ids.size)
     else:
         positions = np.asarray(positions, dtype=np.int64)
-    params = _as_tensors(weights, requires_grad=False)
     _, out = _forward_graph(
-        params, weights.config, ids, mask_bits, cache_kv, positions, collect_attn
+        weights.arrays, weights.config, ids, mask_bits, cache_kv, positions, collect_attn
     )
     return out
 
@@ -232,7 +235,7 @@ def loss_and_grads(
     if L < 2:
         raise ContractError("training block must contain at least 2 tokens")
     ids = np.asarray(block.ids, dtype=np.int64)
-    params = _as_tensors(weights, requires_grad=True)
+    params = {name: Tensor(a, requires_grad=True) for name, a in weights.arrays.items()}
     logits, _ = _forward_graph(
         params, weights.config, ids, np.asarray(mask_bits), None, np.arange(L), False
     )

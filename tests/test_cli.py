@@ -1,5 +1,7 @@
 """End-to-end CLI tests, run in-process through cli.main()."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,65 @@ def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
     assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "batch_size" in err and "Traceback" not in err
+
+
+def broken_data_dir(workspace, tmp_path, name, content):
+    """A copy of the prepared data directory with one file replaced."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    (data / name).write_bytes(content)
+    return data
+
+
+def train_on(data, tmp_path):
+    return main([
+        "train", "--data", str(data), "--steps", "1",
+        "--n-layers", "1", "--n-heads", "2", "--d-model", "16",
+        "--out", str(tmp_path / "t"),
+    ])
+
+
+@pytest.mark.parametrize("record", [
+    '{"ids": [5, -3, 6], "anchor": [0, 0, 0], "seq": [0, 0, 0]}',
+    '{"ids": [5, "x", 6], "anchor": [0, 0, 0], "seq": [0, 0, 0]}',
+    '{"ids": [5, true, 6], "anchor": [0, 0, 0], "seq": [0, 0, 0]}',
+    '{"ids": [5, 6, 7], "anchor": [0, 2, 0], "seq": [0, 0, 0]}',
+    '{"ids": [5, 6, 7], "anchor": [0, 0, 0], "seq": [0, 0, 0.5]}',
+    '{"ids": [5, 6, 7], "anchor": [0, 0, 0], "seq": [0, 0, 3]}',
+], ids=["negative-id", "string-id", "bool-id", "anchor-not-0-1", "float-seq", "bad-seq-layout"])
+def test_malformed_block_record_is_input_error(workspace, tmp_path, capsys, record):
+    data = broken_data_dir(workspace, tmp_path, "blocks.jsonl", record + "\n")
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "blocks.jsonl:1" in err and "Traceback" not in err
+
+
+def test_block_id_beyond_vocab_is_input_error(workspace, tmp_path, capsys):
+    n_vocab = len((workspace / "data" / "vocab.txt").read_text(encoding="utf-8").splitlines())
+    record = f'{{"ids": [5, {n_vocab}, 6], "anchor": [0, 0, 0], "seq": [0, 0, 0]}}\n'
+    data = broken_data_dir(workspace, tmp_path, "blocks.jsonl", record)
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "vocab size" in err and "Traceback" not in err
+
+
+def test_non_utf8_vocab_is_input_error(workspace, tmp_path, capsys):
+    data = broken_data_dir(workspace, tmp_path, "vocab.txt", b"<pad>\n<bos>\n\xff\n")
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "vocab.txt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    "policy = ac\ncontext_len = abc\n", "policy = ac\n", b"context_len = 64\npolicy = \xff\n",
+], ids=["context-len-not-int", "context-len-missing", "not-utf8"])
+def test_bad_data_config_is_input_error(workspace, tmp_path, capsys, content):
+    data = broken_data_dir(workspace, tmp_path, "data.cfg", content)
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "data.cfg" in err and "Traceback" not in err
 
 
 def test_checkpoint_cadence(workspace, tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import anchorlm.autodiff as autodiff
+import anchorlm.evaluate as evaluate
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError
 from anchorlm.infer import GenerationConfig, generate, score_continuation
@@ -190,3 +192,32 @@ def test_score_continuation_random_masks_agree(tiny_weights):
         a = score_continuation(tiny_weights, plain, cont, use_ansan=True)
         b = score_continuation(tiny_weights, plain, cont, use_ansan=False)
         assert abs(a - b) < 1e-12
+
+
+@pytest.fixture
+def no_tensors(monkeypatch):
+    """Fail the test if any autodiff Tensor is built while it runs."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("inference built an autodiff Tensor")
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", refuse)
+
+
+def test_generate_builds_no_tensor(tiny_weights, no_tensors):
+    res = generate(tiny_weights, anchored_prefix(), gen_cfg())
+    assert len(res.ids) == 12
+
+
+@pytest.mark.parametrize("use_ansan", [True, False])
+def test_mc_scoring_builds_no_tensor(tiny_weights, no_tensors, use_ansan):
+    prompt = anchored_prefix()
+    prepared = [evaluate._PreparedItem(prompt, 3, [[1], [2, 3], [5, 6, 7]], 0)]
+    cached, _ = evaluate._score_cached(tiny_weights, prepared, use_ansan)
+    noncached = evaluate._score_noncache(tiny_weights, prepared, use_ansan)
+    assert len(cached[0]) == len(noncached[0]) == 3
+
+
+def test_perplexity_builds_no_tensor(tiny_weights, no_tensors):
+    ppl = evaluate.perplexity(tiny_weights, anchored_prefix(), "ansan", 4)
+    assert np.isfinite(ppl)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache, CacheEntry
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.masks import TokenFlags, anchor_mask, causal_mask
 from anchorlm.model import (
     ModelConfig,
+    _forward_graph,
     forward,
     init_weights,
     load_checkpoint,
@@ -275,3 +277,38 @@ def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
     path.write_bytes(broken)
     with pytest.raises(InputError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n_cached", [0, 5])
+def test_array_forward_matches_taped_path_bitwise(tiny_weights, n_cached):
+    # forward runs _forward_graph over plain arrays; training runs the same
+    # source over Tensors, so the two must agree to the last bit
+    ids = np.array([1, 5, 3, 7, 9, 2, 4, 8])
+    seg = SegmentedText(
+        ids=list(ids), is_anchor=[False, True, False, False, True, False, False, False],
+        seq_index=[0, 0, 1, 1, 1, 2, 2, 2],
+    )
+    mask = anchor_mask(seg)[n_cached:]
+    positions = np.arange(n_cached, len(ids))
+    cache_kv = None
+    if n_cached:
+        prefix = forward(tiny_weights, ids[:n_cached], anchor_mask(seg.slice(0, n_cached)))
+        cache_kv = list(zip(prefix.new_keys, prefix.new_values))
+    arrays = forward(tiny_weights, ids[n_cached:], mask, cache_kv, positions, collect_attn=True)
+    params = {name: Tensor(a, requires_grad=True) for name, a in tiny_weights.arrays.items()}
+    logits, taped = _forward_graph(
+        params, tiny_weights.config, ids[n_cached:], mask, cache_kv, positions, True
+    )
+    assert logits.requires_grad
+    assert np.array_equal(arrays.logits, taped.logits)
+    for got, want in zip(arrays.new_keys + arrays.attn, taped.new_keys + taped.attn):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [-1, 11])
+def test_ids_outside_vocab_rejected(tiny_weights, bad):
+    # a negative id would otherwise wrap to a real embedding row
+    with pytest.raises(ContractError, match="token ids"):
+        forward(tiny_weights, [1, bad, 2], causal_mask(3))
+    with pytest.raises(ContractError, match="token ids"):
+        loss_and_grads(tiny_weights, plain_seg([1, bad, 2]), causal_mask(3))
