@@ -9,6 +9,13 @@ PagedAttention layout (Kwon et al., 2023): keys and values each in one
 (n_layers, n_heads, capacity, head_dim) array, with per-slot positions
 and (is_anchor, seq_index) flag rows beside them. The first len(cache)
 slots are live, in position order; capacity grows geometrically.
+
+The free slots after the live ones are where new keys/values are
+written: `stacked(T)` hands a forward views over the live slots plus T
+free ones, the forward fills the free ones and attends over the whole
+view in place, and `extend_from_forward` commits them by moving the
+live count. A forward alone never changes a live slot. The cache is
+inference-only: no gradient flows through it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 from .masks import TokenFlags
+from .model import ModelConfig
 
 _MIN_CAPACITY = 16
 
@@ -54,35 +62,18 @@ class AnchorKVCache:
     def __len__(self) -> int:
         return self._live
 
-    def _write(
-        self,
-        positions: Sequence[int] | np.ndarray,
-        flags: Sequence[TokenFlags] | np.ndarray,
-        keys: Sequence[np.ndarray] | np.ndarray,
-        values: Sequence[np.ndarray] | np.ndarray,
-    ) -> None:
-        """Copy T entries into the slots after the live ones; keys and
-        values hold one (n_heads, T, head_dim) array per layer."""
-        positions = np.asarray(positions, dtype=np.int64)
-        n, end = self._live, self._live + len(positions)
-        last = self._positions[n - 1 : n]
-        if np.any(positions[1:] <= positions[:-1]) or np.any(positions[:1] <= last):
-            raise ContractError(
-                f"cache positions must be strictly increasing: "
-                f"{positions.tolist()} after {last.tolist()}"
-            )
-        if end > len(self._positions):
-            self._grow(end, (len(keys), *np.shape(keys[0])))
-        self._positions[n:end] = positions
-        self._flags[n:end] = flags
-        self._keys[:, :, n:end] = keys
-        self._values[:, :, n:end] = values
-        self._live = end
-
-    def _grow(self, needed: int, kv_shape: tuple[int, int, int, int]) -> None:
+    def _reserve(self, extra: int, dims: tuple[int, ...] | None = None) -> None:
+        """Grow capacity, geometrically, to at least live + extra slots.
+        dims (n_layers, n_heads, head_dim), when given, shape the grown
+        arrays; a cache never written has no shape of its own."""
         n = self._live
-        capacity = max(needed, 2 * len(self._positions), _MIN_CAPACITY)
-        n_layers, n_heads, _, head_dim = kv_shape
+        if n + extra <= len(self._positions):
+            return
+        capacity = max(n + extra, 2 * len(self._positions), _MIN_CAPACITY)
+        shape = self._keys.shape
+        n_layers, n_heads, head_dim = dims or (shape[0], shape[1], shape[3])
+        if not n_layers * n_heads * head_dim:
+            raise ContractError("a cache never written needs the model config to shape its slots")
         keys = np.empty((n_layers, n_heads, capacity, head_dim))
         values = np.empty_like(keys)
         positions = np.empty(capacity, dtype=np.int64)
@@ -94,30 +85,50 @@ class AnchorKVCache:
             flags[:n] = self._flags[:n]
         self._keys, self._values, self._positions, self._flags = keys, values, positions, flags
 
+    def _commit(
+        self, positions: Sequence[int] | np.ndarray, flags: Sequence[TokenFlags] | np.ndarray
+    ) -> None:
+        """Make the free slots after the live ones live, in order; their
+        keys and values must already be written."""
+        positions = np.asarray(positions, dtype=np.int64)
+        n, end = self._live, self._live + len(positions)
+        last = self._positions[n - 1 : n]
+        if np.any(positions[1:] <= positions[:-1]) or np.any(positions[:1] <= last):
+            raise ContractError(
+                f"cache positions must be strictly increasing: "
+                f"{positions.tolist()} after {last.tolist()}"
+            )
+        if end > len(self._positions):
+            raise ContractError(
+                f"{len(positions)} entries committed, but only "
+                f"{len(self._positions) - n} free slots are reserved"
+            )
+        self._positions[n:end] = positions
+        self._flags[n:end] = flags
+        self._live = end
+
     def _count_appends(self, count: int) -> None:
         self.stats.total_appends += count
         self.stats.peak_live_count = max(self.stats.peak_live_count, self._live)
 
     def _write_entry(self, e: CacheEntry) -> None:
-        self._write(
-            [e.position], [(e.is_anchor, e.seq_index)], e.keys[:, :, None], e.values[:, :, None]
-        )
+        self._reserve(1, e.keys.shape)
+        self._keys[:, :, self._live] = e.keys
+        self._values[:, :, self._live] = e.values
+        self._commit([e.position], [(e.is_anchor, e.seq_index)])
 
     def append(self, entry: CacheEntry) -> None:
         self._write_entry(entry)
         self._count_appends(1)
 
     def extend_from_forward(
-        self,
-        new_keys: list[np.ndarray],
-        new_values: list[np.ndarray],
-        positions: Sequence[int] | np.ndarray,
-        flags: Sequence[TokenFlags] | np.ndarray,
+        self, positions: Sequence[int] | np.ndarray, flags: Sequence[TokenFlags] | np.ndarray
     ) -> None:
-        """Append one entry per processed token from a forward output
-        (per layer (n_heads, T, head_dim) keys and values); flags are
-        TokenFlags or (is_anchor, seq_index) rows."""
-        self._write(positions, flags, new_keys, new_values)
+        """Make live the T free slots after the live ones, whose keys and
+        values a forward over `stacked(T)` wrote, with these positions
+        and flags (TokenFlags or (is_anchor, seq_index) rows). Nothing is
+        copied but the positions and flags."""
+        self._commit(positions, flags)
         self._count_appends(len(positions))
 
     def reduction(self) -> None:
@@ -158,25 +169,28 @@ class AnchorKVCache:
             raise UndefinedMetricError("cache reduction is undefined before any append")
         return self.stats.total_discards / self.stats.total_appends
 
-    def stacked(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Per-layer (K, V) of shape (n_heads, live, head_dim): views of the
-        live slots, valid until the cache is next modified."""
-        if not self._live:
-            return None
-        keys = self._keys[:, :, : self._live]
-        values = self._values[:, :, : self._live]
-        return list(zip(keys, values))
+    def stacked(
+        self, extra: int = 0, config: ModelConfig | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (K, V) of shape (n_heads, live + extra, head_dim):
+        views of the live slots followed by `extra` free slots, valid
+        until the cache is next modified. The free slots are scratch: a
+        forward writes the new tokens' keys/values there, and only
+        `extend_from_forward` makes them live. Capacity grows as needed;
+        a cache never written takes its shape from config."""
+        self._reserve(extra, config and (config.n_layers, config.n_heads, config.head_dim))
+        end = self._live + extra
+        return list(zip(self._keys[:, :, :end], self._values[:, :, :end]))
 
     def clone(self) -> "AnchorKVCache":
         """Independent copy of the live entries; the clone starts with
         fresh statistics for its own appends."""
         c = AnchorKVCache()
-        n = self._live
-        if n:
-            c._write(
-                self._positions[:n], self._flags[:n],
-                self._keys[:, :, :n], self._values[:, :, :n],
-            )
+        n = c._live = self._live
+        c._keys = self._keys[:, :, :n].copy()
+        c._values = self._values[:, :, :n].copy()
+        c._positions = self._positions[:n].copy()
+        c._flags = self._flags[:n].copy()
         c.stats.peak_live_count = n
         return c
 

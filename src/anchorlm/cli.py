@@ -109,6 +109,32 @@ def _policy_from_args(args) -> AnchorPolicy:
     return AnchorPolicy.parse(args.policy, seed=getattr(args, "policy_seed", 0))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (argparse exits 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number > 0 (argparse exits 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 # -- prepare -------------------------------------------------------------------
 
 
@@ -177,10 +203,18 @@ def cmd_train(args) -> int:
         context_len = int(data_cfg["context_len"])
     except (KeyError, ValueError) as exc:
         raise InputError(f"{data_dir / 'data.cfg'} needs an integer context_len: {exc!r}") from exc
+    if context_len < 2:
+        raise InputError(f"{data_dir / 'data.cfg'} needs context_len >= 2, got {context_len}")
     vocab = Vocab.load(data_dir / "vocab.txt")
     blocks = load_blocks(data_dir / "blocks.jsonl")
     if any(max(b.ids, default=0) >= len(vocab) for b in blocks):
         raise InputError(f"blocks.jsonl holds token ids >= the vocab size {len(vocab)}")
+    longest = max((len(b) for b in blocks), default=0)
+    if longest > context_len:
+        raise InputError(
+            f"blocks.jsonl holds a {longest}-token block, longer than the "
+            f"context_len {context_len} in {data_dir / 'data.cfg'}"
+        )
 
     # precedence: flags > config file > defaults
     overrides = {
@@ -276,6 +310,11 @@ def cmd_generate(args) -> int:
     prefix = annotate(args.prompt, vocab, policy)
     if len(prefix) == 0:
         raise InputError("prompt contains no tokens")
+    if len(prefix) > weights.config.context_len:
+        raise UsageError(
+            f"prompt length {len(prefix)} exceeds the checkpoint's "
+            f"context_len {weights.config.context_len}"
+        )
 
     cfg = GenerationConfig(
         max_new_tokens=args.max_new,
@@ -338,6 +377,11 @@ def cmd_eval(args) -> int:
             Path(args.text).read_text(encoding="utf-8"), vocab, policy
         )
         ecl = args.eval_context_len or weights.config.context_len
+        if ecl > weights.config.context_len:
+            raise UsageError(
+                f"--eval-context-len {ecl} exceeds the checkpoint's "
+                f"context_len {weights.config.context_len}"
+            )
         ppl = perplexity(
             weights, seg, args.mask_mode, ecl,
             inserted_anchor_id=vocab.anchor_id if policy.inserts_anchor_token else None,
@@ -355,7 +399,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--task mc requires --items")
         manifest.add_input(args.items)
         items = load_mc_items(args.items)
-        demo_pool = load_mc_items(args.demo_pool) if args.demo_pool else None
+        demo_pool = _load_demo_pool(args)
         if args.demo_pool:
             manifest.add_input(args.demo_pool)
         report = run_mc_task(
@@ -376,7 +420,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--task ablation requires --items")
         manifest.add_input(args.items)
         items = load_mc_items(args.items)
-        demo_pool = load_mc_items(args.demo_pool) if args.demo_pool else None
+        demo_pool = _load_demo_pool(args)
         arms = {}
         for arm_text in args.arm:
             if "@" not in arm_text:
@@ -396,6 +440,14 @@ def cmd_eval(args) -> int:
 
     manifest.write(out)
     return 0
+
+
+def _load_demo_pool(args):
+    """The --demo-pool items (None without the flag); --shots N needs N."""
+    demo_pool = load_mc_items(args.demo_pool) if args.demo_pool else None
+    if args.shots > len(demo_pool or ()):
+        raise UsageError(f"--shots {args.shots} needs a --demo-pool of {args.shots}+ items")
+    return demo_pool
 
 
 def _load_weights_checked(ckpt_path: str, vocab_path: str, manifest: Manifest):
@@ -439,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--vocab-size", type=int, default=4096)
-    p.add_argument("--context-len", type=int, default=256)
+    p.add_argument("--context-len", type=_int_at_least(2), default=256)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prepare)
 
@@ -471,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--reduce", choices=["on", "off"], default="on")
-    p.add_argument("--max-new", type=int, default=32)
+    p.add_argument("--max-new", type=_int_at_least(1), default=32)
     p.add_argument("--strip-anchors", action="store_true")
-    p.add_argument("--temperature", type=float, default=None)
+    p.add_argument("--temperature", type=_positive_float, default=None)
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
@@ -487,10 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", help="plain-text file for --task ppl")
     p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal",
                    help="attention masks for --task ppl and mc")
-    p.add_argument("--eval-context-len", type=int, default=0)
+    p.add_argument("--eval-context-len", type=_int_at_least(2), default=None,
+                   help="window length for --task ppl (default: the checkpoint's context_len)")
     p.add_argument("--items", help="task file for --task mc/ablation")
     p.add_argument("--demo-pool", help="demonstration pool task file")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_int_at_least(0), default=0)
     p.add_argument("--reuse-demo-cache", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--baseline", choices=["noncache", "fullcache"], default="noncache")

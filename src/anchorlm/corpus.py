@@ -100,14 +100,20 @@ class AnchorPolicy:
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "AnchorPolicy":
-        """Parse CLI policy strings: 'ep', 'ac', 'every-n=10', 'random-p=0.1'."""
-        text = spec.strip().lower().replace("-", "_")
+        """Parse CLI policy strings: 'ep', 'ac', 'every-n=10', 'random-p=0.1';
+        anything else, a non-numeric argument included, raises ConfigError."""
+        text = spec.strip().lower()
+        name, _, value = text.partition("=")
+        name = name.replace("-", "_")
         if text in ("ep", "ac"):
             return cls(mode=text)
-        if text.startswith("every_n="):
-            return cls(mode="every_n", n=int(text.split("=", 1)[1]))
-        if text.startswith("random_p="):
-            return cls(mode="random_p", p=float(text.split("=", 1)[1]), seed=seed)
+        try:
+            if name == "every_n":
+                return cls(mode="every_n", n=int(value))
+            if name == "random_p":
+                return cls(mode="random_p", p=float(value), seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse anchor policy {spec!r}: {exc}") from exc
         raise ConfigError(f"cannot parse anchor policy: {spec!r}")
 
 

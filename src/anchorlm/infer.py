@@ -82,10 +82,13 @@ def attend(
     ansan: bool = True,
 ) -> ForwardOutput:
     """Run new tokens against the live cache and each other under the
-    anchor rule (causal when ansan is False); the cache is not changed.
-    Positions continue from the newest entry, which reduction never drops."""
+    anchor rule (causal when ansan is False). Their keys/values land in
+    the cache's free slots, so the live entries and len(cache) are not
+    changed. Positions continue from the newest entry, which reduction
+    never drops."""
     rows = mask_rows(flags, cache.flag_array(), ansan)
-    return forward(weights, ids, rows, cache.stacked(), positions=cache.next_positions(len(ids)))
+    kv = cache.stacked(len(ids), weights.config)
+    return forward(weights, ids, rows, kv, positions=cache.next_positions(len(ids)))
 
 
 def advance(
@@ -95,9 +98,9 @@ def advance(
     flags: Sequence[TokenFlags] | np.ndarray,
     ansan: bool = True,
 ) -> np.ndarray:
-    """`attend`, then append the tokens' keys/values; returns the logits."""
+    """`attend`, then commit the tokens' keys/values; returns the logits."""
     out = attend(weights, cache, ids, flags, ansan)
-    cache.extend_from_forward(out.new_keys, out.new_values, cache.next_positions(len(ids)), flags)
+    cache.extend_from_forward(cache.next_positions(len(ids)), flags)
     return out.logits
 
 

@@ -79,26 +79,3 @@ def mask_rows(
 def anchor_mask(seg: SegmentedText) -> np.ndarray:
     """Anchor-based mask over one segmented block (see module docstring)."""
     return mask_rows(segment_flags(seg))
-
-
-def decode_mask_row(
-    current: TokenFlags, live_entries: Sequence[TokenFlags] | np.ndarray
-) -> np.ndarray:
-    """One decoding-time mask row: bits over live cache entries plus self.
-
-    Entries must be in original position order and precede the current
-    token; the trailing self bit is always 1.
-    """
-    return mask_rows([current], live_entries)[0]
-
-
-def dump_mask(bits: np.ndarray) -> str:
-    """Serialize a mask to a text grid of '0'/'1', one row per line."""
-    grid = np.atleast_2d(bits)
-    return "\n".join("".join(str(int(b)) for b in row) for row in grid)
-
-
-def parse_mask(text: str) -> np.ndarray:
-    """Inverse of dump_mask."""
-    rows = [line for line in text.splitlines() if line]
-    return np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)

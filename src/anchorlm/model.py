@@ -81,8 +81,6 @@ class ModelWeights:
 @dataclass
 class ForwardOutput:
     logits: np.ndarray  # (T, vocab_size)
-    new_keys: list[np.ndarray]  # per layer, (n_heads, T, head_dim), rotary applied
-    new_values: list[np.ndarray]  # per layer, (n_heads, T, head_dim)
     attn: list[np.ndarray] = field(default_factory=list)  # per layer when requested
 
 
@@ -148,8 +146,8 @@ def _forward_graph(
     collect_attn: bool,
 ) -> tuple[Node, ForwardOutput]:
     T = len(ids)
-    n_cached = cache_kv[0][0].shape[1] if cache_kv else 0
-    if mask_bits.shape != (T, n_cached + T):
+    n_cached = cache_kv[0][0].shape[1] - T if cache_kv else 0
+    if n_cached < 0 or mask_bits.shape != (T, n_cached + T):
         raise ContractError(
             f"mask shape {mask_bits.shape} does not match "
             f"(tokens={T}, cached={n_cached})"
@@ -162,7 +160,7 @@ def _forward_graph(
     H, hd, half = config.n_heads, config.head_dim, config.head_dim // 2
     cos, sin = _rope_tables(config, positions)
     keep = mask_bits.astype(bool)[None, :, :]
-    out = ForwardOutput(logits=np.empty(0), new_keys=[], new_values=[])
+    out = ForwardOutput(logits=np.empty(0))
 
     h = take(params["embedding"], ids)  # (T, d_model)
     for li in range(config.n_layers):
@@ -174,8 +172,9 @@ def _forward_graph(
         q = _rotate(q, cos, sin, half)
         k = _rotate(k, cos, sin, half)
         if cache_kv:
-            k_all = concat([cache_kv[li][0], k], axis=1)
-            v_all = concat([cache_kv[li][1], v], axis=1)
+            k_all, v_all = cache_kv[li]
+            k_all[:, n_cached:] = data_of(k)
+            v_all[:, n_cached:] = data_of(v)
         else:
             k_all, v_all = k, v
         scores = (q @ k_all.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))
@@ -188,8 +187,6 @@ def _forward_graph(
         h = h + _gelu(f @ p("w1")) @ p("w2")
         if not np.all(np.isfinite(data_of(h))):
             raise NumericError(f"non-finite activations after layer {li}")
-        out.new_keys.append(data_of(k))
-        out.new_values.append(data_of(v))
 
     logits = _rmsnorm(h, params["final_gain"], config.norm_eps) @ params["head"]
     out.logits = data_of(logits)
@@ -207,9 +204,14 @@ def forward(
     collect_attn: bool = False,
 ) -> ForwardOutput:
     """Run the model over T tokens, optionally attending into cached
-    keys/values. mask_bits has shape (T, cached + T); positions are
-    absolute and are never renumbered after cache reduction. Ids outside
-    [0, vocab_size) raise ContractError."""
+    keys/values. cache_kv holds per layer (K, V) of shape
+    (n_heads, cached + T, head_dim), as `AnchorKVCache.stacked(T)` gives:
+    its last T slots are scratch that this call fills with the new
+    tokens' keys (rotary applied) and values, and attention reads the
+    whole view in place; a cache is inference-only, and no gradient
+    flows into it. mask_bits has shape (T, cached + T); positions
+    are absolute and are never renumbered after cache reduction. Ids
+    outside [0, vocab_size) raise ContractError."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")

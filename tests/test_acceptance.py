@@ -23,8 +23,8 @@ from anchorlm.evaluate import (
     build_mc_prompt,
     run_mc_task,
 )
-from anchorlm.infer import GenerationConfig, generate
-from anchorlm.masks import TokenFlags, anchor_mask, decode_mask_row
+from anchorlm.infer import GenerationConfig, advance, generate
+from anchorlm.masks import TokenFlags, anchor_mask, mask_rows
 from anchorlm.model import ModelConfig, forward, init_weights, loss_and_grads
 from anchorlm.synth import make_corpus, make_task
 from anchorlm.train import TrainConfig, compare_from_scratch, train
@@ -59,7 +59,7 @@ def test_criterion_1_mask_oracle_equivalence():
         assert np.array_equal(produced, naive_anchor_mask(seg.is_anchor, seg.seq_index))
         flags = [TokenFlags(a, s) for a, s in zip(seg.is_anchor, seg.seq_index)]
         for i in range(len(seg)):
-            row = decode_mask_row(flags[i], flags[:i])
+            row = mask_rows([flags[i]], flags[:i])[0]
             assert np.array_equal(row, produced[i, : i + 1])
             assert not produced[i, i + 1 :].any()
     report_pass(1, started, "1000 random inputs, bit-exact")
@@ -166,11 +166,9 @@ def test_criterion_5_cache_reduction_metric(tmp_path):
 
     demos = make_corpus(5, sentences_per_doc=3, seed=6)
     prompt, demo_len = build_mc_prompt(demos, "every cedar path leads to", vocab, policy)
-    out = forward(weights, prompt.ids, anchor_mask(prompt), None,
-                  positions=np.arange(len(prompt)))
     cache = AnchorKVCache()
-    cache.extend_from_forward(
-        out.new_keys, out.new_values, list(range(len(prompt))),
+    advance(
+        weights, cache, prompt.ids,
         [TokenFlags(a, s) for a, s in zip(prompt.is_anchor, prompt.seq_index)],
     )
     cache.reduction()

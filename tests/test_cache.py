@@ -4,7 +4,8 @@ import pytest
 from anchorlm.cache import AnchorKVCache, CacheEntry
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
-from anchorlm.masks import TokenFlags, mask_rows
+from anchorlm.infer import advance, attend
+from anchorlm.masks import TokenFlags, anchor_mask, mask_rows, segment_flags
 from anchorlm.model import forward
 from oracles import naive_reduction
 
@@ -155,13 +156,16 @@ def test_clone_is_independent():
 
 
 def forwarded(weights, seg, start, stop, cache):
-    """Run tokens [start, stop) of seg against the cache and append them."""
+    """Run tokens [start, stop) of seg against the cache and commit them;
+    returns the per-layer (K, V) the forward wrote for them."""
     part = seg.slice(start, stop)
     new_flags = [TokenFlags(a, s) for a, s in zip(part.is_anchor, part.seq_index)]
     rows = mask_rows(new_flags, cache.flag_array(), ansan=True)
-    out = forward(weights, part.ids, rows, cache.stacked(), positions=np.arange(start, stop))
-    cache.extend_from_forward(out.new_keys, out.new_values, list(range(start, stop)), new_flags)
-    return out
+    kv = cache.stacked(len(part), weights.config)
+    forward(weights, part.ids, rows, kv, positions=np.arange(start, stop))
+    written = [(k[:, len(cache):].copy(), v[:, len(cache):].copy()) for k, v in kv]
+    cache.extend_from_forward(list(range(start, stop)), new_flags)
+    return written
 
 
 def test_stacked_returns_views_of_the_cache():
@@ -208,9 +212,9 @@ def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
     cache = AnchorKVCache()
     outputs = {}
     for start, stop in ((0, 5), (5, 8), (8, 10)):
-        out = forwarded(tiny_weights, seg, start, stop, cache)
+        written = forwarded(tiny_weights, seg, start, stop, cache)
         for t, pos in enumerate(range(start, stop)):
-            outputs[pos] = [(k[:, t], v[:, t]) for k, v in zip(out.new_keys, out.new_values)]
+            outputs[pos] = [(k[:, t], v[:, t]) for k, v in written]
         cache.reduction()
     positions = cache.live_positions()
     assert positions == [2, 4, 7, 8, 9]
@@ -218,3 +222,81 @@ def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
         for slot, pos in enumerate(positions):
             k, v = outputs[pos][layer]
             assert np.array_equal(keys[:, slot], k) and np.array_equal(values[:, slot], v)
+
+
+# -- attending in place -------------------------------------------------------------
+
+
+SEG = SegmentedText(
+    ids=[3, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+    is_anchor=[False, False, True, False, True, False, False, True, False, False],
+    seq_index=[0, 0, 0, 1, 1, 2, 2, 2, 3, 3],
+)
+
+
+def live_rows(cache):
+    return [(k.copy(), v.copy()) for k, v in cache.stacked()]
+
+
+def test_attend_leaves_the_live_cache_unchanged(tiny_weights):
+    cache = AnchorKVCache()
+    advance(tiny_weights, cache, SEG.ids[:5], segment_flags(SEG)[:5])
+    cache.reduction()
+    before = live_rows(cache)
+    positions, flags = cache.live_positions(), cache.flag_array().copy()
+    appends = cache.stats.total_appends
+    # enough new tokens that the free slots must grow past the capacity
+    ids = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4]
+    attend(tiny_weights, cache, ids, [TokenFlags(False, 3)] * len(ids))
+    assert len(cache) == len(before[0][0][0]) and cache.stats.total_appends == appends
+    assert cache.live_positions() == positions
+    assert np.array_equal(cache.flag_array(), flags)
+    for (k, v), (k0, v0) in zip(cache.stacked(), before):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)
+
+
+def test_committed_rows_match_a_forward_from_scratch(tiny_weights):
+    cache = AnchorKVCache()
+    for start, stop in ((0, 5), (5, 6), (6, 7), (7, 10)):
+        advance(tiny_weights, cache, SEG.ids[start:stop], segment_flags(SEG)[start:stop])
+    scratch = AnchorKVCache().stacked(len(SEG), tiny_weights.config)
+    forward(tiny_weights, SEG.ids, anchor_mask(SEG), scratch, positions=np.arange(len(SEG)))
+    assert cache.live_positions() == list(range(len(SEG)))
+    for (k, v), (k0, v0) in zip(cache.stacked(), scratch):
+        np.testing.assert_allclose(k, k0, rtol=1e-9)
+        np.testing.assert_allclose(v, v0, rtol=1e-9)
+
+
+def test_growing_stacked_keeps_rows_aligned():
+    cache = AnchorKVCache()
+    for pos, ch in enumerate("nnnAnnnnnnnnAnnn"):  # 16 entries fill the first capacity
+        kv = np.full((1, 1, 2), pos)
+        cache.append(CacheEntry(pos, ch == "A", 0, kv, -kv))
+    cache.reduction()
+    live = cache.live_positions()
+    (keys, values), = cache.stacked(20)
+    assert keys.shape == (1, len(live) + 20, 2)
+    assert keys[0, : len(live), 0].tolist() == live
+    assert (-values[0, : len(live), 1]).tolist() == live
+    keys[0, len(live) :] = np.arange(16, 36)[:, None]
+    cache.extend_from_forward(np.arange(16, 36), [TokenFlags(False, 1)] * 20)
+    (keys, _), = cache.stacked()
+    assert keys[0, :, 0].tolist() == cache.live_positions() == live + list(range(16, 36))
+
+
+def test_unshaped_cache_needs_config():
+    # without a shape, the free slots would hold no keys/values at all
+    with pytest.raises(ContractError, match="config"):
+        AnchorKVCache().stacked(1)
+
+
+def test_reducing_a_clone_leaves_the_source(tiny_weights):
+    # a clone starts full, so its first write is an in-place reduction
+    source = AnchorKVCache()
+    advance(tiny_weights, source, SEG.ids[:5], segment_flags(SEG)[:5])
+    before = live_rows(source)
+    clone = source.clone()
+    clone.reduction()
+    assert clone.live_positions() == [2, 4] and source.live_positions() == [0, 1, 2, 3, 4]
+    for (k, v), (k0, v0) in zip(source.stacked(), before):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)

@@ -11,6 +11,7 @@ from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.infer import GenerationConfig, generate
 from anchorlm.masks import TokenFlags, mask_rows
+from anchorlm.model import ModelConfig
 from oracles import naive_anchor_mask, naive_reduction
 
 # Sequences as (length, ends in an anchor) runs: the SegmentedText layout.
@@ -47,8 +48,9 @@ def test_rule_and_reduction_match_oracles(schedule):
         assert not oracle[start:, dropped].any()
 
         # each key row holds its own position, so misaligned rows show
-        keys = np.broadcast_to(np.asarray(new, dtype=float)[:, None], (len(new), 2))
-        cache.extend_from_forward([keys[None]], [keys[None]], new, flags[start:stop])
+        (keys, values), = cache.stacked(len(new), ModelConfig(1, 1, 1, 2))
+        keys[0, len(live) :] = values[0, len(live) :] = np.asarray(new, dtype=float)[:, None]
+        cache.extend_from_forward(new, flags[start:stop])
         if reduce_now:
             cache.reduction()
             seen = [(p, flags[p].is_anchor) for p in range(stop)]

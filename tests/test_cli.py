@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from anchorlm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_USAGE, main
+from anchorlm.cli import EXIT_INPUT, EXIT_USAGE, main
 
 
 @pytest.fixture(scope="module")
@@ -138,17 +138,6 @@ def test_generate_max_new_one(workspace, tmp_path):
     assert len(ids.split("=")[1].split()) == 1
 
 
-def test_generate_prompt_over_context_contract_error(workspace, tmp_path, capsys):
-    code = main([
-        "generate", "--ckpt", str(workspace / "train" / "ckpt.bin"),
-        "--vocab", str(workspace / "data" / "vocab.txt"),
-        "--prompt", "word " * 100, "--policy", "ac", "--max-new", "1",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert code == EXIT_CONTRACT
-    assert "exceeds" in capsys.readouterr().err
-
-
 def test_eval_ppl(workspace, tmp_path):
     out = tmp_path / "ppl"
     assert main([
@@ -209,6 +198,57 @@ def test_eval_ablation(workspace, tmp_path):
     ]) == 0
     table = (out / "ablation.txt").read_text().splitlines()
     assert len([l for l in table if not l.startswith("#")]) == 4  # header + 3 arms
+
+
+def _generate(ws, *flags):
+    return ["generate", "--ckpt", str(ws / "train" / "ckpt.bin"),
+            "--vocab", str(ws / "data" / "vocab.txt"), "--policy", "ac", *flags]
+
+
+def _eval(ws, task, *flags):
+    return ["eval", "--task", task, "--ckpt", str(ws / "train" / "ckpt.bin"),
+            "--vocab", str(ws / "data" / "vocab.txt"), "--policy", "ac", *flags]
+
+
+def _prepare(ws, *flags):
+    return ["prepare", "--corpus", str(ws / "synth" / "corpus.txt"), *flags]
+
+
+# each: a function of the workspace giving argv, and text the error must name
+BAD_FLAGS = {
+    "shots-negative": (lambda ws: _eval(
+        ws, "mc", "--items", str(ws / "synth" / "task.jsonl"),
+        "--demo-pool", str(ws / "synth" / "demos.jsonl"), "--shots", "-1"), "--shots"),
+    "shots-without-demo-pool": (lambda ws: _eval(
+        ws, "mc", "--items", str(ws / "synth" / "task.jsonl"), "--shots", "3"), "--demo-pool"),
+    "eval-context-len-1": (lambda ws: _eval(
+        ws, "ppl", "--text", str(ws / "synth" / "corpus.txt"), "--eval-context-len", "1"),
+        "--eval-context-len"),
+    "eval-context-len-over-checkpoint": (lambda ws: _eval(
+        ws, "ppl", "--text", str(ws / "synth" / "corpus.txt"), "--eval-context-len", "49"),
+        "--eval-context-len"),
+    "max-new-0": (lambda ws: _generate(ws, "--prompt", "the amber lamp", "--max-new", "0"),
+                  "--max-new"),
+    "temperature-0": (lambda ws: _generate(
+        ws, "--prompt", "the amber lamp", "--temperature", "0"), "--temperature"),
+    "prompt-over-context": (lambda ws: _generate(ws, "--prompt", "word " * 100), "exceeds"),
+    "prepare-context-len-1": (lambda ws: _prepare(
+        ws, "--policy", "ac", "--context-len", "1"), "--context-len"),
+    "policy-every-n-not-int": (lambda ws: _prepare(ws, "--policy", "every-n=abc"), "every-n=abc"),
+    "policy-random-p-not-float": (lambda ws: _prepare(ws, "--policy", "random-p=x"), "random-p=x"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAGS))
+def test_bad_flag_value_is_usage_error(workspace, tmp_path, capsys, case):
+    build, named = BAD_FLAGS[case]
+    try:
+        code = main([*build(workspace), "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects a bad single-flag value itself
+        code = exc.code
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_missing_corpus_is_input_error(tmp_path, capsys):
@@ -365,7 +405,9 @@ def test_non_utf8_vocab_is_input_error(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("content", [
     "policy = ac\ncontext_len = abc\n", "policy = ac\n", b"context_len = 64\npolicy = \xff\n",
-], ids=["context-len-not-int", "context-len-missing", "not-utf8"])
+    "policy = ac\ncontext_len = 0\n", "policy = ac\ncontext_len = 8\n",
+], ids=["context-len-not-int", "context-len-missing", "not-utf8", "context-len-0",
+        "context-len-below-blocks"])
 def test_bad_data_config_is_input_error(workspace, tmp_path, capsys, content):
     data = broken_data_dir(workspace, tmp_path, "data.cfg", content)
     assert train_on(data, tmp_path) == EXIT_INPUT

@@ -294,5 +294,12 @@ def test_policy_parse():
     assert AnchorPolicy.parse("ep").mode == "ep"
     assert AnchorPolicy.parse("every-n=10").n == 10
     assert AnchorPolicy.parse("random-p=0.1", seed=3).seed == 3
+    assert AnchorPolicy.parse("random-p=1e-3").p == 1e-3
     with pytest.raises(ConfigError):
         AnchorPolicy.parse("bogus=1")
+
+
+@pytest.mark.parametrize("spec", ["every-n=abc", "random-p=x", "every-n"])
+def test_policy_parse_rejects_bad_argument(spec):
+    with pytest.raises(ConfigError, match=spec):
+        AnchorPolicy.parse(spec)

@@ -1,14 +1,11 @@
 import numpy as np
-import pytest
 
 from anchorlm.corpus import SegmentedText
 from anchorlm.masks import (
     TokenFlags,
     anchor_mask,
     causal_mask,
-    decode_mask_row,
-    dump_mask,
-    parse_mask,
+    mask_rows,
 )
 from conftest import random_segmented
 from oracles import naive_anchor_mask
@@ -44,21 +41,21 @@ def test_anchor_mask_no_anchors_equals_causal():
 
 
 def test_decode_row_non_anchor_sees_previous_anchors():
-    row = decode_mask_row(
-        TokenFlags(False, 2), [TokenFlags(True, 0), TokenFlags(True, 1)]
-    )
+    row = mask_rows(
+        [TokenFlags(False, 2)], [TokenFlags(True, 0), TokenFlags(True, 1)]
+    )[0]
     assert row.tolist() == [1, 1, 1]
 
 
 def test_decode_row_anchor_blocks_previous_sequences():
-    row = decode_mask_row(
-        TokenFlags(True, 2), [TokenFlags(True, 0), TokenFlags(False, 2)]
-    )
+    row = mask_rows(
+        [TokenFlags(True, 2)], [TokenFlags(True, 0), TokenFlags(False, 2)]
+    )[0]
     assert row.tolist() == [0, 1, 1]
 
 
 def test_decode_row_empty_cache():
-    assert decode_mask_row(TokenFlags(False, 0), []).tolist() == [1]
+    assert mask_rows([TokenFlags(False, 0)], [])[0].tolist() == [1]
 
 
 def test_anchor_mask_matches_oracle_randomized():
@@ -75,7 +72,7 @@ def test_row_by_row_reconstruction_matches_matrix():
         full = anchor_mask(s)
         flags = [TokenFlags(a, q) for a, q in zip(s.is_anchor, s.seq_index)]
         for i in range(len(s)):
-            row = decode_mask_row(flags[i], flags[:i])
+            row = mask_rows([flags[i]], flags[:i])[0]
             assert np.array_equal(row, full[i, : i + 1])
             assert not full[i, i + 1 :].any()
 
@@ -96,18 +93,3 @@ def test_every_row_keeps_self():
 
 def test_single_token():
     assert anchor_mask(seg([True], [0])).tolist() == [[1]]
-
-
-def test_dump_parse_round_trip():
-    rng = np.random.default_rng(1)
-    s = random_segmented(rng, max_len=16)
-    m = anchor_mask(s)
-    assert np.array_equal(parse_mask(dump_mask(m)), m)
-    text = dump_mask(m)
-    assert set(text) <= {"0", "1", "\n"}
-
-
-@pytest.mark.parametrize("n", [1, 4])
-def test_dump_row(n):
-    row = np.ones(n, dtype=np.uint8)
-    assert dump_mask(row) == "1" * n

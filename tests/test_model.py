@@ -5,7 +5,8 @@ from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache, CacheEntry
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
-from anchorlm.masks import TokenFlags, anchor_mask, causal_mask
+from anchorlm.infer import advance
+from anchorlm.masks import TokenFlags, anchor_mask, causal_mask, segment_flags
 from anchorlm.model import (
     ModelConfig,
     _forward_graph,
@@ -174,10 +175,10 @@ def test_cache_equivalence_token_by_token(tiny_weights):
     for t, tok in enumerate(ids):
         out = forward(
             tiny_weights, [tok], np.ones(t + 1, dtype=np.uint8),
-            cache.stacked(), positions=[t],
+            cache.stacked(1, tiny_weights.config), positions=[t],
         )
         rows.append(out.logits[0])
-        cache.extend_from_forward(out.new_keys, out.new_values, [t], [TokenFlags(False, 0)])
+        cache.extend_from_forward([t], [TokenFlags(False, 0)])
     scale = np.abs(block.logits).max()
     assert np.max(np.abs(np.array(rows) - block.logits)) / scale < 1e-5
 
@@ -191,7 +192,9 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
         seq_index=[0, 0, 1, 1, 2, 2],
     )
     mask = anchor_mask(seg)
-    full = forward(tiny_weights, seg.ids, mask)
+    # a forward into an empty cache's free slots leaves every token's keys there
+    full_kv = AnchorKVCache().stacked(len(seg), tiny_weights.config)
+    full = forward(tiny_weights, seg.ids, mask, full_kv, positions=np.arange(len(seg)))
     last = len(seg) - 1
     visible = [j for j in range(last) if mask[last][j]]
     assert visible != list(range(last))  # something actually got dropped
@@ -203,13 +206,13 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
                 position=j,
                 is_anchor=seg.is_anchor[j],
                 seq_index=seg.seq_index[j],
-                keys=np.stack([k[:, j, :] for k in full.new_keys]),
-                values=np.stack([v[:, j, :] for v in full.new_values]),
+                keys=np.stack([k[:, j, :] for k, _ in full_kv]),
+                values=np.stack([v[:, j, :] for _, v in full_kv]),
             )
         )
     out = forward(
         tiny_weights, [seg.ids[last]], np.ones(len(visible) + 1, dtype=np.uint8),
-        cache.stacked(), positions=[last],
+        cache.stacked(1), positions=[last],
     )
     np.testing.assert_allclose(out.logits[0], full.logits[last], rtol=1e-9)
 
@@ -279,29 +282,38 @@ def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("n_cached", [0, 5])
+@pytest.mark.parametrize("n_cached", [None, 0, 5])
 def test_array_forward_matches_taped_path_bitwise(tiny_weights, n_cached):
     # forward runs _forward_graph over plain arrays; training runs the same
-    # source over Tensors, so the two must agree to the last bit
+    # source over Tensors, so the two must agree to the last bit, in the
+    # keys/values written to the cache's free slots too (None: no cache)
     ids = np.array([1, 5, 3, 7, 9, 2, 4, 8])
     seg = SegmentedText(
         ids=list(ids), is_anchor=[False, True, False, False, True, False, False, False],
         seq_index=[0, 0, 1, 1, 1, 2, 2, 2],
     )
-    mask = anchor_mask(seg)[n_cached:]
-    positions = np.arange(n_cached, len(ids))
+    start = n_cached or 0
+    mask = anchor_mask(seg)[start:]
+    positions = np.arange(start, len(ids))
     cache_kv = None
-    if n_cached:
-        prefix = forward(tiny_weights, ids[:n_cached], anchor_mask(seg.slice(0, n_cached)))
-        cache_kv = list(zip(prefix.new_keys, prefix.new_values))
-    arrays = forward(tiny_weights, ids[n_cached:], mask, cache_kv, positions, collect_attn=True)
+    if n_cached is not None:
+        cache = AnchorKVCache()
+        if n_cached:
+            advance(tiny_weights, cache, ids[:n_cached], segment_flags(seg.slice(0, n_cached)))
+        cache_kv = cache.stacked(len(ids) - start, tiny_weights.config)
+
+    def written():
+        return [a[:, start:].copy() for layer in cache_kv or () for a in layer]
+
+    arrays = forward(tiny_weights, ids[start:], mask, cache_kv, positions, collect_attn=True)
+    arrays_kv = written()
     params = {name: Tensor(a, requires_grad=True) for name, a in tiny_weights.arrays.items()}
     logits, taped = _forward_graph(
-        params, tiny_weights.config, ids[n_cached:], mask, cache_kv, positions, True
+        params, tiny_weights.config, ids[start:], mask, cache_kv, positions, True
     )
     assert logits.requires_grad
     assert np.array_equal(arrays.logits, taped.logits)
-    for got, want in zip(arrays.new_keys + arrays.attn, taped.new_keys + taped.attn):
+    for got, want in zip(arrays_kv + arrays.attn, written() + taped.attn):
         assert np.array_equal(got, want)
 
 

@@ -1,0 +1,74 @@
+"""Run the seeded pipeline in process and print one sha256 per artifact.
+
+    PYTHONPATH=src python3 tools/seeded_pipeline.py [--out DIR]
+
+synth -> prepare -> train -> generate -> eval ppl -> eval mc, each
+through `anchorlm.cli.main` with fixed arguments, seeds and prompt. Two
+commits whose outputs should be bitwise identical print the same hashes.
+The commands' own stdout goes to stderr, so stdout holds only the
+`<sha256>  <artifact>` lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from anchorlm.cli import main as cli_main
+
+PROMPT = "the amber lamp holds the stone . a birch sign marks"
+ARTIFACTS = (
+    "train/ckpt.bin",
+    "train/losses.log",
+    "generate/generation.txt",
+    "ppl/metrics.txt",
+    "mc/metrics.txt",
+)
+
+
+def commands(root: Path) -> list[list[str]]:
+    synth, data = root / "synth", root / "data"
+    ckpt = ["--ckpt", str(root / "train" / "ckpt.bin"), "--vocab", str(data / "vocab.txt")]
+    return [
+        ["synth", "--docs", "120", "--items", "12", "--seed", "3", "--out", str(synth)],
+        ["prepare", "--corpus", str(synth / "corpus.txt"), "--policy", "ac",
+         "--vocab-size", "256", "--context-len", "64", "--out", str(data)],
+        ["train", "--data", str(data), "--mask-mode", "ansan", "--steps", "20",
+         "--batch-size", "4", "--n-layers", "2", "--d-model", "32", "--n-heads", "4",
+         "--out", str(root / "train")],
+        ["generate", *ckpt, "--prompt", PROMPT, "--policy", "ac", "--reduce", "on",
+         "--max-new", "24", "--out", str(root / "generate")],
+        ["eval", "--task", "ppl", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
+         "--text", str(synth / "corpus.txt"), "--out", str(root / "ppl")],
+        ["eval", "--task", "mc", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
+         "--items", str(synth / "task.jsonl"), "--demo-pool", str(synth / "demos.jsonl"),
+         "--shots", "3", "--reuse-demo-cache", "--out", str(root / "mc")],
+    ]
+
+
+def run(root: Path) -> dict[str, str]:
+    """Run every command under root; artifact path -> sha256."""
+    for argv in commands(root):
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli_main(argv)
+        if code != 0:
+            raise SystemExit(f"`anchorlm {argv[0]}` exited {code}")
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="run directory to keep (default: a temporary one)")
+    args = parser.parse_args()
+    with contextlib.ExitStack() as stack:
+        root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
+        for name, digest in run(root).items():
+            print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()
