@@ -192,5 +192,5 @@ def score_continuation(
     rest = list(continuation[:-1])
     rest_flags = np.repeat([[0, next_seq_index(context)]], len(rest), axis=0)
     flags = np.concatenate([segment_flags(context), rest_flags])
-    out = attend(weights, AnchorKVCache(), list(context.ids) + rest, flags, use_ansan)
+    out = forward(weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan))
     return continuation_logprob(out.logits[len(context) - 1 :], continuation)

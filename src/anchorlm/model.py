@@ -5,7 +5,10 @@ positions, multi-head attention with a masked softmax that renormalizes
 over unmasked keys only, a GELU feed-forward block, and an untied output
 head. One forward source (`_forward_graph`) serves both uses: inference
 runs it over the plain weight arrays and builds no autodiff Tensor;
-training runs it over Tensors, which record the tape for backward.
+training runs it over Tensors, which record the tape for backward. Norm,
+GELU, rotary, the attention core and the loss are the fused `autodiff`
+ops `rmsnorm`, `gelu`, `rotate`, `attention` and `cross_entropy`, one
+tape node each, so a block records 22 nodes per layer plus 4.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, data_of, exp, take, take_pairs, tanh
+from .autodiff import Tensor, attention, cross_entropy, data_of, gelu, rmsnorm, rotate, take
 from .corpus import SegmentedText
 from .errors import ContractError, InputError, NumericError
-
-_GELU_C = math.sqrt(2.0 / math.pi)
 
 Node = Tensor | np.ndarray  # what the forward helpers compute on
 
@@ -106,36 +107,6 @@ def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray
     return np.cos(angles), np.sin(angles)
 
 
-def _rotate(x: Node, cos: np.ndarray, sin: np.ndarray, half: int) -> Node:
-    x1 = x[:, :, :half]
-    x2 = x[:, :, half:]
-    return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
-
-def _rmsnorm(x: Node, gain: Node, eps: float) -> Node:
-    # sum * (1/n), as Tensor.mean computes it, so both array types agree bitwise
-    scale = ((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps) ** -0.5
-    return x * scale * gain
-
-
-def _gelu(x: Node) -> Node:
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + tanh(inner))
-
-
-def _masked_softmax(scores: Node, keep: np.ndarray) -> Node:
-    """Renormalize exp(scores) over kept keys; masked keys contribute 0.
-
-    Every row carries at least the self bit, so the denominator is positive.
-    The row max over kept keys is subtracted as a constant for stability
-    (softmax is shift-invariant, so this changes nothing mathematically).
-    Multiplying by the bool mask casts it to exact 0.0/1.0 elementwise.
-    """
-    rowmax = np.max(np.where(keep, data_of(scores), -np.inf), axis=-1, keepdims=True)
-    e = exp(scores - rowmax) * keep
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _forward_graph(
     params: dict[str, Node],
     config: ModelConfig,
@@ -157,38 +128,37 @@ def _forward_graph(
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
 
-    H, hd, half = config.n_heads, config.head_dim, config.head_dim // 2
+    H, hd = config.n_heads, config.head_dim
     cos, sin = _rope_tables(config, positions)
     keep = mask_bits.astype(bool)[None, :, :]
     out = ForwardOutput(logits=np.empty(0))
 
     h = take(params["embedding"], ids)  # (T, d_model)
     for li in range(config.n_layers):
-        p = lambda f: params[f"layer{li}.{f}"]
-        a = _rmsnorm(h, p("attn_gain"), config.norm_eps)
+        prefix = f"layer{li}."
+        p = lambda f: params[prefix + f]
+        a = rmsnorm(h, p("attn_gain"), config.norm_eps)
         q = (a @ p("wq")).reshape(T, H, hd).swapaxes(0, 1)
         k = (a @ p("wk")).reshape(T, H, hd).swapaxes(0, 1)
         v = (a @ p("wv")).reshape(T, H, hd).swapaxes(0, 1)
-        q = _rotate(q, cos, sin, half)
-        k = _rotate(k, cos, sin, half)
+        q = rotate(q, cos, sin)
+        k = rotate(k, cos, sin)
         if cache_kv:
             k_all, v_all = cache_kv[li]
             k_all[:, n_cached:] = data_of(k)
             v_all[:, n_cached:] = data_of(v)
         else:
             k_all, v_all = k, v
-        scores = (q @ k_all.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))
-        attn = _masked_softmax(scores, keep)
+        ctx, attn = attention(q, k_all, v_all, keep)
         if collect_attn:
-            out.attn.append(data_of(attn).copy())
-        ctx = (attn @ v_all).swapaxes(0, 1).reshape(T, config.d_model)
-        h = h + ctx @ p("wo")
-        f = _rmsnorm(h, p("ffn_gain"), config.norm_eps)
-        h = h + _gelu(f @ p("w1")) @ p("w2")
+            out.attn.append(attn)
+        h = h + ctx.swapaxes(0, 1).reshape(T, config.d_model) @ p("wo")
+        f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
+        h = h + gelu(f @ p("w1")) @ p("w2")
         if not np.all(np.isfinite(data_of(h))):
             raise NumericError(f"non-finite activations after layer {li}")
 
-    logits = _rmsnorm(h, params["final_gain"], config.norm_eps) @ params["head"]
+    logits = rmsnorm(h, params["final_gain"], config.norm_eps) @ params["head"]
     out.logits = data_of(logits)
     if not np.all(np.isfinite(out.logits)):
         raise NumericError("non-finite logits in forward pass")
@@ -242,13 +212,7 @@ def loss_and_grads(
         params, weights.config, ids, np.asarray(mask_bits), None, np.arange(L), False
     )
 
-    rows = np.arange(L - 1)
-    targets = ids[1:]
-    pred = logits[:-1]
-    rowmax = pred.data.max(axis=-1, keepdims=True)
-    shifted = pred - rowmax
-    log_z = shifted.exp().sum(axis=-1, keepdims=True).log().reshape(L - 1)
-    loss = -(take_pairs(shifted, rows, targets) - log_z).mean()
+    loss = cross_entropy(logits, ids[1:])
     if not np.isfinite(loss.data):
         raise NumericError("non-finite training loss")
 

@@ -253,7 +253,6 @@ def train(
     optimizer = AdamW(list(weights.arrays), cfg)
     if opt_state:
         optimizer.load_state_arrays(opt_state)
-    masks = [_block_mask(b, cfg.mask_mode) for b in blocks]
 
     report = TrainReport(
         header={
@@ -277,14 +276,15 @@ def train(
         loss_sum = 0.0
         grad_sum: dict[str, np.ndarray] | None = None
         for bi in batch:
-            loss, grads = loss_and_grads(weights, blocks[bi], masks[bi])
+            block = blocks[bi]
+            loss, grads = loss_and_grads(weights, block, _block_mask(block, cfg.mask_mode))
             loss_sum += loss
             if grad_sum is None:
                 grad_sum = grads
             else:
                 for name, g in grads.items():
                     grad_sum[name] += g
-            report.tokens_seen += len(blocks[bi])
+            report.tokens_seen += len(block)
         mean_loss = loss_sum / len(batch)
         if not np.isfinite(mean_loss):
             raise NumericError(f"training diverged at step {step}: loss={mean_loss}")

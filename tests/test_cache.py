@@ -158,11 +158,10 @@ def test_clone_is_independent():
 def forwarded(weights, seg, start, stop, cache):
     """Run tokens [start, stop) of seg against the cache and commit them;
     returns the per-layer (K, V) the forward wrote for them."""
-    part = seg.slice(start, stop)
-    new_flags = [TokenFlags(a, s) for a, s in zip(part.is_anchor, part.seq_index)]
+    new_flags = segment_flags(seg)[start:stop]
     rows = mask_rows(new_flags, cache.flag_array(), ansan=True)
-    kv = cache.stacked(len(part), weights.config)
-    forward(weights, part.ids, rows, kv, positions=np.arange(start, stop))
+    kv = cache.stacked(stop - start, weights.config)
+    forward(weights, seg.ids[start:stop], rows, kv, positions=np.arange(start, stop))
     written = [(k[:, len(cache):].copy(), v[:, len(cache):].copy()) for k, v in kv]
     cache.extend_from_forward(list(range(start, stop)), new_flags)
     return written
@@ -218,10 +217,16 @@ def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
         cache.reduction()
     positions = cache.live_positions()
     assert positions == [2, 4, 7, 8, 9]
+    # reduction drops only keys no later query sees, so every committed row
+    # also matches one forward over the whole segment
+    whole = AnchorKVCache().stacked(len(seg), tiny_weights.config)
+    forward(tiny_weights, seg.ids, anchor_mask(seg), whole, positions=np.arange(len(seg)))
     for layer, (keys, values) in enumerate(cache.stacked()):
         for slot, pos in enumerate(positions):
             k, v = outputs[pos][layer]
             assert np.array_equal(keys[:, slot], k) and np.array_equal(values[:, slot], v)
+            np.testing.assert_allclose(k, whole[layer][0][:, pos], rtol=1e-9)
+            np.testing.assert_allclose(v, whole[layer][1][:, pos], rtol=1e-9)
 
 
 # -- attending in place -------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 import anchorlm.autodiff as autodiff
 import anchorlm.evaluate as evaluate
+from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError
 from anchorlm.infer import GenerationConfig, generate, score_continuation
@@ -221,3 +222,15 @@ def test_mc_scoring_builds_no_tensor(tiny_weights, no_tensors, use_ansan):
 def test_perplexity_builds_no_tensor(tiny_weights, no_tensors):
     ppl = evaluate.perplexity(tiny_weights, anchored_prefix(), "ansan", 4)
     assert np.isfinite(ppl)
+
+
+@pytest.mark.parametrize("use_ansan", [True, False])
+def test_score_continuation_allocates_no_cache(tiny_weights, monkeypatch, use_ansan):
+    # the non-cached baseline runs one plain forward; filling a cache that
+    # is dropped right after would only add cost to that arm
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("score_continuation read cache slots")
+
+    monkeypatch.setattr(AnchorKVCache, "stacked", refuse)
+    score = score_continuation(tiny_weights, anchored_prefix(), [1, 2, 3], use_ansan)
+    assert np.isfinite(score)

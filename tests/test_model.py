@@ -135,6 +135,22 @@ def test_gradients_match_finite_differences():
         assert np.max(np.abs(fd[name] - analytic) / denom) < 1e-4, name
 
 
+def test_tape_nodes_per_block(tiny_weights, monkeypatch):
+    # norm, GELU, rotary, the attention core and the loss are one node each
+    made = []
+    op = Tensor._op
+
+    def recording_op(*args):
+        made.append(op(*args))
+        return made[-1]
+
+    monkeypatch.setattr(Tensor, "_op", staticmethod(recording_op))
+    seg = plain_seg([1, 5, 3, 7, 9, 2, 4, 8])
+    loss_and_grads(tiny_weights, seg, causal_mask(len(seg)))
+    nodes = sum(t.requires_grad for t in made)
+    assert nodes == 4 + 22 * tiny_weights.config.n_layers == 48
+
+
 def test_init_deterministic_and_seed_sensitive():
     config = tiny_config()
     a = init_weights(config, seed=3)
