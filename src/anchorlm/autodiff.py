@@ -253,16 +253,22 @@ def attention(
     q is (..., T, d), k and v are (..., S, d), keep is a bool (T, S) mask
     broadcast over the leading axes. Every row keeps at least the self
     bit, so the denominator is positive. The row max over kept keys is
-    subtracted as a constant for stability (softmax is shift-invariant).
-    Returns the context (..., T, d) and the probabilities (..., T, S), an
-    array. The backward uses dS = P * (dP - rowsum(dP * P)), as in
+    subtracted as a constant for stability (softmax is shift-invariant),
+    and the shifted scores are clamped at 0 before the exp, so a masked
+    key scoring far above that max cannot overflow to inf (inf * 0 would
+    turn the row into NaN); kept keys are never above 0 there. Returns
+    the context (..., T, d) and the probabilities (..., T, S), an array.
+    The backward uses dS = P * (dP - rowsum(dP * P)), as in
     FlashAttention (Dao et al., 2022).
     """
     qd, kd, vd = data_of(q), data_of(k), data_of(v)
     scale = 1.0 / math.sqrt(qd.shape[-1])
     scores = (qd @ kd.swapaxes(-1, -2)) * scale
     rowmax = np.max(np.where(keep, scores, -np.inf), axis=-1, keepdims=True)
-    e = np.exp(scores - rowmax) * keep
+    e = scores - rowmax
+    np.minimum(e, 0.0, out=e)
+    np.exp(e, out=e)
+    e *= keep
     probs = e / e.sum(axis=-1, keepdims=True)
     data = probs @ vd
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):

@@ -44,7 +44,7 @@ from .evaluate import (
 )
 from .infer import GenerationConfig, generate
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .synth import make_corpus, make_task
+from .synth import MAX_CHOICES, make_corpus, make_task
 from .train import TrainConfig, train
 
 EXIT_USAGE = 2
@@ -109,16 +109,18 @@ def _policy_from_args(args) -> AnchorPolicy:
     return AnchorPolicy.parse(args.policy, seed=getattr(args, "policy_seed", 0))
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (argparse exits 2 otherwise)."""
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and <= high when given (argparse
+    exits 2 otherwise)."""
+    wanted = f">= {low}" if high is None else f"from {low} to {high}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {wanted}, got {text!r}")
         return value
 
     return parse
@@ -491,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--vocab-size", type=int, default=4096)
-    p.add_argument("--context-len", type=_int_at_least(2), default=256)
+    p.add_argument("--context-len", type=_int_in_range(2), default=256)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prepare)
 
@@ -523,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--reduce", choices=["on", "off"], default="on")
-    p.add_argument("--max-new", type=_int_at_least(1), default=32)
+    p.add_argument("--max-new", type=_int_in_range(1), default=32)
     p.add_argument("--strip-anchors", action="store_true")
     p.add_argument("--temperature", type=_positive_float, default=None)
     p.add_argument("--sample-seed", type=int, default=0)
@@ -539,11 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", help="plain-text file for --task ppl")
     p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal",
                    help="attention masks for --task ppl and mc")
-    p.add_argument("--eval-context-len", type=_int_at_least(2), default=None,
+    p.add_argument("--eval-context-len", type=_int_in_range(2), default=None,
                    help="window length for --task ppl (default: the checkpoint's context_len)")
     p.add_argument("--items", help="task file for --task mc/ablation")
     p.add_argument("--demo-pool", help="demonstration pool task file")
-    p.add_argument("--shots", type=_int_at_least(0), default=0)
+    p.add_argument("--shots", type=_int_in_range(0), default=0)
     p.add_argument("--reuse-demo-cache", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--baseline", choices=["noncache", "fullcache"], default="noncache")
@@ -554,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("synth", help="write a synthetic corpus and task")
-    p.add_argument("--docs", type=int, default=200)
-    p.add_argument("--items", type=int, default=50)
-    p.add_argument("--choices", type=int, default=3)
+    p.add_argument("--docs", type=_int_in_range(1), default=200)
+    p.add_argument("--items", type=_int_in_range(1), default=50)
+    p.add_argument("--choices", type=_int_in_range(2, MAX_CHOICES), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_synth)

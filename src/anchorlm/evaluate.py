@@ -4,9 +4,15 @@ metrics, and the anchor-position ablation harness.
 Multiple-choice scoring follows the continuation log-likelihood recipe:
 each choice is appended to the prompt and the summed log-probability of
 its tokens decides the prediction (ties go to the lowest choice index).
-With demonstration caching, the demonstrations are processed once,
-reduced to their anchors, and the reduced cache is reused across items
-and choices.
+With demonstration caching, the demonstrations are processed once and
+their cache is reused across items and choices. Under anchor masks the
+demonstration part is prefilled one anchor-closed sequence per forward,
+with a reduction to the anchors after each, so no forward attends to
+keys its mask blocks and the live cache never holds more than the
+anchors so far plus one sequence (a chunked prefill, as in SARATHI,
+Agrawal et al., 2023, with the chunks cut where the mask already cuts
+attention). The ac demonstration part does not depend on the item and
+is tokenized once per task.
 """
 
 from __future__ import annotations
@@ -191,26 +197,7 @@ def build_mc_prompt(
     the token length of the demonstration part.
     """
     if policy.mode == "ac":
-        ids: list[int] = []
-        anchors: list[bool] = []
-        seqs: list[int] = []
-        for seq, demo in enumerate(demo_texts):
-            for tok in tokenize(demo):
-                ids.append(vocab.encode(tok))
-                anchors.append(False)
-                seqs.append(seq)
-            ids.append(vocab.anchor_id)
-            anchors.append(True)
-            seqs.append(seq)
-        demo_len = len(ids)
-        ctx_seq = len(demo_texts)
-        for tok in tokenize(context_text):
-            ids.append(vocab.encode(tok))
-            anchors.append(False)
-            seqs.append(ctx_seq)
-        seg = SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
-        seg.validate()
-        return seg, demo_len
+        return _ac_prompt(_ac_demo_part(demo_texts, vocab), context_text, vocab)
 
     full_text = " ".join(demo_texts + [context_text]) if demo_texts else context_text
     seg = annotate(full_text, vocab, policy)
@@ -237,6 +224,36 @@ def build_mc_prompt(
     return seg, demo_len
 
 
+def _ac_demo_part(demo_texts: list[str], vocab: Vocab) -> SegmentedText:
+    """The ac demonstration part: each demonstration is one sequence
+    closed by one appended anchor token. It does not depend on the item,
+    so a task builds it once."""
+    ids: list[int] = []
+    anchors: list[bool] = []
+    seqs: list[int] = []
+    for seq, demo in enumerate(demo_texts):
+        demo_ids = vocab.encode_text(demo) + [vocab.anchor_id]
+        ids += demo_ids
+        anchors += [False] * (len(demo_ids) - 1) + [True]
+        seqs += [seq] * len(demo_ids)
+    return SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
+
+
+def _ac_prompt(
+    demo: SegmentedText, context_text: str, vocab: Vocab
+) -> tuple[SegmentedText, int]:
+    """An ac demonstration part followed by the item context, which opens
+    the next sequence; returns the segment and the demonstration length."""
+    ctx_ids = vocab.encode_text(context_text)
+    seg = SegmentedText(
+        ids=demo.ids + ctx_ids,
+        is_anchor=demo.is_anchor + [False] * len(ctx_ids),
+        seq_index=demo.seq_index + [next_seq_index(demo)] * len(ctx_ids),
+    )
+    seg.validate()
+    return seg, len(demo)
+
+
 @dataclass
 class _PreparedItem:
     prompt: SegmentedText
@@ -261,8 +278,12 @@ def _prepare_items(
 ) -> tuple[list[_PreparedItem | None], int]:
     prepared: list[_PreparedItem | None] = []
     skipped = 0
+    ac_demo = _ac_demo_part(demo_texts, vocab) if policy.mode == "ac" else None
     for item in items:
-        prompt, demo_len = build_mc_prompt(demo_texts, item.context, vocab, policy)
+        if ac_demo is not None:
+            prompt, demo_len = _ac_prompt(ac_demo, item.context, vocab)
+        else:
+            prompt, demo_len = build_mc_prompt(demo_texts, item.context, vocab, policy)
         choice_ids = [vocab.encode_text(c) for c in item.choices]
         # an empty continuation would score 0.0 and beat every real choice
         if not all(choice_ids):
@@ -293,9 +314,16 @@ def _score_cached(
     prepared: list[_PreparedItem | None],
     use_ansan: bool,
 ) -> tuple[list[list[float]], _CacheAccounting]:
-    """Process the demonstration part once, reduce it to its anchors under
-    anchor masks (the only masks that make reduction lossless), and reuse
-    the cache across items and choices."""
+    """Process the demonstration part once and reuse its cache across
+    items and choices.
+
+    Under anchor masks (the only masks that make reduction lossless) the
+    demonstration part is prefilled one anchor-closed sequence per
+    forward, and the cache is reduced to its anchors after each one: a
+    sequence then attends to itself plus the earlier anchors, exactly the
+    keys its mask rows allow, instead of a dense L x L block. A tail
+    after the last anchor is the last forward. Under causal masks the
+    demonstration part is one forward and is not reduced."""
     acct = _CacheAccounting()
     first = next((p for p in prepared if p is not None), None)
     if first is None:
@@ -304,10 +332,14 @@ def _score_cached(
     demo_cache = AnchorKVCache()
     demo_len = first.demo_len
     demo_ids = first.prompt.ids[:demo_len]
+    demo_flags = segment_flags(first.prompt)[:demo_len]
     if demo_len > 0:
-        advance(weights, demo_cache, demo_ids, segment_flags(first.prompt)[:demo_len], use_ansan)
-        if use_ansan:
-            demo_cache.reduction()
+        # cut after every anchor but a final one
+        ends = np.flatnonzero(demo_flags[:-1, 0]) + 1 if use_ansan else []
+        for lo, hi in zip([0, *ends], [*ends, demo_len]):
+            advance(weights, demo_cache, demo_ids[lo:hi], demo_flags[lo:hi], use_ansan)
+            if use_ansan:
+                demo_cache.reduction()
         acct.appends += demo_cache.stats.total_appends
         acct.discards += demo_cache.stats.total_discards
         acct.peak = demo_cache.stats.peak_live_count

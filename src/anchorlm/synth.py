@@ -20,6 +20,7 @@ _OBJECTS = (
     "stone", "river", "cloud", "flame", "moss", "sand", "frost", "reed",
     "spark", "shell", "fern", "dew", "ridge", "tide", "bloom", "grain",
 )
+MAX_CHOICES = len(_OBJECTS)  # every choice is a distinct object
 _FRAMES = (
     "the {s} lamp holds the {o} .",
     "a {s} sign marks the {o} .",
@@ -59,7 +60,7 @@ def make_task(
     n_items: int, n_choices: int = 3, seed: int = 0
 ) -> tuple[list[MCItem], list[MCItem]]:
     """(items, demonstration pool) of pattern-completion questions."""
-    if not 2 <= n_choices <= len(_OBJECTS):
+    if not 2 <= n_choices <= MAX_CHOICES:
         raise ValueError("n_choices out of range")
     rng = np.random.default_rng(seed)
     records = []

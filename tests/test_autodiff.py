@@ -2,6 +2,7 @@
 path is pinned bitwise to the composed expression it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_attention_grad_with_self_only_rows(rng):
         {"q": rng.normal(size=(2, 4, 4)), "k": rng.normal(size=(2, 6, 4)),
          "v": rng.normal(size=(2, 6, 4))},
     )
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_attention_masked_key_far_above_kept_max_stays_finite(taped):
+    # the masked key scores ~2546 above the kept one: exp of that overflows
+    q = np.array([[[-30.0, -30.0]]])
+    k = np.array([[[30.0, 30.0], [-30.0, -30.0]]])
+    v = np.array([[[1.0, 2.0], [5.0, 7.0]]])
+    keep = np.array([[True, False]])
+    if taped:
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx, probs = attention(q, k, v, keep)
+    assert np.array_equal(probs, [[[1.0, 0.0]]])
+    assert np.array_equal(outputs(ctx)[0], [[[1.0, 2.0]]])
 
 
 def test_cross_entropy_grad_leaves_unscored_rows_at_zero(rng):

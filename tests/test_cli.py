@@ -236,6 +236,10 @@ BAD_FLAGS = {
         ws, "--policy", "ac", "--context-len", "1"), "--context-len"),
     "policy-every-n-not-int": (lambda ws: _prepare(ws, "--policy", "every-n=abc"), "every-n=abc"),
     "policy-random-p-not-float": (lambda ws: _prepare(ws, "--policy", "random-p=x"), "random-p=x"),
+    "synth-docs-negative": (lambda ws: ["synth", "--docs", "-3"], "--docs"),
+    "synth-items-0": (lambda ws: ["synth", "--items", "0"], "--items"),
+    "synth-choices-1": (lambda ws: ["synth", "--choices", "1"], "--choices"),
+    "synth-choices-99": (lambda ws: ["synth", "--choices", "99"], "--choices"),
 }
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from anchorlm import evaluate
+from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import AnchorPolicy, SegmentedText, annotate, build_vocab
 from anchorlm.errors import ContractError, InputError, UndefinedMetricError
 from anchorlm.evaluate import (
@@ -14,8 +16,8 @@ from anchorlm.evaluate import (
     run_mc_task,
     save_mc_items,
 )
-from anchorlm.infer import _log_softmax
-from anchorlm.masks import causal_mask
+from anchorlm.infer import _log_softmax, advance
+from anchorlm.masks import causal_mask, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
 from conftest import tiny_config
@@ -172,6 +174,88 @@ def test_per_item_argmax_consistency(ac_vocab, ac_model):
         if a:
             assert int(np.argmax(a)) == int(np.argmax(b))
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
+
+
+DEMOS = [
+    "the amber lamp holds the stone .",
+    "a birch sign marks the river . every cedar path leads to the cloud .",
+    "the dusk lamp holds the flame .",
+]
+# name -> (policy, demonstrations); "ep-tail" ends its demo part mid-sequence
+CHUNK_CASES = {
+    "ac": (AC, DEMOS),
+    "ep": (EP, DEMOS),
+    "every-n=7": (AnchorPolicy(mode="every_n", n=7), DEMOS),
+    "ep-tail": (EP, DEMOS + ["a glade sign marks"]),
+}
+SCORE_RTOL = 2.0**12 * np.finfo(np.float64).eps  # the benchmark's tolerance
+
+
+def record_advance_lengths(monkeypatch):
+    """Make the evaluator's `advance` record how many tokens each call runs."""
+    lengths = []
+
+    def spy(weights, cache, ids, *rest):
+        lengths.append(len(ids))
+        return advance(weights, cache, ids, *rest)
+
+    monkeypatch.setattr(evaluate, "advance", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
+    policy, demos = CHUNK_CASES[case]
+    items, _ = make_task(4, seed=8)
+    prepared, _ = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
+    first = prepared[0]
+    demo_len = first.demo_len
+    flags = segment_flags(first.prompt)[:demo_len]
+    anchors = np.flatnonzero(flags[:, 0])
+    tail = demo_len - 1 - anchors[-1]
+    assert (tail > 0) == (case in ("every-n=7", "ep-tail"))
+    assert flags[-1, 1] >= 1  # two or more sequences in the demo part
+
+    lengths = record_advance_lengths(monkeypatch)
+    cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
+    # one forward per anchor-closed sequence, the tail as the last one,
+    # then one per item
+    ends = [*(anchors + 1), demo_len] if tail else list(anchors + 1)
+    assert lengths[: len(ends)] == np.diff([0, *ends]).tolist()
+    assert len(lengths) == len(ends) + len(items)
+
+    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    for a, b in zip(cached, plain):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+        assert int(np.argmax(a)) == int(np.argmax(b))
+
+    whole = AnchorKVCache()
+    advance(ac_model, whole, first.prompt.ids[:demo_len], flags)
+    whole.reduction()
+    assert acct.discards == whole.stats.total_discards > 0
+    assert acct.appends == demo_len + sum(len(p.prompt) - demo_len for p in prepared)
+    assert acct.peak < demo_len
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_demo_part_built_once_matches_build_mc_prompt(ac_vocab, case):
+    policy, demos = CHUNK_CASES[case]
+    items, _ = make_task(5, seed=9)
+    prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
+    assert skipped == 0
+    for item, prep in zip(items, prepared):
+        prompt, demo_len = build_mc_prompt(demos, item.context, ac_vocab, policy)
+        assert prep.prompt == prompt and prep.demo_len == demo_len
+
+
+def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
+    items, _ = make_task(2, seed=8)
+    prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
+    lengths = record_advance_lengths(monkeypatch)
+    _, acct = evaluate._score_cached(ac_model, prepared, use_ansan=False)
+    assert lengths[0] == prepared[0].demo_len and len(lengths) == 1 + len(items)
+    assert acct.discards == 0
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):
