@@ -10,12 +10,15 @@ PagedAttention layout (Kwon et al., 2023): keys and values each in one
 and (is_anchor, seq_index) flag rows beside them. The first len(cache)
 slots are live, in position order; capacity grows geometrically.
 
-The free slots after the live ones are where new keys/values are
-written: `stacked(T)` hands a forward views over the live slots plus T
-free ones, the forward fills the free ones and attends over the whole
-view in place, and `extend_from_forward` commits them by moving the
-live count. A forward alone never changes a live slot. The cache is
-inference-only: no gradient flows through it.
+There is one way in and one way to shrink. The free slots after the
+live ones are where new keys/values are written: `stacked(T)` hands a
+forward views over the live slots plus T free ones, the forward fills
+the free ones and attends over the whole view in place, and
+`extend_from_forward` commits them by moving the live count, giving
+them the next positions. A forward alone never changes a live slot.
+`_keep` compacts the live slots to a subset, for `reduction` and for
+the `entries` setter. The cache is inference-only: no gradient flows
+through it.
 """
 
 from __future__ import annotations
@@ -33,19 +36,18 @@ _MIN_CAPACITY = 16
 
 
 @dataclass
-class CacheEntry:
-    position: int  # absolute token index, monotone across appends
-    is_anchor: bool
-    seq_index: int
-    keys: np.ndarray  # (n_layers, n_heads, head_dim), rotary applied
-    values: np.ndarray  # (n_layers, n_heads, head_dim)
-
-
-@dataclass
 class CacheStats:
     peak_live_count: int = 0
     total_appends: int = 0
     total_discards: int = 0
+
+    def merged(self, other: "CacheStats") -> "CacheStats":
+        """Totals over both caches' lifetimes; the peak is the larger one."""
+        return CacheStats(
+            max(self.peak_live_count, other.peak_live_count),
+            self.total_appends + other.total_appends,
+            self.total_discards + other.total_discards,
+        )
 
 
 class AnchorKVCache:
@@ -85,51 +87,22 @@ class AnchorKVCache:
             flags[:n] = self._flags[:n]
         self._keys, self._values, self._positions, self._flags = keys, values, positions, flags
 
-    def _commit(
-        self, positions: Sequence[int] | np.ndarray, flags: Sequence[TokenFlags] | np.ndarray
-    ) -> None:
-        """Make the free slots after the live ones live, in order; their
-        keys and values must already be written."""
-        positions = np.asarray(positions, dtype=np.int64)
-        n, end = self._live, self._live + len(positions)
-        last = self._positions[n - 1 : n]
-        if np.any(positions[1:] <= positions[:-1]) or np.any(positions[:1] <= last):
-            raise ContractError(
-                f"cache positions must be strictly increasing: "
-                f"{positions.tolist()} after {last.tolist()}"
-            )
+    def extend_from_forward(self, flags: Sequence[TokenFlags] | np.ndarray) -> None:
+        """Make live the free slots after the live ones, one per flag
+        (TokenFlags or (is_anchor, seq_index) rows), whose keys and values
+        a forward over `stacked(len(flags))` wrote. They take the next
+        positions; nothing is copied but the positions and flags."""
+        n, end = self._live, self._live + len(flags)
         if end > len(self._positions):
             raise ContractError(
-                f"{len(positions)} entries committed, but only "
+                f"{len(flags)} entries committed, but only "
                 f"{len(self._positions) - n} free slots are reserved"
             )
-        self._positions[n:end] = positions
+        self._positions[n:end] = self.next_positions(len(flags))
         self._flags[n:end] = flags
         self._live = end
-
-    def _count_appends(self, count: int) -> None:
-        self.stats.total_appends += count
-        self.stats.peak_live_count = max(self.stats.peak_live_count, self._live)
-
-    def _write_entry(self, e: CacheEntry) -> None:
-        self._reserve(1, e.keys.shape)
-        self._keys[:, :, self._live] = e.keys
-        self._values[:, :, self._live] = e.values
-        self._commit([e.position], [(e.is_anchor, e.seq_index)])
-
-    def append(self, entry: CacheEntry) -> None:
-        self._write_entry(entry)
-        self._count_appends(1)
-
-    def extend_from_forward(
-        self, positions: Sequence[int] | np.ndarray, flags: Sequence[TokenFlags] | np.ndarray
-    ) -> None:
-        """Make live the T free slots after the live ones, whose keys and
-        values a forward over `stacked(T)` wrote, with these positions
-        and flags (TokenFlags or (is_anchor, seq_index) rows). Nothing is
-        copied but the positions and flags."""
-        self._commit(positions, flags)
-        self._count_appends(len(positions))
+        self.stats.total_appends += end - n
+        self.stats.peak_live_count = max(self.stats.peak_live_count, end)
 
     def reduction(self) -> None:
         """Discard non-anchor entries before the last anchor, compacting the
@@ -140,16 +113,19 @@ class AnchorKVCache:
         keyed = np.flatnonzero(anchors)
         if len(keyed) == 0:
             return
-        keep = anchors | (positions >= positions[keyed[-1]])
-        kept = int(np.count_nonzero(keep))
-        if kept == n:
+        keep = np.flatnonzero(anchors | (positions >= positions[keyed[-1]]))
+        if len(keep) == n:
             return
+        self.stats.total_discards += n - len(keep)
+        self._keep(keep)
+
+    def _keep(self, slots: np.ndarray) -> None:
+        """Compact the live slots to these, given in increasing order."""
         for arr in (self._keys, self._values):
-            arr[:, :, :kept] = arr[:, :, :n][:, :, keep]
-        self._positions[:kept] = positions[keep]
-        self._flags[:kept] = self._flags[:n][keep]
-        self.stats.total_discards += n - kept
-        self._live = kept
+            arr[:, :, : len(slots)] = arr[:, :, slots]
+        self._positions[: len(slots)] = self._positions[slots]
+        self._flags[: len(slots)] = self._flags[slots]
+        self._live = len(slots)
 
     def flag_array(self) -> np.ndarray:
         """Live (is_anchor, seq_index) rows, shape (live, 2); a view."""
@@ -195,16 +171,17 @@ class AnchorKVCache:
         return c
 
     @property
-    def entries(self) -> list[CacheEntry]:
-        """The live entries as records holding copies of their rows."""
-        return [
-            CacheEntry(p, bool(a), s, self._keys[:, :, i].copy(), self._values[:, :, i].copy())
-            for i, (p, (a, s)) in enumerate(zip(self.live_positions(), self.flag_array().tolist()))
-        ]
+    def entries(self) -> list[int]:
+        """Indices of the live slots, oldest first."""
+        return list(range(self._live))
 
     @entries.setter
-    def entries(self, entries: list[CacheEntry]) -> None:
-        """Replace the live entries; statistics are left unchanged."""
-        self._live = 0
-        for e in entries:
-            self._write_entry(e)
+    def entries(self, slots: Sequence[int]) -> None:
+        """Keep only these live slots, in increasing order; statistics
+        are left unchanged."""
+        slots = np.asarray(slots, dtype=np.int64)
+        if np.any(slots[1:] <= slots[:-1]) or np.any((slots < 0) | (slots >= self._live)):
+            raise ContractError(
+                f"live slots to keep must be increasing and below {self._live}: {slots.tolist()}"
+            )
+        self._keep(slots)

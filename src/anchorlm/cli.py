@@ -52,6 +52,15 @@ EXIT_INPUT = 3
 EXIT_CONTRACT = 4
 EXIT_NUMERIC = 5
 
+# error class -> exit code, most specific first: the first match wins
+EXIT_CODES: dict[type[AnchorLMError], int] = {
+    UsageError: EXIT_USAGE,  # includes ConfigError
+    InputError: EXIT_INPUT,
+    ContractError: EXIT_CONTRACT,
+    NumericError: EXIT_NUMERIC,
+    AnchorLMError: EXIT_CONTRACT,
+}
+
 DATA_DIR_ENV = "ANCHORLM_DATA_DIR"
 
 
@@ -237,14 +246,17 @@ def cmd_train(args) -> int:
             overrides["steps"] = 100
         cfg = TrainConfig(**overrides)
 
-    model_config = ModelConfig(
-        vocab_size=len(vocab),
-        n_layers=args.n_layers,
-        n_heads=args.n_heads,
-        d_model=args.d_model,
-        d_ff=args.d_ff if args.d_ff else 4 * args.d_model,
-        context_len=context_len,
-    )
+    try:
+        model_config = ModelConfig(
+            vocab_size=len(vocab),
+            n_layers=args.n_layers,
+            n_heads=args.n_heads,
+            d_model=args.d_model,
+            d_ff=args.d_ff if args.d_ff else 4 * args.d_model,
+            context_len=context_len,
+        )
+    except ContractError as exc:  # the shape came from flags
+        raise UsageError(f"bad model shape flags: {exc}") from exc
 
     out = _resolve_out(args.out, "train", str(data_dir))
     manifest = Manifest("train")
@@ -304,10 +316,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    weights, step, ckpt_vocab_sha, _ = load_checkpoint(args.ckpt)
     vocab = Vocab.load(args.vocab)
-    if _sha256(Path(args.vocab)) != ckpt_vocab_sha:
-        raise ConfigError("vocab file does not match the checkpoint's vocab digest")
+    manifest = Manifest("generate")
+    weights, step = _load_weights_checked(args.ckpt, args.vocab, manifest)
     policy = _policy_from_args(args)
     prefix = annotate(args.prompt, vocab, policy)
     if len(prefix) == 0:
@@ -329,8 +340,6 @@ def cmd_generate(args) -> int:
     result = generate(weights, prefix, cfg)
 
     out = _resolve_out(args.out, "generate", args.prompt)
-    manifest = Manifest("generate")
-    manifest.add_input(args.ckpt)
     manifest.add_input(args.vocab)
     manifest.config.update(
         prompt=args.prompt, policy=policy.describe(), reduce=args.reduce,
@@ -371,7 +380,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--task {args.task} requires --ckpt")
 
     if args.task == "ppl":
-        weights = _load_weights_checked(args.ckpt, args.vocab, manifest)
+        weights, _ = _load_weights_checked(args.ckpt, args.vocab, manifest)
         if not args.text:
             raise UsageError("--task ppl requires --text")
         manifest.add_input(args.text)
@@ -396,7 +405,7 @@ def cmd_eval(args) -> int:
         print(f"perplexity = {ppl!r}")
 
     elif args.task == "mc":
-        weights = _load_weights_checked(args.ckpt, args.vocab, manifest)
+        weights, _ = _load_weights_checked(args.ckpt, args.vocab, manifest)
         if not args.items:
             raise UsageError("--task mc requires --items")
         manifest.add_input(args.items)
@@ -429,7 +438,7 @@ def cmd_eval(args) -> int:
                 raise UsageError(f"--arm must look like policy@ckpt, got {arm_text!r}")
             policy_name, ckpt_path = arm_text.split("@", 1)
             arm_policy = AnchorPolicy.parse(policy_name, seed=args.policy_seed)
-            arm_weights = _load_weights_checked(ckpt_path, args.vocab, manifest)
+            arm_weights, _ = _load_weights_checked(ckpt_path, args.vocab, manifest)
             arms[policy_name] = (arm_weights, arm_policy)
         report = ablation_anchor_positions(
             arms, vocab, items, args.shots, demo_pool=demo_pool, seed=args.seed
@@ -453,11 +462,12 @@ def _load_demo_pool(args):
 
 
 def _load_weights_checked(ckpt_path: str, vocab_path: str, manifest: Manifest):
-    weights, _, ckpt_vocab_sha, _ = load_checkpoint(ckpt_path)
+    """The checkpoint's weights and step, once its vocab digest matches."""
+    weights, step, ckpt_vocab_sha, _ = load_checkpoint(ckpt_path)
     if _sha256(Path(vocab_path)) != ckpt_vocab_sha:
         raise ConfigError("vocab file does not match the checkpoint's vocab digest")
     manifest.add_input(ckpt_path)
-    return weights
+    return weights, step
 
 
 # -- synth -----------------------------------------------------------------------
@@ -491,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="tokenize, annotate and pack a corpus")
     p.add_argument("--corpus", nargs="+", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--policy-seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=4096)
+    p.add_argument("--policy-seed", type=_int_in_range(0), default=0)
+    p.add_argument("--vocab-size", type=_int_in_range(1), default=4096)
     p.add_argument("--context-len", type=_int_in_range(2), default=256)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prepare)
@@ -508,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup-steps", type=int, default=None)
     p.add_argument("--weight-decay", type=float, default=None)
     p.add_argument("--grad-clip", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_in_range(0), default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-model", type=int, default=64)
+    p.add_argument("--n-layers", type=_int_in_range(1), default=2)
+    p.add_argument("--n-heads", type=_int_in_range(1), default=4)
+    p.add_argument("--d-model", type=_int_in_range(1), default=64)
     p.add_argument("--d-ff", type=int, default=0)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--out")
@@ -523,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--prompt", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--policy-seed", type=int, default=0)
+    p.add_argument("--policy-seed", type=_int_in_range(0), default=0)
     p.add_argument("--reduce", choices=["on", "off"], default="on")
     p.add_argument("--max-new", type=_int_in_range(1), default=32)
     p.add_argument("--strip-anchors", action="store_true")
     p.add_argument("--temperature", type=_positive_float, default=None)
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--sample-seed", type=_int_in_range(0), default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 
@@ -537,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt")
     p.add_argument("--vocab", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--policy-seed", type=int, default=0)
+    p.add_argument("--policy-seed", type=_int_in_range(0), default=0)
     p.add_argument("--text", help="plain-text file for --task ppl")
     p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal",
                    help="attention masks for --task ppl and mc")
@@ -549,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reuse-demo-cache", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--baseline", choices=["noncache", "fullcache"], default="noncache")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in_range(0), default=0)
     p.add_argument("--arm", action="append",
                    help="ablation arm as policy@ckpt (repeatable)")
     p.add_argument("--out")
@@ -559,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", type=_int_in_range(1), default=200)
     p.add_argument("--items", type=_int_in_range(1), default=50)
     p.add_argument("--choices", type=_int_in_range(2, MAX_CHOICES), default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in_range(0), default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_synth)
     return parser
@@ -569,21 +579,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:  # includes ConfigError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except AnchorLMError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import AnchorKVCache
+from .cache import AnchorKVCache, CacheStats
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
 from .infer import (
@@ -201,26 +201,9 @@ def build_mc_prompt(
 
     full_text = " ".join(demo_texts + [context_text]) if demo_texts else context_text
     seg = annotate(full_text, vocab, policy)
-    if not demo_texts:
-        return seg, 0
-    demo_tokens = len(tokenize(" ".join(demo_texts)))
-    seen = 0
-    demo_len = 0
-    for i, tid in enumerate(seg.ids):
-        inserted = policy.inserts_anchor_token and seg.is_anchor[i] and tid == vocab.anchor_id
-        if not inserted:
-            seen += 1
-        if seen == demo_tokens:
-            demo_len = i + 1
-            # keep a directly following inserted anchor with the demo part
-            if (
-                demo_len < len(seg)
-                and policy.inserts_anchor_token
-                and seg.is_anchor[demo_len]
-                and seg.ids[demo_len] == vocab.anchor_id
-            ):
-                demo_len += 1
-            break
+    # no token spans the joining space and every policy places anchors
+    # left to right, so the demo part annotates to the prompt's prefix
+    demo_len = len(annotate(" ".join(demo_texts), vocab, policy)) if demo_texts else 0
     return seg, demo_len
 
 
@@ -260,13 +243,6 @@ class _PreparedItem:
     demo_len: int
     choice_ids: list[list[int]]
     gold: int
-
-
-@dataclass
-class _CacheAccounting:
-    appends: int = 0
-    discards: int = 0
-    peak: int = 0
 
 
 def _prepare_items(
@@ -313,7 +289,7 @@ def _score_cached(
     weights: ModelWeights,
     prepared: list[_PreparedItem | None],
     use_ansan: bool,
-) -> tuple[list[list[float]], _CacheAccounting]:
+) -> tuple[list[list[float]], CacheStats]:
     """Process the demonstration part once and reuse its cache across
     items and choices.
 
@@ -323,11 +299,11 @@ def _score_cached(
     sequence then attends to itself plus the earlier anchors, exactly the
     keys its mask rows allow, instead of a dense L x L block. A tail
     after the last anchor is the last forward. Under causal masks the
-    demonstration part is one forward and is not reduced."""
-    acct = _CacheAccounting()
+    demonstration part is one forward and is not reduced. The statistics
+    are the demonstration cache's and every item cache's, summed."""
     first = next((p for p in prepared if p is not None), None)
     if first is None:
-        return [[] for _ in prepared], acct
+        return [[] for _ in prepared], CacheStats()
 
     demo_cache = AnchorKVCache()
     demo_len = first.demo_len
@@ -340,9 +316,7 @@ def _score_cached(
             advance(weights, demo_cache, demo_ids[lo:hi], demo_flags[lo:hi], use_ansan)
             if use_ansan:
                 demo_cache.reduction()
-        acct.appends += demo_cache.stats.total_appends
-        acct.discards += demo_cache.stats.total_discards
-        acct.peak = demo_cache.stats.peak_live_count
+    stats = demo_cache.stats
 
     all_scores: list[list[float]] = []
     for prep in prepared:
@@ -357,8 +331,7 @@ def _score_cached(
         logits = advance(
             weights, item_cache, ctx_ids, segment_flags(prep.prompt)[demo_len:], use_ansan
         )
-        acct.appends += len(ctx_ids)
-        acct.peak = max(acct.peak, item_cache.stats.peak_live_count)
+        stats = stats.merged(item_cache.stats)
         # every choice is scored against the same item cache, never appended to it
         cont = TokenFlags(False, next_seq_index(prep.prompt))
         scores = []
@@ -370,7 +343,7 @@ def _score_cached(
                 choice_logits = np.concatenate([choice_logits, out.logits])
             scores.append(continuation_logprob(choice_logits, cids))
         all_scores.append(scores)
-    return all_scores, acct
+    return all_scores, stats
 
 
 def run_mc_task(
@@ -410,10 +383,10 @@ def run_mc_task(
     )
 
     if reuse_demo_cache:
-        scores, acct = _score_cached(weights, prepared, use_ansan)
+        scores, stats = _score_cached(weights, prepared, use_ansan)
     else:
         scores = _score_noncache(weights, prepared, use_ansan)
-        acct = _CacheAccounting()
+        stats = CacheStats()
 
     correct = 0
     scored = 0
@@ -432,8 +405,10 @@ def run_mc_task(
         n_items=len(items),
         n_skipped=skipped,
         accuracy=(correct / scored) if scored else None,
-        cache_reduction=(acct.discards / acct.appends) if acct.appends else 0.0,
-        peak_cache=acct.peak if reuse_demo_cache else None,
+        cache_reduction=(
+            stats.total_discards / stats.total_appends if stats.total_appends else 0.0
+        ),
+        peak_cache=stats.peak_live_count if reuse_demo_cache else None,
         reference_note=REFERENCE_FULL_SCALE,
     )
 

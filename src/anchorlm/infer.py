@@ -100,7 +100,7 @@ def advance(
 ) -> np.ndarray:
     """`attend`, then commit the tokens' keys/values; returns the logits."""
     out = attend(weights, cache, ids, flags, ansan)
-    cache.extend_from_forward(cache.next_positions(len(ids)), flags)
+    cache.extend_from_forward(flags)
     return out.logits
 
 

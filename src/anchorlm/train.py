@@ -55,6 +55,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_file(self, path: str | Path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]

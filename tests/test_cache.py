@@ -1,43 +1,60 @@
 import numpy as np
 import pytest
 
-from anchorlm.cache import AnchorKVCache, CacheEntry
+from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
 from anchorlm.infer import advance, attend
 from anchorlm.masks import TokenFlags, anchor_mask, mask_rows, segment_flags
-from anchorlm.model import forward
+from anchorlm.model import ModelConfig, forward
 from oracles import naive_reduction
 
+ONE_HEAD = ModelConfig(1, 1, 1, 2)  # slots of one layer, one head, head_dim 2
 
-def entry(pos, anchor=False, seq=0):
-    kv = np.zeros((1, 1, 2))
-    return CacheEntry(position=pos, is_anchor=anchor, seq_index=seq, keys=kv, values=kv)
+
+def commit(cache, flags):
+    """Commit one entry per (is_anchor, seq_index) flag through the one
+    write path, as a forward over `stacked` would; returns the per-layer
+    (K, V) views whose free slots the entries took."""
+    kv = cache.stacked(len(flags), ONE_HEAD)
+    cache.extend_from_forward(flags)
+    return kv
 
 
 def filled(flags):
     """Cache from a flag string like 'nnAnn' (A = anchor)."""
     cache = AnchorKVCache()
-    for pos, ch in enumerate(flags):
-        cache.append(entry(pos, anchor=ch == "A"))
+    commit(cache, [(ch == "A", 0) for ch in flags])
     return cache
 
 
 def test_append_counts():
     cache = AnchorKVCache()
-    cache.append(entry(0))
+    commit(cache, [(False, 0)])
     assert len(cache) == 1
-    cache.append(entry(1))
-    cache.append(entry(2))
+    commit(cache, [(False, 0)])
+    commit(cache, [(False, 0)])
     assert len(cache) == 3
     assert cache.stats.peak_live_count == 3
     assert cache.stats.total_appends == 3
 
 
-def test_append_non_monotone_rejected():
+def test_entries_setter_rejects_bad_slots():
     cache = filled("nnn")
-    with pytest.raises(ContractError):
-        cache.append(entry(1))
+    for slots in ([1, 1], [2, 0], [0, 3], [-1]):  # repeated, decreasing, out of range
+        with pytest.raises(ContractError):
+            cache.entries = slots
+    assert cache.live_positions() == [0, 1, 2]
+
+
+def test_entries_setter_keeps_the_given_slots():
+    cache = filled("nAnn")
+    assert cache.entries == [0, 1, 2, 3]
+    cache.entries = cache.entries[-1:]
+    assert cache.live_positions() == [3] and cache.flag_array().tolist() == [[0, 0]]
+    assert cache.stats.total_discards == 0  # statistics are left unchanged
+    commit(cache, [(False, 0)])
+    assert cache.live_positions() == [3, 4]
 
 
 def test_reduction_keeps_tail_and_anchors():
@@ -75,8 +92,8 @@ def test_reduction_matches_oracle_randomized():
     for _ in range(200):
         flags = [bool(rng.random() < 0.25) for _ in range(int(rng.integers(0, 24)))]
         cache = AnchorKVCache()
-        for pos, is_anchor in enumerate(flags):
-            cache.append(entry(pos, anchor=is_anchor))
+        for is_anchor in flags:
+            commit(cache, [(is_anchor, 0)])
         cache.reduction()
         expected = naive_reduction(list(enumerate(flags)))
         assert set(cache.live_positions()) == expected
@@ -87,8 +104,8 @@ def test_anchor_and_tail_conservation():
     for _ in range(100):
         flags = [bool(rng.random() < 0.3) for _ in range(int(rng.integers(1, 30)))]
         cache = AnchorKVCache()
-        for pos, is_anchor in enumerate(flags):
-            cache.append(entry(pos, anchor=is_anchor))
+        for is_anchor in flags:
+            commit(cache, [(is_anchor, 0)])
         anchors = {p for p, a in enumerate(flags) if a}
         last = max(anchors) if anchors else None
         cache.reduction()
@@ -100,9 +117,9 @@ def test_anchor_and_tail_conservation():
 
 def test_live_flags_order():
     cache = AnchorKVCache()
-    cache.append(entry(0, anchor=False, seq=0))
-    cache.append(entry(1, anchor=True, seq=0))
-    cache.append(entry(2, anchor=False, seq=1))
+    commit(cache, [(False, 0)])
+    commit(cache, [(True, 0)])
+    commit(cache, [(False, 1)])
     flags = cache.flag_array()
     assert [bool(a) for a in flags[:, 0]] == [False, True, False]
     assert flags[:, 1].tolist() == [0, 0, 1]
@@ -130,12 +147,10 @@ def test_metric_undefined_on_empty():
 def test_stats_monotone_and_consistent():
     rng = np.random.default_rng(6)
     cache = AnchorKVCache()
-    pos = 0
     prev_peak = 0
     for _ in range(30):
         for _ in range(int(rng.integers(1, 5))):
-            cache.append(entry(pos, anchor=bool(rng.random() < 0.3)))
-            pos += 1
+            commit(cache, [(bool(rng.random() < 0.3), 0)])
         cache.reduction()
         stats = cache.stats
         assert stats.peak_live_count >= prev_peak
@@ -147,7 +162,7 @@ def test_stats_monotone_and_consistent():
 def test_clone_is_independent():
     cache = filled("nAn")
     clone = cache.clone()
-    clone.append(entry(3))
+    commit(clone, [(False, 0)])
     assert len(cache) == 3 and len(clone) == 4
     assert clone.stats.total_appends == 1  # clone counts only its own appends
 
@@ -163,7 +178,7 @@ def forwarded(weights, seg, start, stop, cache):
     kv = cache.stacked(stop - start, weights.config)
     forward(weights, seg.ids[start:stop], rows, kv, positions=np.arange(start, stop))
     written = [(k[:, len(cache):].copy(), v[:, len(cache):].copy()) for k, v in kv]
-    cache.extend_from_forward(list(range(start, stop)), new_flags)
+    cache.extend_from_forward(new_flags)
     return written
 
 
@@ -275,8 +290,8 @@ def test_committed_rows_match_a_forward_from_scratch(tiny_weights):
 def test_growing_stacked_keeps_rows_aligned():
     cache = AnchorKVCache()
     for pos, ch in enumerate("nnnAnnnnnnnnAnnn"):  # 16 entries fill the first capacity
-        kv = np.full((1, 1, 2), pos)
-        cache.append(CacheEntry(pos, ch == "A", 0, kv, -kv))
+        (keys, values), = commit(cache, [(ch == "A", 0)])
+        keys[0, pos], values[0, pos] = pos, -pos
     cache.reduction()
     live = cache.live_positions()
     (keys, values), = cache.stacked(20)
@@ -284,7 +299,7 @@ def test_growing_stacked_keeps_rows_aligned():
     assert keys[0, : len(live), 0].tolist() == live
     assert (-values[0, : len(live), 1]).tolist() == live
     keys[0, len(live) :] = np.arange(16, 36)[:, None]
-    cache.extend_from_forward(np.arange(16, 36), [TokenFlags(False, 1)] * 20)
+    cache.extend_from_forward([TokenFlags(False, 1)] * 20)
     (keys, _), = cache.stacked()
     assert keys[0, :, 0].tolist() == cache.live_positions() == live + list(range(16, 36))
 

@@ -50,7 +50,7 @@ def test_rule_and_reduction_match_oracles(schedule):
         # each key row holds its own position, so misaligned rows show
         (keys, values), = cache.stacked(len(new), ModelConfig(1, 1, 1, 2))
         keys[0, len(live) :] = values[0, len(live) :] = np.asarray(new, dtype=float)[:, None]
-        cache.extend_from_forward(new, flags[start:stop])
+        cache.extend_from_forward(flags[start:stop])
         if reduce_now:
             cache.reduction()
             seen = [(p, flags[p].is_anchor) for p in range(stop)]

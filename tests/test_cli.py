@@ -214,11 +214,18 @@ def _prepare(ws, *flags):
     return ["prepare", "--corpus", str(ws / "synth" / "corpus.txt"), *flags]
 
 
+def _train(ws, *flags):
+    return ["train", "--data", str(ws / "data"), "--steps", "1", *flags]
+
+
+def _eval_mc(ws, *flags):
+    return _eval(ws, "mc", "--items", str(ws / "synth" / "task.jsonl"),
+                 "--demo-pool", str(ws / "synth" / "demos.jsonl"), *flags)
+
+
 # each: a function of the workspace giving argv, and text the error must name
 BAD_FLAGS = {
-    "shots-negative": (lambda ws: _eval(
-        ws, "mc", "--items", str(ws / "synth" / "task.jsonl"),
-        "--demo-pool", str(ws / "synth" / "demos.jsonl"), "--shots", "-1"), "--shots"),
+    "shots-negative": (lambda ws: _eval_mc(ws, "--shots", "-1"), "--shots"),
     "shots-without-demo-pool": (lambda ws: _eval(
         ws, "mc", "--items", str(ws / "synth" / "task.jsonl"), "--shots", "3"), "--demo-pool"),
     "eval-context-len-1": (lambda ws: _eval(
@@ -240,6 +247,21 @@ BAD_FLAGS = {
     "synth-items-0": (lambda ws: ["synth", "--items", "0"], "--items"),
     "synth-choices-1": (lambda ws: ["synth", "--choices", "1"], "--choices"),
     "synth-choices-99": (lambda ws: ["synth", "--choices", "99"], "--choices"),
+    "synth-seed-negative": (lambda ws: ["synth", "--seed", "-1"], "--seed"),
+    "prepare-policy-seed-negative": (lambda ws: _prepare(
+        ws, "--policy", "random-p=0.1", "--policy-seed", "-1"), "--policy-seed"),
+    "train-seed-negative": (lambda ws: _train(ws, "--seed", "-1"), "--seed"),
+    "sample-seed-negative": (lambda ws: _generate(
+        ws, "--prompt", "the amber lamp", "--temperature", "1", "--sample-seed", "-1"),
+        "--sample-seed"),
+    "eval-seed-negative": (lambda ws: _eval_mc(ws, "--shots", "2", "--seed", "-1"), "--seed"),
+    "vocab-size-negative": (lambda ws: _prepare(
+        ws, "--policy", "ac", "--vocab-size", "-3"), "--vocab-size"),
+    "n-layers-0": (lambda ws: _train(ws, "--n-layers", "0"), "--n-layers"),
+    "n-heads-0": (lambda ws: _train(ws, "--n-heads", "0"), "--n-heads"),
+    "d-model-0": (lambda ws: _train(ws, "--d-model", "0"), "--d-model"),
+    "d-model-not-divisible-by-n-heads": (lambda ws: _train(
+        ws, "--d-model", "16", "--n-heads", "3"), "divisible"),
 }
 
 
@@ -356,6 +378,14 @@ def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
     assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "batch_size" in err and "Traceback" not in err
+
+
+def test_negative_train_config_seed_is_config_error(workspace, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("steps = 1\nseed = -1\n", encoding="utf-8")
+    assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
 
 
 def broken_data_dir(workspace, tmp_path, name, content):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlm import evaluate
 from anchorlm.cache import AnchorKVCache
-from anchorlm.corpus import AnchorPolicy, SegmentedText, annotate, build_vocab
+from anchorlm.corpus import AnchorPolicy, SegmentedText, annotate, build_vocab, tokenize
 from anchorlm.errors import ContractError, InputError, UndefinedMetricError
 from anchorlm.evaluate import (
     MCItem,
@@ -233,9 +235,9 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
     whole = AnchorKVCache()
     advance(ac_model, whole, first.prompt.ids[:demo_len], flags)
     whole.reduction()
-    assert acct.discards == whole.stats.total_discards > 0
-    assert acct.appends == demo_len + sum(len(p.prompt) - demo_len for p in prepared)
-    assert acct.peak < demo_len
+    assert acct.total_discards == whole.stats.total_discards > 0
+    assert acct.total_appends == demo_len + sum(len(p.prompt) - demo_len for p in prepared)
+    assert acct.peak_live_count < demo_len
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -255,7 +257,7 @@ def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     lengths = record_advance_lengths(monkeypatch)
     _, acct = evaluate._score_cached(ac_model, prepared, use_ansan=False)
     assert lengths[0] == prepared[0].demo_len and len(lengths) == 1 + len(items)
-    assert acct.discards == 0
+    assert acct.total_discards == 0
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):
@@ -337,6 +339,37 @@ def test_build_mc_prompt_every_n(ac_vocab):
     # the demo part ends on its content plus a directly trailing anchor
     assert demo_len == 5
     seg.validate()
+
+
+WORDS = ["the", "amber", "lamp", "holds", "stone", "birch", "zzz", ".", "!", "?", ","]
+NON_AC_POLICIES = [
+    EP,
+    AnchorPolicy(mode="every_n", n=1),
+    AnchorPolicy(mode="every_n", n=3),
+    AnchorPolicy(mode="every_n", n=7),
+    AnchorPolicy(mode="random_p", p=0.1, seed=3),
+    AnchorPolicy(mode="random_p", p=0.5, seed=11),
+]
+
+
+def texts(min_size):
+    """Space-joined words and punctuation, terminated or not."""
+    return st.lists(st.sampled_from(WORDS), min_size=min_size, max_size=9).map(" ".join)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(NON_AC_POLICIES), st.lists(texts(1), max_size=3), texts(1))
+def test_demo_part_is_the_demos_annotated_alone(ac_vocab, policy, demos, context):
+    seg, demo_len = build_mc_prompt(demos, context, ac_vocab, policy)
+    demo = annotate(" ".join(demos), ac_vocab, policy)
+    assert seg.ids[:demo_len] == demo.ids
+    assert seg.is_anchor[:demo_len] == demo.is_anchor
+    assert seg.seq_index[:demo_len] == demo.seq_index
+    # the rest is the context's tokens, with no inserted anchor at its start
+    inserted = ac_vocab.anchor_id if policy.inserts_anchor_token else None
+    rest = seg.slice(demo_len, len(seg))
+    assert len(rest.strip_inserted(inserted)) == len(tokenize(context))
+    assert not (len(rest) and rest.is_anchor[0] and rest.ids[0] == inserted)
 
 
 # -- ablation / report -----------------------------------------------------------------

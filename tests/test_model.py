@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anchorlm.autodiff import Tensor
-from anchorlm.cache import AnchorKVCache, CacheEntry
+from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.infer import advance
@@ -194,7 +194,7 @@ def test_cache_equivalence_token_by_token(tiny_weights):
             cache.stacked(1, tiny_weights.config), positions=[t],
         )
         rows.append(out.logits[0])
-        cache.extend_from_forward([t], [TokenFlags(False, 0)])
+        cache.extend_from_forward([TokenFlags(False, 0)])
     scale = np.abs(block.logits).max()
     assert np.max(np.abs(np.array(rows) - block.logits)) / scale < 1e-5
 
@@ -209,23 +209,17 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
     )
     mask = anchor_mask(seg)
     # a forward into an empty cache's free slots leaves every token's keys there
-    full_kv = AnchorKVCache().stacked(len(seg), tiny_weights.config)
+    cache = AnchorKVCache()
+    full_kv = cache.stacked(len(seg), tiny_weights.config)
     full = forward(tiny_weights, seg.ids, mask, full_kv, positions=np.arange(len(seg)))
     last = len(seg) - 1
     visible = [j for j in range(last) if mask[last][j]]
     assert visible != list(range(last))  # something actually got dropped
 
-    cache = AnchorKVCache()
-    for j in visible:
-        cache.append(
-            CacheEntry(
-                position=j,
-                is_anchor=seg.is_anchor[j],
-                seq_index=seg.seq_index[j],
-                keys=np.stack([k[:, j, :] for k, _ in full_kv]),
-                values=np.stack([v[:, j, :] for _, v in full_kv]),
-            )
-        )
+    # commit the prefix, then keep only the slots the last token sees
+    cache.extend_from_forward(segment_flags(seg)[:last])
+    cache.entries = visible
+    assert cache.live_positions() == visible
     out = forward(
         tiny_weights, [seg.ids[last]], np.ones(len(visible) + 1, dtype=np.uint8),
         cache.stacked(1), positions=[last],
