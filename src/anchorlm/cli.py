@@ -515,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--warmup-steps", type=int, default=None)
+    p.add_argument("--warmup-steps", type=_int_in_range(0), default=None)
     p.add_argument("--weight-decay", type=float, default=None)
     p.add_argument("--grad-clip", type=float, default=None)
     p.add_argument("--seed", type=_int_in_range(0), default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
+    p.add_argument("--checkpoint-every", type=_int_in_range(0), default=None)
     p.add_argument("--n-layers", type=_int_in_range(1), default=2)
     p.add_argument("--n-heads", type=_int_in_range(1), default=4)
     p.add_argument("--d-model", type=_int_in_range(1), default=64)

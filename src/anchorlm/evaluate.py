@@ -12,7 +12,10 @@ keys its mask blocks and the live cache never holds more than the
 anchors so far plus one sequence (a chunked prefill, as in SARATHI,
 Agrawal et al., 2023, with the chunks cut where the mask already cuts
 attention). The ac demonstration part does not depend on the item and
-is tokenized once per task.
+is tokenized once per task. Each item is then one forward over a clone
+of that cache: the item context is the trunk of a tree, and each choice
+but its last token is a branch that sees the trunk and itself, never
+another choice (`infer.advance_branches`); only the context is cached.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .errors import ContractError, InputError, UndefinedMetricError
 from .infer import (
     _log_softmax,
     advance,
-    attend,
+    advance_branches,
     continuation_logprob,
     next_seq_index,
     score_continuation,
 )
-from .masks import TokenFlags, anchor_mask, causal_mask, segment_flags
+from .masks import anchor_mask, causal_mask, segment_flags
 from .model import ModelWeights, forward
 
 REFERENCE_FULL_SCALE = (
@@ -291,7 +294,7 @@ def _score_cached(
     use_ansan: bool,
 ) -> tuple[list[list[float]], CacheStats]:
     """Process the demonstration part once and reuse its cache across
-    items and choices.
+    items; score each item's context and all its choices in one forward.
 
     Under anchor masks (the only masks that make reduction lossless) the
     demonstration part is prefilled one anchor-closed sequence per
@@ -325,23 +328,16 @@ def _score_cached(
             continue
         if prep.prompt.ids[:demo_len] != demo_ids:
             raise ContractError("demonstration part must be identical across items")
-        # _prepare_items keeps only items with context after the demos
-        ctx_ids = prep.prompt.ids[demo_len:]
+        # _prepare_items keeps only items with context after the demos;
+        # one forward runs the context and every choice, as branches that
+        # are scored but never committed
         item_cache = demo_cache.clone()
-        logits = advance(
-            weights, item_cache, ctx_ids, segment_flags(prep.prompt)[demo_len:], use_ansan
+        choice_logits = advance_branches(
+            weights, item_cache, prep.prompt.ids[demo_len:],
+            segment_flags(prep.prompt)[demo_len:], prep.choice_ids, use_ansan,
         )
         stats = stats.merged(item_cache.stats)
-        # every choice is scored against the same item cache, never appended to it
-        cont = TokenFlags(False, next_seq_index(prep.prompt))
-        scores = []
-        for cids in prep.choice_ids:
-            choice_logits = logits[-1:]
-            if len(cids) > 1:
-                rest = cids[:-1]
-                out = attend(weights, item_cache, rest, [cont] * len(rest), use_ansan)
-                choice_logits = np.concatenate([choice_logits, out.logits])
-            scores.append(continuation_logprob(choice_logits, cids))
+        scores = [continuation_logprob(lg, c) for lg, c in zip(choice_logits, prep.choice_ids)]
         all_scores.append(scores)
     return all_scores, stats
 

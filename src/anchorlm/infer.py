@@ -1,5 +1,6 @@
 """Anchor-based autoregressive generation and continuation scoring, both
-built on one cached step (`attend`, and `advance`, which also caches).
+built on one cached step (`attend`, and `advance`, which also caches;
+`advance_branches` also scores continuations as branches of a tree).
 
 Generation processes the prefix under anchor masks, reduces the cache
 once, then decodes token by token; whenever a generated anchor token has
@@ -102,6 +103,43 @@ def advance(
     out = attend(weights, cache, ids, flags, ansan)
     cache.extend_from_forward(flags)
     return out.logits
+
+
+def advance_branches(
+    weights: ModelWeights,
+    cache: AnchorKVCache,
+    ids: Sequence[int],
+    flags: Sequence[TokenFlags] | np.ndarray,
+    continuations: Sequence[Sequence[int]],
+    ansan: bool = True,
+) -> list[np.ndarray]:
+    """`advance` over a trunk of nonempty ids, and in the same forward
+    the logits of several continuations of it, laid out as branches of
+    one tree (tree attention, as in SpecInfer, Miao et al., 2024).
+
+    Each continuation but its last token is one branch. Its tokens are
+    non-anchor members of the sequence after the trunk (as in
+    `score_continuation`), continue the trunk's positions, and see the
+    cache, the trunk and their own branch under the one mask rule, never
+    another branch. Only the trunk is committed; the branches'
+    keys/values stay in scratch slots. Returns per continuation the
+    logits rows that predict its tokens: the trunk's last row, then its
+    branch's rows."""
+    n, lengths = len(ids), [len(c) - 1 for c in continuations]
+    if n == 0:
+        raise ContractError("the trunk needs at least one token")
+    is_anchor, seq = flags[-1]
+    cont = TokenFlags(False, int(seq) + bool(is_anchor))
+    ends = n + np.cumsum([0, *lengths])
+    branch = np.repeat(np.arange(-1, len(lengths)), [n, *lengths])  # -1: the trunk
+    rows = mask_rows([*flags, *[cont] * (ends[-1] - n)], cache.flag_array(), ansan)
+    rows[:, len(cache) :] &= (branch[:, None] == branch) | (branch == -1)
+    depth = np.concatenate([np.arange(n), *(n + np.arange(m) for m in lengths)])
+    kv = cache.stacked(len(depth), weights.config)
+    tokens = [*ids, *(t for c in continuations for t in c[:-1])]
+    logits = forward(weights, tokens, rows, kv, cache.next_positions(1)[0] + depth).logits
+    cache.extend_from_forward(flags)
+    return [np.concatenate([logits[n - 1 : n], logits[lo:hi]]) for lo, hi in zip(ends, ends[1:])]
 
 
 def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:

@@ -118,19 +118,24 @@ def _forward_graph(
 ) -> tuple[Node, ForwardOutput]:
     T = len(ids)
     n_cached = cache_kv[0][0].shape[1] - T if cache_kv else 0
-    if n_cached < 0 or mask_bits.shape != (T, n_cached + T):
+    if n_cached < 0 or mask_bits.shape != (T, n_cached + T) or positions.shape != (T,):
         raise ContractError(
-            f"mask shape {mask_bits.shape} does not match "
+            f"mask shape {mask_bits.shape} and {positions.shape} positions do not match "
             f"(tokens={T}, cached={n_cached})"
         )
-    if np.any(np.diff(positions) <= 0):
-        raise ContractError("positions must be strictly increasing")
+    keep = mask_bits.astype(bool)
+    # every new key a row keeps, other than the query itself, comes before
+    # it: a chain's positions increase, and a tree's branches may repeat
+    # positions, which they cannot see across
+    later = positions >= positions[:, None]
+    np.fill_diagonal(later, False)
+    if np.any(later & keep[:, n_cached:]):
+        raise ContractError("a row keeps a new key at or after its own position")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
 
     H, hd = config.n_heads, config.head_dim
     cos, sin = _rope_tables(config, positions)
-    keep = mask_bits.astype(bool)[None, :, :]
     out = ForwardOutput(logits=np.empty(0))
 
     h = take(params["embedding"], ids)  # (T, d_model)
@@ -180,8 +185,12 @@ def forward(
     tokens' keys (rotary applied) and values, and attention reads the
     whole view in place; a cache is inference-only, and no gradient
     flows into it. mask_bits has shape (T, cached + T); positions
-    are absolute and are never renumbered after cache reduction. Ids
-    outside [0, vocab_size) raise ContractError."""
+    are absolute and are never renumbered after cache reduction. Every
+    new key a row keeps, other than the query itself, must lie at an
+    earlier position: a chain's positions increase, and the branches of
+    a tree may repeat positions where they cannot see each other. Ids
+    outside [0, vocab_size) and positions breaking that rule raise
+    ContractError."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")

@@ -43,8 +43,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"mask_mode must be one of {MASK_MODES}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigError("adam betas must lie in (0, 1)")
         if (self.steps is None) == (self.epochs is None):
@@ -55,8 +55,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("warmup_steps", "seed", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_file(self, path: str | Path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]

@@ -262,6 +262,10 @@ BAD_FLAGS = {
     "d-model-0": (lambda ws: _train(ws, "--d-model", "0"), "--d-model"),
     "d-model-not-divisible-by-n-heads": (lambda ws: _train(
         ws, "--d-model", "16", "--n-heads", "3"), "divisible"),
+    "warmup-steps-negative": (lambda ws: _train(ws, "--warmup-steps", "-5"), "--warmup-steps"),
+    "checkpoint-every-negative": (lambda ws: _train(
+        ws, "--checkpoint-every", "-1"), "--checkpoint-every"),
+    "learning-rate-nan": (lambda ws: _train(ws, "--learning-rate", "nan"), "learning_rate"),
 }
 
 

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlm import evaluate
+from anchorlm import evaluate, infer
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import AnchorPolicy, SegmentedText, annotate, build_vocab, tokenize
 from anchorlm.errors import ContractError, InputError, UndefinedMetricError
@@ -18,8 +20,8 @@ from anchorlm.evaluate import (
     run_mc_task,
     save_mc_items,
 )
-from anchorlm.infer import _log_softmax, advance
-from anchorlm.masks import causal_mask, segment_flags
+from anchorlm.infer import _log_softmax, advance, advance_branches, next_seq_index
+from anchorlm.masks import TokenFlags, causal_mask, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
 from conftest import tiny_config
@@ -193,16 +195,28 @@ CHUNK_CASES = {
 SCORE_RTOL = 2.0**12 * np.finfo(np.float64).eps  # the benchmark's tolerance
 
 
-def record_advance_lengths(monkeypatch):
-    """Make the evaluator's `advance` record how many tokens each call runs."""
-    lengths = []
+def record_calls(monkeypatch):
+    """Make the evaluator's `advance` (demonstration part) and
+    `advance_branches` (one per item) record their names and how many
+    tokens they commit, and count the model's forward calls."""
+    calls, forwards = [], []
 
-    def spy(weights, cache, ids, *rest):
-        lengths.append(len(ids))
-        return advance(weights, cache, ids, *rest)
+    def spy(fn):
+        def call(weights, cache, ids, *rest):
+            calls.append((fn.__name__, len(ids)))
+            return fn(weights, cache, ids, *rest)
 
-    monkeypatch.setattr(evaluate, "advance", spy)
-    return lengths
+        return call
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(len(args[1]))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "advance", spy(advance))
+    monkeypatch.setattr(evaluate, "advance_branches", spy(advance_branches))
+    for module in (infer, evaluate):
+        monkeypatch.setattr(module, "forward", counted_forward)
+    return calls, forwards
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -218,13 +232,15 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
     assert (tail > 0) == (case in ("every-n=7", "ep-tail"))
     assert flags[-1, 1] >= 1  # two or more sequences in the demo part
 
-    lengths = record_advance_lengths(monkeypatch)
+    calls, forwards = record_calls(monkeypatch)
     cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
     # one forward per anchor-closed sequence, the tail as the last one,
-    # then one per item
+    # then one per item, its choices included
     ends = [*(anchors + 1), demo_len] if tail else list(anchors + 1)
-    assert lengths[: len(ends)] == np.diff([0, *ends]).tolist()
-    assert len(lengths) == len(ends) + len(items)
+    assert calls == [("advance", n) for n in np.diff([0, *ends])] + [
+        ("advance_branches", len(p.prompt) - demo_len) for p in prepared
+    ]
+    assert len(forwards) == len(ends) + len(items)
 
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
@@ -254,9 +270,11 @@ def test_demo_part_built_once_matches_build_mc_prompt(ac_vocab, case):
 def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     items, _ = make_task(2, seed=8)
     prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
-    lengths = record_advance_lengths(monkeypatch)
+    calls, forwards = record_calls(monkeypatch)
     _, acct = evaluate._score_cached(ac_model, prepared, use_ansan=False)
-    assert lengths[0] == prepared[0].demo_len and len(lengths) == 1 + len(items)
+    assert calls[0] == ("advance", prepared[0].demo_len)
+    assert [name for name, _ in calls[1:]] == ["advance_branches"] * len(items)
+    assert len(forwards) == 1 + len(items)
     assert acct.total_discards == 0
 
 
@@ -370,6 +388,94 @@ def test_demo_part_is_the_demos_annotated_alone(ac_vocab, policy, demos, context
     rest = seg.slice(demo_len, len(seg))
     assert len(rest.strip_inserted(inserted)) == len(tokenize(context))
     assert not (len(rest) and rest.is_anchor[0] and rest.ids[0] == inserted)
+
+
+# -- tree scoring: an item's context and choices in one forward ----------------------
+
+TREE_POLICIES = [AC, EP, AnchorPolicy(mode="every_n", n=3)]
+CHOICE_WORDS = ["the", "amber", "lamp", "stone", "birch", "zzz", "."]
+# 2-6 distinct choices of 1-4 tokens each
+choice_lists = st.lists(
+    st.lists(st.sampled_from(CHOICE_WORDS), min_size=1, max_size=4).map(" ".join),
+    min_size=2, max_size=6, unique=True,
+)
+tree_items = (
+    st.sampled_from(TREE_POLICIES), st.booleans(), st.lists(texts(1), max_size=3), texts(1),
+    choice_lists,
+)
+
+
+def item_tree(vocab, weights, policy, use_ansan, demos, context, choices):
+    """One item as `_score_cached` scores it: the demonstration cache,
+    the context's ids and flags, the choices' ids, and the flags of a
+    continuation token (`score_continuation`'s)."""
+    (prep,), _ = evaluate._prepare_items(
+        [MCItem(context, tuple(choices), 0)], demos, vocab, policy, 256
+    )
+    demo_len, flags = prep.demo_len, segment_flags(prep.prompt)
+    cache = AnchorKVCache()
+    if demo_len:
+        advance(weights, cache, prep.prompt.ids[:demo_len], flags[:demo_len], use_ansan)
+        if use_ansan:
+            cache.reduction()
+    cont = TokenFlags(False, next_seq_index(prep.prompt))
+    return cache, prep.prompt.ids[demo_len:], flags[demo_len:], prep.choice_ids, cont
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(*tree_items)
+def test_tree_scores_match_noncache(ac_vocab, ac_model, policy, use_ansan, demos, context,
+                                    choices):
+    prepared, _ = evaluate._prepare_items(
+        [MCItem(context, tuple(choices), 0)], demos, ac_vocab, policy, 256
+    )
+    (cached,), _ = evaluate._score_cached(ac_model, prepared, use_ansan)
+    (plain,) = evaluate._score_noncache(ac_model, prepared, use_ansan)
+    a, b = np.asarray(cached), np.asarray(plain)
+    assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+    assert int(np.argmax(a)) == int(np.argmax(b))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(*tree_items)
+def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, demos, context,
+                                        choices):
+    cache, ids, flags, choice_ids, cont = item_tree(
+        ac_vocab, ac_model, policy, use_ansan, demos, context, choices
+    )
+    key_flags, start = cache.flag_array().copy(), cache.next_positions(1)[0]
+    with mock.patch.object(infer, "forward", wraps=infer.forward) as spy:
+        advance_branches(ac_model, cache, ids, flags, choice_ids, use_ansan)
+    (_, tokens, rows, _, positions), _ = spy.call_args
+    n_keys, n = len(key_flags), len(ids)
+    lo = n + np.cumsum([0] + [len(c) - 1 for c in choice_ids])
+    for cids, b_lo, b_hi in zip(choice_ids, lo, lo[1:]):
+        # the trunk's rows and this branch's, against the chain they make alone
+        own = np.r_[:n, b_lo:b_hi]
+        alone = mask_rows([*flags, *[cont] * (b_hi - b_lo)], key_flags, use_ansan)
+        expected = np.zeros_like(rows[own])
+        expected[:, np.r_[: n_keys + n, n_keys + own[n:]]] = alone
+        assert np.array_equal(rows[own], expected)
+        assert [tokens[i] for i in own] == [*ids, *cids[:-1]]
+        assert positions[own].tolist() == list(range(start, start + len(own)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(*tree_items)
+def test_tree_commits_the_context_alone(ac_vocab, ac_model, policy, use_ansan, demos, context,
+                                        choices):
+    cache, ids, flags, choice_ids, cont = item_tree(
+        ac_vocab, ac_model, policy, use_ansan, demos, context, choices
+    )
+    plain, tree = cache.clone(), cache.clone()
+    advance(ac_model, plain, ids, flags, use_ansan)
+    advance_branches(ac_model, tree, ids, flags, choice_ids, use_ansan)
+    assert tree.live_positions() == plain.live_positions()
+    assert np.array_equal(tree.flag_array(), plain.flag_array())
+    assert tree.stats == plain.stats
+    for (k, v), (plain_k, plain_v) in zip(tree.stacked(), plain.stacked()):
+        np.testing.assert_allclose(k, plain_k, rtol=SCORE_RTOL, atol=SCORE_RTOL)
+        np.testing.assert_allclose(v, plain_v, rtol=SCORE_RTOL, atol=SCORE_RTOL)
 
 
 # -- ablation / report -----------------------------------------------------------------

@@ -232,9 +232,38 @@ def test_mask_shape_mismatch_raises(tiny_weights):
         forward(tiny_weights, [1, 2], causal_mask(3))
 
 
+def test_one_position_per_token(tiny_weights):
+    # one position would otherwise broadcast over both tokens
+    with pytest.raises(ContractError, match="positions"):
+        forward(tiny_weights, [1, 2], causal_mask(2), positions=np.array([0]))
+
+
 def test_positions_must_increase(tiny_weights):
     with pytest.raises(ContractError):
         forward(tiny_weights, [1, 2], causal_mask(2), positions=np.array([3, 3]))
+
+
+def test_visible_key_at_a_later_position_raises(tiny_weights):
+    # the last row keeps key 1, whose position 2 is after its own 1
+    with pytest.raises(ContractError, match="position"):
+        forward(tiny_weights, [1, 2, 3], causal_mask(3), positions=np.array([0, 2, 1]))
+
+
+def test_hidden_key_at_a_later_position_passes(tiny_weights):
+    mask = np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=np.uint8)
+    out = forward(tiny_weights, [1, 2, 3], mask, positions=np.array([0, 2, 1]))
+    assert out.logits.shape == (3, tiny_weights.config.vocab_size)
+
+
+def test_trunk_and_branches_with_repeated_positions_pass(tiny_weights):
+    # a two-token trunk and three two-token branches that each continue it
+    # at positions 2 and 3 and see the trunk and themselves only
+    branch = np.array([-1, -1, 0, 0, 1, 1, 2, 2])
+    mask = causal_mask(8) & ((branch[:, None] == branch) | (branch == -1))
+    positions = np.array([0, 1, 2, 3, 2, 3, 2, 3])
+    out = forward(tiny_weights, [1, 2, 3, 4, 5, 6, 3, 4], mask, positions=positions)
+    # the first and last branches hold the same tokens, so the same logits
+    np.testing.assert_allclose(out.logits[2:4], out.logits[6:8], rtol=1e-12)
 
 
 def test_non_finite_raises():

@@ -167,6 +167,19 @@ def test_nonpositive_budget_is_config_error(tmp_path, name, value):
         TrainConfig.from_file(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("warmup_steps", -5),
+    ("checkpoint_every", -1),
+])
+def test_out_of_range_config_is_config_error(tmp_path, name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(steps=1, **{name: value})
+    path = tmp_path / "train.cfg"
+    path.write_text(f"steps = 1\n{name} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig.from_file(path)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = TrainConfig(steps=7, learning_rate=2e-5, mask_mode="causal", seed=3)
     path = tmp_path / "train.cfg"

@@ -1,12 +1,14 @@
 """Run the seeded pipeline in process and print one sha256 per artifact.
 
-    PYTHONPATH=src python3 tools/seeded_pipeline.py [--out DIR]
+    PYTHONPATH=src python3 tools/seeded_pipeline.py [--out DIR] [--check FILE]
 
 synth -> prepare -> train -> generate -> eval ppl -> eval mc, each
 through `anchorlm.cli.main` with fixed arguments, seeds and prompt. Two
 commits whose outputs should be bitwise identical print the same hashes.
 The commands' own stdout goes to stderr, so stdout holds only the
-`<sha256>  <artifact>` lines.
+`<sha256>  <artifact>` lines. `--check tools/seeded_pipeline.sha256`
+compares them with the committed hashes, names each artifact that
+differs on stderr and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -63,11 +65,20 @@ def run(root: Path) -> dict[str, str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="run directory to keep (default: a temporary one)")
+    parser.add_argument("--check", metavar="FILE", help="`<sha256>  <artifact>` lines to match")
     args = parser.parse_args()
     with contextlib.ExitStack() as stack:
         root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
-        for name, digest in run(root).items():
-            print(f"{digest}  {name}")
+        digests = run(root)
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    if args.check:
+        lines = Path(args.check).read_text(encoding="utf-8").splitlines()
+        expected = {name: digest for digest, name in (line.split() for line in lines if line)}
+        differ = [name for name in ARTIFACTS if expected.get(name) != digests[name]]
+        for name in differ:
+            print(f"differs from {args.check}: {name}", file=sys.stderr)
+        sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":
