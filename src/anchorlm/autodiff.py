@@ -260,16 +260,25 @@ def attention(
     the context (..., T, d) and the probabilities (..., T, S), an array.
     The backward uses dS = P * (dP - rowsum(dP * P)), as in
     FlashAttention (Dao et al., 2022).
+
+    One (..., T, S) buffer per call: the scores are computed into the
+    matmul's output and turned into probabilities there, each step the
+    same IEEE operation on the same operands as the composed expression
+    (scale, subtract the masked row max, clamp, exp, zero the masked
+    keys, divide by the row sum), so the result is bitwise that
+    expression's. The masked max reads `keep` through `where=`, with no
+    masked copy of the scores. The returned probabilities are that
+    buffer, which the backward also reads.
     """
     qd, kd, vd = data_of(q), data_of(k), data_of(v)
     scale = 1.0 / math.sqrt(qd.shape[-1])
-    scores = (qd @ kd.swapaxes(-1, -2)) * scale
-    rowmax = np.max(np.where(keep, scores, -np.inf), axis=-1, keepdims=True)
-    e = scores - rowmax
-    np.minimum(e, 0.0, out=e)
-    np.exp(e, out=e)
-    e *= keep
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = qd @ kd.swapaxes(-1, -2)  # scores, then probabilities, in place
+    probs *= scale
+    probs -= np.max(probs, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    np.minimum(probs, 0.0, out=probs)
+    np.exp(probs, out=probs)
+    probs *= keep
+    probs /= probs.sum(axis=-1, keepdims=True)
     data = probs @ vd
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
         return data, probs

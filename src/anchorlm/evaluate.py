@@ -213,7 +213,7 @@ def build_mc_prompt(
 def _ac_demo_part(demo_texts: list[str], vocab: Vocab) -> SegmentedText:
     """The ac demonstration part: each demonstration is one sequence
     closed by one appended anchor token. It does not depend on the item,
-    so a task builds it once."""
+    so a task builds (and validates) it once."""
     ids: list[int] = []
     anchors: list[bool] = []
     seqs: list[int] = []
@@ -222,21 +222,25 @@ def _ac_demo_part(demo_texts: list[str], vocab: Vocab) -> SegmentedText:
         ids += demo_ids
         anchors += [False] * (len(demo_ids) - 1) + [True]
         seqs += [seq] * len(demo_ids)
-    return SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
+    demo_part = SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
+    demo_part.validate()
+    return demo_part
 
 
 def _ac_prompt(
     demo: SegmentedText, context_text: str, vocab: Vocab
 ) -> tuple[SegmentedText, int]:
     """An ac demonstration part followed by the item context, which opens
-    the next sequence; returns the segment and the demonstration length."""
+    the next sequence; returns the segment and the demonstration length.
+    `_ac_demo_part` validated the demonstrations, so only the context and
+    its junction with them are checked here, per item."""
     ctx_ids = vocab.encode_text(context_text)
     seg = SegmentedText(
         ids=demo.ids + ctx_ids,
         is_anchor=demo.is_anchor + [False] * len(ctx_ids),
         seq_index=demo.seq_index + [next_seq_index(demo)] * len(ctx_ids),
     )
-    seg.validate()
+    seg.slice(max(len(demo) - 1, 0), len(seg)).validate()
     return seg, len(demo)
 
 
@@ -334,7 +338,7 @@ def _score_cached(
         item_cache = demo_cache.clone()
         choice_logits = advance_branches(
             weights, item_cache, prep.prompt.ids[demo_len:],
-            segment_flags(prep.prompt)[demo_len:], prep.choice_ids, use_ansan,
+            segment_flags(prep.prompt, demo_len), prep.choice_ids, use_ansan,
         )
         stats = stats.merged(item_cache.stats)
         scores = [continuation_logprob(lg, c) for lg, c in zip(choice_logits, prep.choice_ids)]

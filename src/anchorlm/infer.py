@@ -38,7 +38,7 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
             raise ContractError("max_new_tokens must be >= 1")
-        if self.temperature is not None and self.temperature <= 0:
+        if self.temperature is not None and not self.temperature > 0:  # NaN too
             raise ContractError("temperature must be positive")
 
 

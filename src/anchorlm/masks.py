@@ -40,9 +40,11 @@ def _flag_rows(flags: Sequence[TokenFlags] | np.ndarray) -> np.ndarray:
     return np.asarray(flags, dtype=np.int64).reshape(-1, 2)
 
 
-def segment_flags(seg: SegmentedText) -> np.ndarray:
-    """(is_anchor, seq_index) rows of every token in a segment, (len, 2)."""
-    return _flag_rows(np.column_stack((seg.is_anchor, seg.seq_index)))
+def segment_flags(seg: SegmentedText, start: int = 0) -> np.ndarray:
+    """(is_anchor, seq_index) rows of a segment's tokens from start on,
+    (len - start, 2); seq_index values are the segment's own, not
+    re-based (unlike `SegmentedText.slice`)."""
+    return _flag_rows(np.column_stack((seg.is_anchor[start:], seg.seq_index[start:])))
 
 
 def causal_mask(length: int) -> np.ndarray:

@@ -154,9 +154,10 @@ def _forward_graph(
             v_all[:, n_cached:] = data_of(v)
         else:
             k_all, v_all = k, v
-        ctx, attn = attention(q, k_all, v_all, keep)
+        ctx, probs = attention(q, k_all, v_all, keep)
         if collect_attn:
-            out.attn.append(attn)
+            out.attn.append(probs)
+        del probs  # (H, T, S): not held through the next layer unless collected
         h = h + ctx.swapaxes(0, 1).reshape(T, config.d_model) @ p("wo")
         f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
         h = h + gelu(f @ p("w1")) @ p("w2")

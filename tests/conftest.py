@@ -1,6 +1,9 @@
-"""Shared fixtures and random-input builders for the test suite."""
+"""Shared fixtures, random-input builders and measuring helpers for the
+test suite."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +33,17 @@ def random_segmented(rng: np.random.Generator, max_len: int = 64) -> SegmentedTe
     seg = SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
     seg.validate()
     return seg
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn() runs (numpy reports
+    its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_config(vocab_size: int = 11, context_len: int = 64) -> ModelConfig:

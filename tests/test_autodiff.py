@@ -10,6 +10,7 @@ import pytest
 from anchorlm.autodiff import (
     Tensor, attention, cross_entropy, gelu, rmsnorm, rotate, take,
 )
+from conftest import traced_peak
 from oracles import finite_difference_grads
 
 
@@ -203,6 +204,16 @@ def test_attention_masked_key_far_above_kept_max_stays_finite(taped):
         ctx, probs = attention(q, k, v, keep)
     assert np.array_equal(probs, [[[1.0, 0.0]]])
     assert np.array_equal(outputs(ctx)[0], [[[1.0, 2.0]]])
+
+
+def test_attention_holds_one_score_buffer(rng):
+    # scores turn into probabilities inside the matmul's output, so a call
+    # allocates one (H, T, S) float64 array, not one per softmax step
+    heads, tokens = 4, 256
+    q, k, v = (rng.normal(size=(heads, tokens, 16)) for _ in range(3))
+    keep = np.tril(np.ones((tokens, tokens), dtype=bool))
+    peak = traced_peak(lambda: attention(q, k, v, keep))
+    assert peak <= 1.25 * heads * tokens * tokens * 8
 
 
 def test_cross_entropy_grad_leaves_unscored_rows_at_zero(rng):

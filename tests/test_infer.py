@@ -114,6 +114,8 @@ def test_generation_config_validation():
         GenerationConfig(max_new_tokens=0)
     with pytest.raises(ContractError):
         GenerationConfig(max_new_tokens=1, temperature=0.0)
+    with pytest.raises(ContractError):
+        GenerationConfig(max_new_tokens=1, temperature=float("nan"))
 
 
 # -- score_continuation ---------------------------------------------------------

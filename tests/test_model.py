@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from anchorlm import model
 from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
@@ -17,7 +20,7 @@ from anchorlm.model import (
     param_shapes,
     save_checkpoint,
 )
-from conftest import random_segmented, tiny_config
+from conftest import random_segmented, tiny_config, traced_peak
 from oracles import finite_difference_grads, naive_attention, naive_init
 
 
@@ -91,6 +94,47 @@ def test_attention_rows_sum_to_one(tiny_weights):
     out = forward(tiny_weights, ids, anchor_mask(seg), collect_attn=True)
     for attn in out.attn:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_dense_forward_peaks_below_two_score_buffers():
+    # one layer's (H, T, T) probabilities live at a time, and attention
+    # builds them in a single buffer
+    heads, tokens = 4, 256
+    config = ModelConfig(
+        vocab_size=50, n_layers=2, n_heads=heads, d_model=64, d_ff=256, context_len=tokens
+    )
+    weights = init_weights(config, seed=0)
+    ids = np.random.default_rng(2).integers(0, 50, tokens)
+    mask = causal_mask(tokens)
+    peak = traced_peak(lambda: forward(weights, ids, mask))
+    assert peak <= 2.0 * heads * tokens * tokens * 8
+
+
+def test_collect_attn_keeps_what_an_uncollected_forward_releases(tiny_weights, monkeypatch):
+    rng = np.random.default_rng(9)
+    seg = random_segmented(rng, max_len=12)
+    ids = [int(i) % tiny_weights.config.vocab_size for i in seg.ids]
+    mask = anchor_mask(seg)
+    refs, copies, released = [], [], []
+    attention = model.attention
+
+    def spy(*args):
+        # by the time a layer's attention runs, the previous layer's
+        # probabilities are gone unless they are collected
+        released.extend(ref() is None for ref in refs[-1:])
+        ctx, probs = attention(*args)
+        refs.append(weakref.ref(probs))
+        copies.append(probs.copy())
+        return ctx, probs
+
+    monkeypatch.setattr(model, "attention", spy)
+    plain = forward(tiny_weights, ids, mask)
+    monkeypatch.undo()
+    assert plain.attn == [] and released == [True] * (tiny_weights.config.n_layers - 1)
+    collected = forward(tiny_weights, ids, mask, collect_attn=True)
+    assert np.array_equal(collected.logits, plain.logits)
+    assert len(collected.attn) == len(copies) == tiny_weights.config.n_layers
+    assert all(np.array_equal(got, want) for got, want in zip(collected.attn, copies))
 
 
 def test_uniform_logits_loss_is_log_vocab():

@@ -1,0 +1,112 @@
+"""Time and trace one dense forward over growing prompts; write a JSON curve.
+
+    PYTHONPATH=src python3 tools/dense_forward_scaling.py [--out BENCH_dense_forward.json]
+
+A dense forward is one `model.forward` over the whole prompt under its
+anchor mask, with no cache: the non-cached MC baseline, `eval ppl` and
+the prefix forward of `generate` all run one. The model has the
+benchmark's sizes (d_model 64, 2 layers, 4 heads, d_ff 256) with random
+weights from a fixed seed, and the prompt is random ids from a fixed
+seed with an anchor closing every 12th token. For each length the file
+records the median seconds of 5 forwards after one warm-up, the
+tracemalloc peak of one more forward, the attention keys the mask rows
+keep, and one (heads, T, T) float64 score buffer in MB for scale. BLAS
+is pinned to one thread before numpy is imported. Takes about a minute
+on 2 vCPU; it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import time
+import tracemalloc
+from pathlib import Path
+
+LENGTHS = (256, 512, 1024, 2048, 4096)
+ANCHOR_EVERY = 12
+RUNS = 5
+SIZES = {"d_model": 64, "n_layers": 2, "n_heads": 4, "d_ff": 256}
+VOCAB = 512
+SEED = 0
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git_commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_dense_forward.json"))
+    args = parser.parse_args()
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    import numpy as np
+
+    from anchorlm.corpus import SegmentedText
+    from anchorlm.masks import anchor_mask
+    from anchorlm.model import ModelConfig, forward, init_weights
+
+    config = ModelConfig(vocab_size=VOCAB, context_len=max(LENGTHS), **SIZES)
+    weights = init_weights(config, seed=SEED)
+    points = []
+    for T in LENGTHS:
+        ids = np.random.default_rng([SEED, T]).integers(0, VOCAB, T)
+        seg = SegmentedText(
+            ids=ids.tolist(),
+            is_anchor=[t % ANCHOR_EVERY == ANCHOR_EVERY - 1 for t in range(T)],
+            seq_index=[t // ANCHOR_EVERY for t in range(T)],
+        )
+        mask = anchor_mask(seg)
+        forward(weights, ids, mask)  # warm-up
+        seconds = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            forward(weights, ids, mask)
+            seconds.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        forward(weights, ids, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        points.append({
+            "tokens": T,
+            "seconds_median": statistics.median(seconds),
+            "seconds": seconds,
+            "traced_peak_mb": peak / 1e6,
+            "score_buffer_mb": config.n_heads * T * T * 8 / 1e6,
+            "kept_keys": int(mask.sum()),
+        })
+        print(f"T={T}: {points[-1]['seconds_median']:.4f} s, {peak / 1e6:.1f} MB", flush=True)
+
+    report = {
+        "what": "one dense anchor-masked forward per prompt length (no cache)",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "git_commit": git_commit(),
+        },
+        "model": {**SIZES, "vocab_size": VOCAB, "seed": SEED},
+        "anchor_every": ANCHOR_EVERY,
+        "runs_per_point": RUNS,
+        "points": points,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
