@@ -82,7 +82,8 @@ class ModelWeights:
 @dataclass
 class ForwardOutput:
     logits: np.ndarray  # (T, vocab_size)
-    attn: list[np.ndarray] = field(default_factory=list)  # per layer when requested
+    # per layer (H, T, S) probabilities, kept only with collect_attn
+    attn: list[np.ndarray] = field(default_factory=list)
 
 
 def init_weights(config: ModelConfig, seed: int, anchor_id: int | None = None) -> ModelWeights:
@@ -191,7 +192,10 @@ def forward(
     earlier position: a chain's positions increase, and the branches of
     a tree may repeat positions where they cannot see each other. Ids
     outside [0, vocab_size) and positions breaking that rule raise
-    ContractError."""
+    ContractError. Each layer's (n_heads, T, cached + T) attention
+    probabilities are returned in `attn` only with collect_attn;
+    otherwise they are released before the next layer runs, so one
+    layer's are alive at a time."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")
