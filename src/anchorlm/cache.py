@@ -41,14 +41,6 @@ class CacheStats:
     total_appends: int = 0
     total_discards: int = 0
 
-    def merged(self, other: "CacheStats") -> "CacheStats":
-        """Totals over both caches' lifetimes; the peak is the larger one."""
-        return CacheStats(
-            max(self.peak_live_count, other.peak_live_count),
-            self.total_appends + other.total_appends,
-            self.total_discards + other.total_discards,
-        )
-
 
 class AnchorKVCache:
     """Ordered live cache entries plus lifetime occupancy statistics."""

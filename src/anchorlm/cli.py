@@ -384,9 +384,11 @@ def cmd_eval(args) -> int:
         if not args.text:
             raise UsageError("--task ppl requires --text")
         manifest.add_input(args.text)
-        seg = annotate(
-            Path(args.text).read_text(encoding="utf-8"), vocab, policy
-        )
+        try:
+            text = Path(args.text).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read text file {args.text}: {exc}") from exc
+        seg = annotate(text, vocab, policy)
         ecl = args.eval_context_len or weights.config.context_len
         if ecl > weights.config.context_len:
             raise UsageError(

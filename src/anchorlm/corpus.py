@@ -190,7 +190,7 @@ def build_vocab(
     for path in corpus_paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read corpus file {path}: {exc}") from exc
         counts.update(tokenize(text))
     if not counts:

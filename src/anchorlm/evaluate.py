@@ -12,10 +12,14 @@ keys its mask blocks and the live cache never holds more than the
 anchors so far plus one sequence (a chunked prefill, as in SARATHI,
 Agrawal et al., 2023, with the chunks cut where the mask already cuts
 attention). The ac demonstration part does not depend on the item and
-is tokenized once per task. Each item is then one forward over a clone
-of that cache: the item context is the trunk of a tree, and each choice
-but its last token is a branch that sees the trunk and itself, never
-another choice (`infer.advance_branches`); only the context is cached.
+is tokenized once per task. The items are then scored in packed
+forwards, each over a clone of that cache: an item's context is the
+trunk of a tree, each choice but its last token is a branch that sees
+the trunk and itself, never another choice, and consecutive items share
+one forward as a forest whose trees never see each other
+(`infer.score_trees`, tree attention across prompts that share a cached
+prefix, as in Hydragen, Juravsky et al., 2024). Nothing an item adds is
+committed, so the cache statistics are the demonstration cache's.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ import numpy as np
 from .cache import AnchorKVCache, CacheStats
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
-from .infer import (
-    _log_softmax,
-    advance,
-    advance_branches,
-    continuation_logprob,
-    next_seq_index,
-    score_continuation,
-)
+from .infer import _log_softmax, advance, next_seq_index, score_continuation, score_trees
 from .masks import anchor_mask, causal_mask, segment_flags
 from .model import ModelWeights, forward
+
+# New tokens (item contexts plus choice branches) per packed scoring
+# forward. A dense forest's attention grows with its square, so one forest
+# of every item is slower than a few of this size; BENCH_mc_items.json
+# (tools/mc_items_scaling.py) records the items-phase time per budget.
+ITEM_TOKEN_BUDGET = 128
 
 REFERENCE_FULL_SCALE = (
     "full-scale reference (non-target): cache reduction ~0.90 ep / ~0.99 ac; "
@@ -103,7 +106,7 @@ def load_mc_items(path: str | Path) -> list[MCItem]:
     """Line-delimited records: {"context": str, "choices": [str], "gold": int}."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read task file {path}: {exc}") from exc
     items = []
     for ln, line in enumerate(raw.splitlines(), 1):
@@ -298,7 +301,8 @@ def _score_cached(
     use_ansan: bool,
 ) -> tuple[list[list[float]], CacheStats]:
     """Process the demonstration part once and reuse its cache across
-    items; score each item's context and all its choices in one forward.
+    items; score packed groups of items, contexts and choices, in one
+    forward each.
 
     Under anchor masks (the only masks that make reduction lossless) the
     demonstration part is prefilled one anchor-closed sequence per
@@ -306,8 +310,13 @@ def _score_cached(
     sequence then attends to itself plus the earlier anchors, exactly the
     keys its mask rows allow, instead of a dense L x L block. A tail
     after the last anchor is the last forward. Under causal masks the
-    demonstration part is one forward and is not reduced. The statistics
-    are the demonstration cache's and every item cache's, summed."""
+    demonstration part is one forward and is not reduced.
+
+    Consecutive items are then packed greedily into groups of at most
+    ITEM_TOKEN_BUDGET new tokens (contexts plus branch tokens); an item
+    larger than that is a group alone. Each group is one `score_trees`
+    forward over a clone of the demonstration cache, so nothing an item
+    adds is ever live and the statistics are the demonstration cache's."""
     first = next((p for p in prepared if p is not None), None)
     if first is None:
         return [[] for _ in prepared], CacheStats()
@@ -323,27 +332,31 @@ def _score_cached(
             advance(weights, demo_cache, demo_ids[lo:hi], demo_flags[lo:hi], use_ansan)
             if use_ansan:
                 demo_cache.reduction()
-    stats = demo_cache.stats
 
-    all_scores: list[list[float]] = []
-    for prep in prepared:
+    groups: list[list[int]] = []
+    size = 0
+    for i, prep in enumerate(prepared):
         if prep is None:
-            all_scores.append([])
             continue
         if prep.prompt.ids[:demo_len] != demo_ids:
             raise ContractError("demonstration part must be identical across items")
-        # _prepare_items keeps only items with context after the demos;
-        # one forward runs the context and every choice, as branches that
-        # are scored but never committed
-        item_cache = demo_cache.clone()
-        choice_logits = advance_branches(
-            weights, item_cache, prep.prompt.ids[demo_len:],
-            segment_flags(prep.prompt, demo_len), prep.choice_ids, use_ansan,
-        )
-        stats = stats.merged(item_cache.stats)
-        scores = [continuation_logprob(lg, c) for lg, c in zip(choice_logits, prep.choice_ids)]
-        all_scores.append(scores)
-    return all_scores, stats
+        tokens = len(prep.prompt) - demo_len + sum(len(c) - 1 for c in prep.choice_ids)
+        if not groups or size + tokens > ITEM_TOKEN_BUDGET:
+            groups.append([])
+            size = 0
+        groups[-1].append(i)
+        size += tokens
+
+    all_scores: list[list[float]] = [[] for _ in prepared]
+    for group in groups:
+        # _prepare_items keeps only items with context after the demos
+        trees = [
+            (p.prompt.ids[demo_len:], segment_flags(p.prompt, demo_len), p.choice_ids)
+            for p in (prepared[i] for i in group)
+        ]
+        for i, scores in zip(group, score_trees(weights, demo_cache.clone(), trees, use_ansan)):
+            all_scores[i] = scores
+    return all_scores, demo_cache.stats
 
 
 def run_mc_task(

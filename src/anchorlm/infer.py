@@ -1,6 +1,7 @@
 """Anchor-based autoregressive generation and continuation scoring, both
 built on one cached step (`attend`, and `advance`, which also caches;
-`advance_branches` also scores continuations as branches of a tree).
+`score_trees` scores several contexts and their continuations as a
+forest of trees in one forward over the cache, committing nothing).
 
 Generation processes the prefix under anchor masks, reduces the cache
 once, then decodes token by token; whenever a generated anchor token has
@@ -105,41 +106,57 @@ def advance(
     return out.logits
 
 
-def advance_branches(
-    weights: ModelWeights,
-    cache: AnchorKVCache,
-    ids: Sequence[int],
-    flags: Sequence[TokenFlags] | np.ndarray,
-    continuations: Sequence[Sequence[int]],
-    ansan: bool = True,
-) -> list[np.ndarray]:
-    """`advance` over a trunk of nonempty ids, and in the same forward
-    the logits of several continuations of it, laid out as branches of
-    one tree (tree attention, as in SpecInfer, Miao et al., 2024).
+# (context ids, context flags, continuations), as `score_trees` takes them
+Tree = tuple[Sequence[int], Sequence[TokenFlags] | np.ndarray, Sequence[Sequence[int]]]
 
-    Each continuation but its last token is one branch. Its tokens are
-    non-anchor members of the sequence after the trunk (as in
-    `score_continuation`), continue the trunk's positions, and see the
-    cache, the trunk and their own branch under the one mask rule, never
-    another branch. Only the trunk is committed; the branches'
-    keys/values stay in scratch slots. Returns per continuation the
-    logits rows that predict its tokens: the trunk's last row, then its
-    branch's rows."""
-    n, lengths = len(ids), [len(c) - 1 for c in continuations]
-    if n == 0:
-        raise ContractError("the trunk needs at least one token")
-    is_anchor, seq = flags[-1]
-    cont = TokenFlags(False, int(seq) + bool(is_anchor))
-    ends = n + np.cumsum([0, *lengths])
-    branch = np.repeat(np.arange(-1, len(lengths)), [n, *lengths])  # -1: the trunk
-    rows = mask_rows([*flags, *[cont] * (ends[-1] - n)], cache.flag_array(), ansan)
-    rows[:, len(cache) :] &= (branch[:, None] == branch) | (branch == -1)
-    depth = np.concatenate([np.arange(n), *(n + np.arange(m) for m in lengths)])
-    kv = cache.stacked(len(depth), weights.config)
-    tokens = [*ids, *(t for c in continuations for t in c[:-1])]
-    logits = forward(weights, tokens, rows, kv, cache.next_positions(1)[0] + depth).logits
-    cache.extend_from_forward(flags)
-    return [np.concatenate([logits[n - 1 : n], logits[lo:hi]]) for lo, hi in zip(ends, ends[1:])]
+
+def score_trees(
+    weights: ModelWeights, cache: AnchorKVCache, trees: Sequence[Tree], ansan: bool = True
+) -> list[list[float]]:
+    """Score several continuations of several contexts after the cache in
+    one forward, laid out as a forest (tree attention, as in SpecInfer,
+    Miao et al., 2024, shared across prompts as in Hydragen, Juravsky et
+    al., 2024). Each tree is (context ids, context flags, continuations).
+
+    A tree's nonempty context is its trunk and continues the cache's
+    positions. Each continuation but its last token is a branch: non-anchor
+    members of the sequence after the trunk (as in `score_continuation`)
+    that continue the trunk's positions and see the cache, the trunk and
+    their own branch under the one mask rule. No token sees another tree
+    or another branch. Keys/values stay in the cache's scratch slots, so
+    the cache is not changed. Returns per tree the summed log-probability
+    of each continuation (`continuation_logprob`)."""
+    flags, tokens, depth, tree_of, branch_of, spans = [], [], [], [], [], []
+    offset = 0
+    for t, (ids, ctx_flags, continuations) in enumerate(trees):
+        n, lengths = len(ids), [len(c) - 1 for c in continuations]
+        if n == 0:
+            raise ContractError("a tree's trunk needs at least one token")
+        ctx_flags = np.asarray(ctx_flags, dtype=np.int64)
+        is_anchor, seq = ctx_flags[-1]
+        flags += [ctx_flags, np.repeat([[0, seq + bool(is_anchor)]], sum(lengths), axis=0)]
+        tokens += [*ids, *(tok for c in continuations for tok in c[:-1])]
+        depth += [np.arange(n), *(n + np.arange(m) for m in lengths)]
+        ends = offset + n + np.cumsum([0, *lengths])
+        tree_of.append(np.full(ends[-1] - offset, t))
+        branch_of.append(np.repeat(np.arange(-1, len(lengths)), [n, *lengths]))  # -1: trunk
+        spans.append((offset + n - 1, ends))
+        offset = ends[-1]
+    tree, branch = np.concatenate(tree_of), np.concatenate(branch_of)
+    rows = mask_rows(np.concatenate(flags), cache.flag_array(), ansan)
+    rows[:, len(cache) :] &= (tree[:, None] == tree) & (
+        (branch[:, None] == branch) | (branch == -1)
+    )
+    kv = cache.stacked(len(tokens), weights.config)
+    positions = cache.next_positions(1)[0] + np.concatenate(depth)
+    logits = forward(weights, tokens, rows, kv, positions).logits
+    return [
+        [
+            continuation_logprob(np.concatenate([logits[last : last + 1], logits[lo:hi]]), c)
+            for c, lo, hi in zip(continuations, ends, ends[1:])
+        ]
+        for (last, ends), (_, _, continuations) in zip(spans, trees)
+    ]
 
 
 def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:

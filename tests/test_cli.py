@@ -441,6 +441,38 @@ def test_non_utf8_vocab_is_input_error(workspace, tmp_path, capsys):
     assert "vocab.txt" in err and "Traceback" not in err
 
 
+NOT_UTF8 = b"\xff\xfe the amber lamp\n"
+
+
+def eval_on(workspace, tmp_path, task, *args):
+    return main([
+        "eval", "--task", task, "--ckpt", str(workspace / "train" / "ckpt.bin"),
+        "--vocab", str(workspace / "data" / "vocab.txt"), "--policy", "ac", *args,
+        "--out", str(tmp_path / "e"),
+    ])
+
+
+@pytest.mark.parametrize("command", ["eval-mc-items", "eval-mc-demo-pool", "eval-ppl-text",
+                                     "prepare-corpus"])
+def test_non_utf8_input_file_is_input_error(workspace, tmp_path, capsys, command):
+    bad = tmp_path / "not-utf8.txt"
+    bad.write_bytes(NOT_UTF8)
+    items = str(workspace / "synth" / "task.jsonl")
+    if command == "eval-mc-items":
+        code = eval_on(workspace, tmp_path, "mc", "--items", str(bad))
+    elif command == "eval-mc-demo-pool":
+        code = eval_on(workspace, tmp_path, "mc", "--items", items, "--demo-pool", str(bad),
+                       "--shots", "1")
+    elif command == "eval-ppl-text":
+        code = eval_on(workspace, tmp_path, "ppl", "--text", str(bad))
+    else:
+        code = main(["prepare", "--corpus", str(bad), "--policy", "ac",
+                     "--out", str(tmp_path / "p")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not-utf8.txt" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", [
     "policy = ac\ncontext_len = abc\n", "policy = ac\n", b"context_len = 64\npolicy = \xff\n",
     "policy = ac\ncontext_len = 0\n", "policy = ac\ncontext_len = 8\n",

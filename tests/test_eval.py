@@ -1,8 +1,9 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorlm import evaluate, infer
@@ -20,7 +21,7 @@ from anchorlm.evaluate import (
     run_mc_task,
     save_mc_items,
 )
-from anchorlm.infer import _log_softmax, advance, advance_branches, next_seq_index
+from anchorlm.infer import _log_softmax, advance, next_seq_index, score_trees
 from anchorlm.masks import TokenFlags, causal_mask, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
@@ -197,14 +198,15 @@ SCORE_RTOL = 2.0**12 * np.finfo(np.float64).eps  # the benchmark's tolerance
 
 def record_calls(monkeypatch):
     """Make the evaluator's `advance` (demonstration part) and
-    `advance_branches` (one per item) record their names and how many
-    tokens they commit, and count the model's forward calls."""
+    `score_trees` (one per packed group of items) record their names and
+    how many tokens, or items, they take, and count the model's forward
+    calls."""
     calls, forwards = [], []
 
     def spy(fn):
-        def call(weights, cache, ids, *rest):
-            calls.append((fn.__name__, len(ids)))
-            return fn(weights, cache, ids, *rest)
+        def call(weights, cache, taken, *rest):
+            calls.append((fn.__name__, len(taken)))
+            return fn(weights, cache, taken, *rest)
 
         return call
 
@@ -213,10 +215,16 @@ def record_calls(monkeypatch):
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(evaluate, "advance", spy(advance))
-    monkeypatch.setattr(evaluate, "advance_branches", spy(advance_branches))
+    monkeypatch.setattr(evaluate, "score_trees", spy(score_trees))
     for module in (infer, evaluate):
         monkeypatch.setattr(module, "forward", counted_forward)
     return calls, forwards
+
+
+def item_tokens(prep):
+    """New tokens an item adds to a packed forward: its context, then
+    every choice but its last token."""
+    return len(prep.prompt) - prep.demo_len + sum(len(c) - 1 for c in prep.choice_ids)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -231,16 +239,17 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
     tail = demo_len - 1 - anchors[-1]
     assert (tail > 0) == (case in ("every-n=7", "ep-tail"))
     assert flags[-1, 1] >= 1  # two or more sequences in the demo part
+    assert sum(item_tokens(p) for p in prepared) <= evaluate.ITEM_TOKEN_BUDGET
 
     calls, forwards = record_calls(monkeypatch)
     cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
     # one forward per anchor-closed sequence, the tail as the last one,
-    # then one per item, its choices included
+    # then one for every item, which fit the budget together
     ends = [*(anchors + 1), demo_len] if tail else list(anchors + 1)
     assert calls == [("advance", n) for n in np.diff([0, *ends])] + [
-        ("advance_branches", len(p.prompt) - demo_len) for p in prepared
+        ("score_trees", len(prepared))
     ]
-    assert len(forwards) == len(ends) + len(items)
+    assert len(forwards) == len(ends) + 1
 
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
@@ -252,8 +261,54 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
     advance(ac_model, whole, first.prompt.ids[:demo_len], flags)
     whole.reduction()
     assert acct.total_discards == whole.stats.total_discards > 0
-    assert acct.total_appends == demo_len + sum(len(p.prompt) - demo_len for p in prepared)
+    # item contexts are scored in scratch slots and never become live
+    assert acct.total_appends == demo_len
     assert acct.peak_live_count < demo_len
+
+
+# 3, 5, 10, 3 and 3 new tokens: a 3-token context with 1-token choices,
+# a 4-token context with a 2-token choice, a 9-token context likewise
+BUDGET_ITEMS = [
+    MCItem("the amber lamp", ("stone", "birch"), 0),
+    MCItem("the amber lamp holds", ("stone", "the stone"), 1),
+    MCItem("the amber lamp holds the stone . the birch", ("stone", "the stone"), 0),
+    MCItem("a birch sign", ("lamp", "stone"), 1),
+    MCItem("the lamp holds", ("stone", "zzz"), 0),
+]
+# budget -> items per packed forward
+BUDGET_CASES = {
+    "exact-fill": (8, [2, 1, 2]),  # 3 + 5 fill it; 10 is over it; 3 + 3
+    "over-budget": (9, [2, 1, 2]),  # 3 + 5 + 10 do not fit; 10 runs alone
+    "one-per-item": (1, [1, 1, 1, 1, 1]),  # every item is over it
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_CASES))
+def test_items_pack_greedily_under_the_budget(ac_vocab, ac_model, monkeypatch, case):
+    budget, groups = BUDGET_CASES[case]
+    prepared, _ = evaluate._prepare_items(BUDGET_ITEMS, DEMOS, ac_vocab, AC, 256)
+    assert [item_tokens(p) for p in prepared] == [3, 5, 10, 3, 3]
+    monkeypatch.setattr(evaluate, "ITEM_TOKEN_BUDGET", budget)
+    calls, forwards = record_calls(monkeypatch)
+    cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
+    assert [n for name, n in calls if name == "score_trees"] == groups
+    assert len(forwards) == len(DEMOS) + len(groups)
+    assert acct.total_appends == prepared[0].demo_len
+    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    for a, b in zip(cached, plain):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+        assert int(np.argmax(a)) == int(np.argmax(b))
+
+
+def test_cache_reduction_does_not_depend_on_item_count(ac_vocab, ac_model):
+    items, pool = make_task(8, seed=4)
+    reports = [
+        run_mc_task(ac_model, ac_vocab, items[:n], 3, AC, True, True, demo_pool=pool, seed=2)
+        for n in (1, 8)
+    ]
+    assert reports[0].cache_reduction == reports[1].cache_reduction > 0.0
+    assert reports[0].peak_cache == reports[1].peak_cache
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -272,10 +327,9 @@ def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
     calls, forwards = record_calls(monkeypatch)
     _, acct = evaluate._score_cached(ac_model, prepared, use_ansan=False)
-    assert calls[0] == ("advance", prepared[0].demo_len)
-    assert [name for name, _ in calls[1:]] == ["advance_branches"] * len(items)
-    assert len(forwards) == 1 + len(items)
-    assert acct.total_discards == 0
+    assert calls == [("advance", prepared[0].demo_len), ("score_trees", len(items))]
+    assert len(forwards) == 2
+    assert acct.total_discards == 0 and acct.total_appends == prepared[0].demo_len
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):
@@ -399,83 +453,90 @@ choice_lists = st.lists(
     st.lists(st.sampled_from(CHOICE_WORDS), min_size=1, max_size=4).map(" ".join),
     min_size=2, max_size=6, unique=True,
 )
-tree_items = (
-    st.sampled_from(TREE_POLICIES), st.booleans(), st.lists(texts(1), max_size=3), texts(1),
-    choice_lists,
+# 1-5 items scored as the trees of one forest; under ep and every-n=3
+# contexts can hold anchors
+forest_items = (
+    st.sampled_from(TREE_POLICIES), st.booleans(), st.lists(texts(1), max_size=3),
+    st.lists(st.tuples(texts(1), choice_lists), min_size=1, max_size=5),
 )
 
 
-def item_tree(vocab, weights, policy, use_ansan, demos, context, choices):
-    """One item as `_score_cached` scores it: the demonstration cache,
-    the context's ids and flags, the choices' ids, and the flags of a
-    continuation token (`score_continuation`'s)."""
-    (prep,), _ = evaluate._prepare_items(
-        [MCItem(context, tuple(choices), 0)], demos, vocab, policy, 256
+def item_forest(vocab, weights, policy, use_ansan, demos, items):
+    """Items as `_score_cached` scores them: the prepared items, the
+    demonstration cache, and one tree per item."""
+    prepared, _ = evaluate._prepare_items(
+        [MCItem(context, tuple(choices), 0) for context, choices in items],
+        demos, vocab, policy, 256,
     )
-    demo_len, flags = prep.demo_len, segment_flags(prep.prompt)
+    demo_len, first = prepared[0].demo_len, prepared[0].prompt
     cache = AnchorKVCache()
     if demo_len:
-        advance(weights, cache, prep.prompt.ids[:demo_len], flags[:demo_len], use_ansan)
+        advance(weights, cache, first.ids[:demo_len], segment_flags(first)[:demo_len], use_ansan)
         if use_ansan:
             cache.reduction()
-    cont = TokenFlags(False, next_seq_index(prep.prompt))
-    return cache, prep.prompt.ids[demo_len:], flags[demo_len:], prep.choice_ids, cont
+    trees = [
+        (p.prompt.ids[demo_len:], segment_flags(p.prompt, demo_len), p.choice_ids)
+        for p in prepared
+    ]
+    return prepared, cache, trees
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(*tree_items)
-def test_tree_scores_match_noncache(ac_vocab, ac_model, policy, use_ansan, demos, context,
-                                    choices):
-    prepared, _ = evaluate._prepare_items(
-        [MCItem(context, tuple(choices), 0)], demos, ac_vocab, policy, 256
-    )
-    (cached,), _ = evaluate._score_cached(ac_model, prepared, use_ansan)
-    (plain,) = evaluate._score_noncache(ac_model, prepared, use_ansan)
-    a, b = np.asarray(cached), np.asarray(plain)
-    assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
-    assert int(np.argmax(a)) == int(np.argmax(b))
+@given(*forest_items)
+@example(EP, True, ["the lamp ."], [("amber . the lamp", ["stone", "the birch"])] * 2)
+def test_tree_scores_match_noncache(ac_vocab, ac_model, policy, use_ansan, demos, items):
+    prepared, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
+    assert all(prepared)
+    scores = score_trees(ac_model, cache, trees, use_ansan)
+    plain = evaluate._score_noncache(ac_model, prepared, use_ansan)
+    assert len(scores) == len(items)
+    for a, b in zip(scores, plain):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+        assert int(np.argmax(a)) == int(np.argmax(b))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(*tree_items)
-def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, demos, context,
-                                        choices):
-    cache, ids, flags, choice_ids, cont = item_tree(
-        ac_vocab, ac_model, policy, use_ansan, demos, context, choices
-    )
+@given(*forest_items)
+@example(EP, True, ["the lamp ."], [("amber . the lamp", ["stone", "the birch"])] * 2)
+def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, demos, items):
+    prepared, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
     key_flags, start = cache.flag_array().copy(), cache.next_positions(1)[0]
     with mock.patch.object(infer, "forward", wraps=infer.forward) as spy:
-        advance_branches(ac_model, cache, ids, flags, choice_ids, use_ansan)
+        score_trees(ac_model, cache, trees, use_ansan)
     (_, tokens, rows, _, positions), _ = spy.call_args
-    n_keys, n = len(key_flags), len(ids)
-    lo = n + np.cumsum([0] + [len(c) - 1 for c in choice_ids])
-    for cids, b_lo, b_hi in zip(choice_ids, lo, lo[1:]):
-        # the trunk's rows and this branch's, against the chain they make alone
-        own = np.r_[:n, b_lo:b_hi]
-        alone = mask_rows([*flags, *[cont] * (b_hi - b_lo)], key_flags, use_ansan)
-        expected = np.zeros_like(rows[own])
-        expected[:, np.r_[: n_keys + n, n_keys + own[n:]]] = alone
-        assert np.array_equal(rows[own], expected)
-        assert [tokens[i] for i in own] == [*ids, *cids[:-1]]
-        assert positions[own].tolist() == list(range(start, start + len(own)))
+    n_keys, offset = len(key_flags), 0
+    for prep, (ids, flags, choice_ids) in zip(prepared, trees):
+        # this tree's rows, branch by branch, against the chain each makes
+        # alone: zero on the columns of every other branch and tree
+        cont = TokenFlags(False, next_seq_index(prep.prompt))
+        n = len(ids)
+        lo = offset + n + np.cumsum([0] + [len(c) - 1 for c in choice_ids])
+        for cids, b_lo, b_hi in zip(choice_ids, lo, lo[1:]):
+            own = np.r_[offset : offset + n, b_lo:b_hi]
+            alone = mask_rows([*flags, *[cont] * (b_hi - b_lo)], key_flags, use_ansan)
+            expected = np.zeros_like(rows[own])
+            expected[:, np.r_[:n_keys, n_keys + own]] = alone
+            assert np.array_equal(rows[own], expected)
+            assert [tokens[i] for i in own] == [*ids, *cids[:-1]]
+            assert positions[own].tolist() == list(range(start, start + len(own)))
+        offset = lo[-1]
+    assert offset == len(tokens) == len(rows)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(*tree_items)
-def test_tree_commits_the_context_alone(ac_vocab, ac_model, policy, use_ansan, demos, context,
-                                        choices):
-    cache, ids, flags, choice_ids, cont = item_tree(
-        ac_vocab, ac_model, policy, use_ansan, demos, context, choices
-    )
-    plain, tree = cache.clone(), cache.clone()
-    advance(ac_model, plain, ids, flags, use_ansan)
-    advance_branches(ac_model, tree, ids, flags, choice_ids, use_ansan)
-    assert tree.live_positions() == plain.live_positions()
-    assert np.array_equal(tree.flag_array(), plain.flag_array())
-    assert tree.stats == plain.stats
-    for (k, v), (plain_k, plain_v) in zip(tree.stacked(), plain.stacked()):
-        np.testing.assert_allclose(k, plain_k, rtol=SCORE_RTOL, atol=SCORE_RTOL)
-        np.testing.assert_allclose(v, plain_v, rtol=SCORE_RTOL, atol=SCORE_RTOL)
+@given(*forest_items)
+def test_tree_scoring_commits_nothing(ac_vocab, ac_model, policy, use_ansan, demos, items):
+    _, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
+    n, positions, flags = len(cache), cache.live_positions(), cache.flag_array().copy()
+    stats = dataclasses.replace(cache.stats)
+    kv = [(k.copy(), v.copy()) for k, v in cache.stacked()]  # none before a first write
+    score_trees(ac_model, cache, trees, use_ansan)
+    assert len(cache) == n and cache.live_positions() == positions
+    assert np.array_equal(cache.flag_array(), flags)
+    assert cache.stats == stats
+    for (k, v), (before_k, before_v) in zip(cache.stacked(), kv):
+        assert np.array_equal(k, before_k) and np.array_equal(v, before_v)
 
 
 # -- ablation / report -----------------------------------------------------------------
