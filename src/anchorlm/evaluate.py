@@ -11,10 +11,11 @@ with a reduction to the anchors after each, so no forward attends to
 keys its mask blocks and the live cache never holds more than the
 anchors so far plus one sequence (a chunked prefill, as in SARATHI,
 Agrawal et al., 2023, with the chunks cut where the mask already cuts
-attention). The ac demonstration part does not depend on the item and
-is tokenized once per task. The items are then scored in packed
-forwards, each over a clone of that cache: an item's context is the
-trunk of a tree, each choice but its last token is a branch that sees
+attention). The demonstration part does not depend on the item, so it
+is built once per task under every policy, and each prompt is checked
+to start with it when the prompt is built. The items are then scored in
+packed forwards, each over a clone of that cache: an item's context is
+the trunk of a tree, each choice but its last token is a branch that sees
 the trunk and itself, never another choice, and consecutive items share
 one forward as a forest whose trees never see each other
 (`infer.score_trees`, tree attention across prompts that share a cached
@@ -35,8 +36,8 @@ import numpy as np
 from .cache import AnchorKVCache, CacheStats
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
-from .infer import _log_softmax, advance, next_seq_index, score_continuation, score_trees
-from .masks import anchor_mask, causal_mask, segment_flags
+from .infer import advance, log_softmax, next_seq_index, score_continuation, score_trees
+from .masks import MASK_MODES, anchor_mask, causal_mask, segment_flags
 from .model import ModelWeights, forward
 
 # New tokens (item contexts plus choice branches) per packed scoring
@@ -66,6 +67,8 @@ def perplexity(
     Inserted anchor tokens stay in the stream as inputs but are excluded
     from the loss average; pass their id via inserted_anchor_id.
     """
+    if mask_mode not in MASK_MODES:
+        raise ContractError(f"mask_mode must be one of {MASK_MODES}")
     if eval_context_len > weights.config.context_len:
         raise ContractError("eval_context_len exceeds the model context length")
     if eval_context_len < 2:
@@ -81,12 +84,12 @@ def perplexity(
             continue
         mask = anchor_mask(window) if mask_mode == "ansan" else causal_mask(len(window))
         out = forward(weights, window.ids, mask, None, positions=np.arange(len(window)))
-        for t in range(len(window) - 1):
-            target = window.ids[t + 1]
-            if window.is_anchor[t + 1] and target == inserted_anchor_id:
-                continue
-            total_nll -= float(_log_softmax(out.logits[t])[target])
-            count += 1
+        targets = np.asarray(window.ids[1:])
+        keep = ~(np.asarray(window.is_anchor[1:], dtype=bool) & (targets == inserted_anchor_id))
+        logp = log_softmax(out.logits[:-1])[keep, targets[keep]]
+        for x in logp.tolist():  # summed in token order
+            total_nll -= x
+        count += len(logp)
     if count == 0:
         raise UndefinedMetricError("no scorable positions in text")
     return float(np.exp(total_nll / count))
@@ -195,28 +198,19 @@ def build_mc_prompt(
     vocab: Vocab,
     policy: AnchorPolicy,
 ) -> tuple[SegmentedText, int]:
-    """Assemble the demonstrations + item context into one segment.
-
-    Under the ac policy each demonstration forms a single sequence closed
-    by one appended anchor token (the five-shot layout); the other
-    policies annotate the concatenated stream. Returns the segment and
-    the token length of the demonstration part.
-    """
-    if policy.mode == "ac":
-        return _ac_prompt(_ac_demo_part(demo_texts, vocab), context_text, vocab)
-
-    full_text = " ".join(demo_texts + [context_text]) if demo_texts else context_text
-    seg = annotate(full_text, vocab, policy)
-    # no token spans the joining space and every policy places anchors
-    # left to right, so the demo part annotates to the prompt's prefix
-    demo_len = len(annotate(" ".join(demo_texts), vocab, policy)) if demo_texts else 0
-    return seg, demo_len
+    """Assemble the demonstrations + item context into one segment;
+    returns the segment and the token length of the demonstration part."""
+    demo = _demo_part(demo_texts, vocab, policy)
+    return _prompt(demo, demo_texts, context_text, vocab, policy), len(demo)
 
 
-def _ac_demo_part(demo_texts: list[str], vocab: Vocab) -> SegmentedText:
-    """The ac demonstration part: each demonstration is one sequence
-    closed by one appended anchor token. It does not depend on the item,
-    so a task builds (and validates) it once."""
+def _demo_part(demo_texts: list[str], vocab: Vocab, policy: AnchorPolicy) -> SegmentedText:
+    """The demonstration part, which does not depend on the item. Under
+    the ac policy each demonstration is one sequence closed by one
+    appended anchor token (the five-shot layout); the other policies
+    annotate the demonstrations alone."""
+    if policy.mode != "ac":
+        return annotate(" ".join(demo_texts), vocab, policy)
     ids: list[int] = []
     anchors: list[bool] = []
     seqs: list[int] = []
@@ -230,27 +224,39 @@ def _ac_demo_part(demo_texts: list[str], vocab: Vocab) -> SegmentedText:
     return demo_part
 
 
-def _ac_prompt(
-    demo: SegmentedText, context_text: str, vocab: Vocab
-) -> tuple[SegmentedText, int]:
-    """An ac demonstration part followed by the item context, which opens
-    the next sequence; returns the segment and the demonstration length.
-    `_ac_demo_part` validated the demonstrations, so only the context and
-    its junction with them are checked here, per item."""
-    ctx_ids = vocab.encode_text(context_text)
-    seg = SegmentedText(
-        ids=demo.ids + ctx_ids,
-        is_anchor=demo.is_anchor + [False] * len(ctx_ids),
-        seq_index=demo.seq_index + [next_seq_index(demo)] * len(ctx_ids),
-    )
-    seg.slice(max(len(demo) - 1, 0), len(seg)).validate()
-    return seg, len(demo)
+def _prompt(
+    demo: SegmentedText,
+    demo_texts: list[str],
+    context_text: str,
+    vocab: Vocab,
+    policy: AnchorPolicy,
+) -> SegmentedText:
+    """The demonstration part `demo` followed by the item context. Under
+    ac the context opens the next sequence, and only its junction with
+    the validated demonstrations is checked. The other policies annotate
+    the whole stream, whose prefix must be `demo`: no token spans the
+    joining space and every policy places anchors left to right."""
+    if policy.mode == "ac":
+        ctx_ids = vocab.encode_text(context_text)
+        seg = SegmentedText(
+            ids=demo.ids + ctx_ids,
+            is_anchor=demo.is_anchor + [False] * len(ctx_ids),
+            seq_index=demo.seq_index + [next_seq_index(demo)] * len(ctx_ids),
+        )
+        seg.slice(max(len(demo) - 1, 0), len(seg)).validate()
+        return seg
+    seg = annotate(" ".join(demo_texts + [context_text]), vocab, policy)
+    n = len(demo)
+    if (seg.ids[:n], seg.is_anchor[:n], seg.seq_index[:n]) != (
+        demo.ids, demo.is_anchor, demo.seq_index
+    ):
+        raise ContractError("the prompt does not start with the demonstration part")
+    return seg
 
 
 @dataclass
 class _PreparedItem:
-    prompt: SegmentedText
-    demo_len: int
+    prompt: SegmentedText  # the demonstration part, then the item context
     choice_ids: list[list[int]]
     gold: int
 
@@ -261,43 +267,38 @@ def _prepare_items(
     vocab: Vocab,
     policy: AnchorPolicy,
     context_len: int,
-) -> tuple[list[_PreparedItem | None], int]:
-    prepared: list[_PreparedItem | None] = []
-    skipped = 0
-    ac_demo = _ac_demo_part(demo_texts, vocab) if policy.mode == "ac" else None
+) -> tuple[SegmentedText, list[_PreparedItem], int]:
+    """The task's demonstration part, built once, and the items that have
+    a context and fit context_len with their longest choice; returns
+    (demonstration part, prepared items, number skipped)."""
+    demo = _demo_part(demo_texts, vocab, policy)
+    prepared: list[_PreparedItem] = []
     for item in items:
-        if ac_demo is not None:
-            prompt, demo_len = _ac_prompt(ac_demo, item.context, vocab)
-        else:
-            prompt, demo_len = build_mc_prompt(demo_texts, item.context, vocab, policy)
+        prompt = _prompt(demo, demo_texts, item.context, vocab, policy)
         choice_ids = [vocab.encode_text(c) for c in item.choices]
         # an empty continuation would score 0.0 and beat every real choice
         if not all(choice_ids):
             raise ContractError(f"a choice of item {item.context!r} has no tokens")
         longest = max(len(c) for c in choice_ids)
-        if len(prompt) == demo_len or len(prompt) + longest > context_len:
-            prepared.append(None)
-            skipped += 1
-            continue
-        prepared.append(_PreparedItem(prompt, demo_len, choice_ids, item.gold))
-    return prepared, skipped
+        if len(prompt) > len(demo) and len(prompt) + longest <= context_len:
+            prepared.append(_PreparedItem(prompt, choice_ids, item.gold))
+    return demo, prepared, len(items) - len(prepared)
 
 
 def _score_noncache(
-    weights: ModelWeights, prepared: list[_PreparedItem | None], use_ansan: bool
+    weights: ModelWeights, prepared: list[_PreparedItem], use_ansan: bool
 ) -> list[list[float]]:
     """Recompute the full prompt for every choice; no cache reuse."""
     return [
-        [] if prep is None else [
-            score_continuation(weights, prep.prompt, cids, use_ansan) for cids in prep.choice_ids
-        ]
+        [score_continuation(weights, prep.prompt, cids, use_ansan) for cids in prep.choice_ids]
         for prep in prepared
     ]
 
 
 def _score_cached(
     weights: ModelWeights,
-    prepared: list[_PreparedItem | None],
+    demo: SegmentedText,
+    prepared: list[_PreparedItem],
     use_ansan: bool,
 ) -> tuple[list[list[float]], CacheStats]:
     """Process the demonstration part once and reuse its cache across
@@ -310,53 +311,45 @@ def _score_cached(
     sequence then attends to itself plus the earlier anchors, exactly the
     keys its mask rows allow, instead of a dense L x L block. A tail
     after the last anchor is the last forward. Under causal masks the
-    demonstration part is one forward and is not reduced.
+    demonstration part is one forward and is not reduced. Every prompt
+    starts with `demo`; `_prompt` checked that when it built them.
 
     Consecutive items are then packed greedily into groups of at most
     ITEM_TOKEN_BUDGET new tokens (contexts plus branch tokens); an item
     larger than that is a group alone. Each group is one `score_trees`
     forward over a clone of the demonstration cache, so nothing an item
     adds is ever live and the statistics are the demonstration cache's."""
-    first = next((p for p in prepared if p is not None), None)
-    if first is None:
-        return [[] for _ in prepared], CacheStats()
+    if not prepared:
+        return [], CacheStats()
 
     demo_cache = AnchorKVCache()
-    demo_len = first.demo_len
-    demo_ids = first.prompt.ids[:demo_len]
-    demo_flags = segment_flags(first.prompt)[:demo_len]
-    if demo_len > 0:
+    if len(demo) > 0:
+        flags = segment_flags(demo)
         # cut after every anchor but a final one
-        ends = np.flatnonzero(demo_flags[:-1, 0]) + 1 if use_ansan else []
-        for lo, hi in zip([0, *ends], [*ends, demo_len]):
-            advance(weights, demo_cache, demo_ids[lo:hi], demo_flags[lo:hi], use_ansan)
+        ends = np.flatnonzero(flags[:-1, 0]) + 1 if use_ansan else []
+        for lo, hi in zip([0, *ends], [*ends, len(demo)]):
+            advance(weights, demo_cache, demo.ids[lo:hi], flags[lo:hi], use_ansan)
             if use_ansan:
                 demo_cache.reduction()
 
-    groups: list[list[int]] = []
+    groups: list[list[_PreparedItem]] = []
     size = 0
-    for i, prep in enumerate(prepared):
-        if prep is None:
-            continue
-        if prep.prompt.ids[:demo_len] != demo_ids:
-            raise ContractError("demonstration part must be identical across items")
-        tokens = len(prep.prompt) - demo_len + sum(len(c) - 1 for c in prep.choice_ids)
+    for prep in prepared:
+        tokens = len(prep.prompt) - len(demo) + sum(len(c) - 1 for c in prep.choice_ids)
         if not groups or size + tokens > ITEM_TOKEN_BUDGET:
             groups.append([])
             size = 0
-        groups[-1].append(i)
+        groups[-1].append(prep)
         size += tokens
 
-    all_scores: list[list[float]] = [[] for _ in prepared]
+    scores: list[list[float]] = []
     for group in groups:
-        # _prepare_items keeps only items with context after the demos
         trees = [
-            (p.prompt.ids[demo_len:], segment_flags(p.prompt, demo_len), p.choice_ids)
-            for p in (prepared[i] for i in group)
+            (p.prompt.ids[len(demo) :], segment_flags(p.prompt, len(demo)), p.choice_ids)
+            for p in group
         ]
-        for i, scores in zip(group, score_trees(weights, demo_cache.clone(), trees, use_ansan)):
-            all_scores[i] = scores
-    return all_scores, demo_cache.stats
+        scores += score_trees(weights, demo_cache.clone(), trees, use_ansan)
+    return scores, demo_cache.stats
 
 
 def run_mc_task(
@@ -391,24 +384,16 @@ def run_mc_task(
             for i in chosen
         ]
 
-    prepared, skipped = _prepare_items(
+    demo, prepared, skipped = _prepare_items(
         items, demo_texts, vocab, policy, weights.config.context_len
     )
 
     if reuse_demo_cache:
-        scores, stats = _score_cached(weights, prepared, use_ansan)
+        scores, stats = _score_cached(weights, demo, prepared, use_ansan)
     else:
         scores = _score_noncache(weights, prepared, use_ansan)
         stats = CacheStats()
-
-    correct = 0
-    scored = 0
-    for prep, item_scores in zip(prepared, scores):
-        if prep is None:
-            continue
-        scored += 1
-        if int(np.argmax(np.asarray(item_scores))) == prep.gold:
-            correct += 1
+    correct = sum(int(np.argmax(s)) == p.gold for p, s in zip(prepared, scores))
 
     report = MetricsReport(
         task=task_name,
@@ -417,7 +402,7 @@ def run_mc_task(
         shots=shots,
         n_items=len(items),
         n_skipped=skipped,
-        accuracy=(correct / scored) if scored else None,
+        accuracy=correct / len(prepared) if prepared else None,
         cache_reduction=(
             stats.total_discards / stats.total_appends if stats.total_appends else 0.0
         ),
@@ -427,13 +412,13 @@ def run_mc_task(
 
     if measure_timing:
         def run_anchor() -> None:
-            _score_cached(weights, prepared, use_ansan=True)
+            _score_cached(weights, demo, prepared, use_ansan=True)
 
         def run_baseline() -> None:
             if accel_baseline == "noncache":
                 _score_noncache(weights, prepared, use_ansan=True)
             else:
-                _score_cached(weights, prepared, use_ansan=False)
+                _score_cached(weights, demo, prepared, use_ansan=False)
 
         anchor_time = min(_timed(run_anchor) for _ in range(3))
         baseline_time = min(_timed(run_baseline) for _ in range(3))

@@ -57,15 +57,16 @@ class GenerationResult:
     sampled_logits: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, row by row."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _sample(logits_row: np.ndarray, cfg: GenerationConfig, rng: np.random.Generator) -> int:
     if cfg.temperature is None:
         return int(np.argmax(logits_row))
-    probs = np.exp(_log_softmax(logits_row / cfg.temperature))
+    probs = np.exp(log_softmax(logits_row / cfg.temperature))
     return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
@@ -161,7 +162,9 @@ def score_trees(
 
 def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:
     """Sum of log-probabilities of continuation[t] under logits row t."""
-    return sum((float(_log_softmax(row)[tok]) for row, tok in zip(logits, continuation)), 0.0)
+    n = len(continuation)
+    values = log_softmax(logits[:n])[np.arange(n), np.asarray(continuation, dtype=np.int64)]
+    return sum(values.tolist(), 0.0)
 
 
 def generate(

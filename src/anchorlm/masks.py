@@ -24,6 +24,8 @@ import numpy as np
 
 from .corpus import SegmentedText
 
+MASK_MODES = ("causal", "ansan")
+
 
 class TokenFlags(NamedTuple):
     """Anchor flag and sequence index of one token, as masking sees it.

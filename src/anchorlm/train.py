@@ -17,10 +17,8 @@ import numpy as np
 
 from .corpus import SegmentedText
 from .errors import ConfigError, ContractError, InputError, NumericError
-from .masks import anchor_mask, causal_mask
+from .masks import MASK_MODES, anchor_mask, causal_mask
 from .model import ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint
-
-MASK_MODES = ("causal", "ansan")
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,6 @@ class TrainReport:
     header: dict[str, str]
     records: list[StepRecord] = field(default_factory=list)
     tokens_seen: int = 0
-    wall_seconds: float = 0.0
-    checkpoint_path: str | None = None
     final_weights: ModelWeights | None = field(repr=False, default=None)
     opt_state: dict[str, np.ndarray] | None = field(repr=False, default=None)
 
@@ -270,8 +266,6 @@ def train(
             "n_blocks": str(n),
         }
     )
-    run_start = time.perf_counter()
-    ckpt_path: Path | None = None
 
     for step in range(start_step + 1, start_step + total_steps + 1):
         t0 = time.perf_counter()
@@ -302,7 +296,6 @@ def train(
             ckpt_path = Path(checkpoint_dir) / f"ckpt-{step:06d}.bin"
             save_checkpoint(ckpt_path, weights, step, vocab_sha256, optimizer.state_arrays())
 
-    report.wall_seconds = time.perf_counter() - run_start
     report.final_weights = weights
     report.opt_state = optimizer.state_arrays()
     if checkpoint_dir:
@@ -310,7 +303,6 @@ def train(
         save_checkpoint(
             ckpt_path, weights, start_step + total_steps, vocab_sha256, optimizer.state_arrays()
         )
-    report.checkpoint_path = str(ckpt_path) if ckpt_path else None
     return report
 
 

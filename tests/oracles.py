@@ -40,6 +40,12 @@ def naive_reduction(entries: list[tuple[int, bool]]) -> set[int]:
     return {pos for pos, is_anchor in entries if is_anchor or pos >= last}
 
 
+def naive_log_softmax(row: np.ndarray) -> np.ndarray:
+    """Log-softmax of one 1-D row of logits."""
+    shifted = row - row.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
 def _rms_normalize(vec: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     ms = 0.0
     for x in vec:

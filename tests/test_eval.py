@@ -21,11 +21,12 @@ from anchorlm.evaluate import (
     run_mc_task,
     save_mc_items,
 )
-from anchorlm.infer import _log_softmax, advance, next_seq_index, score_trees
+from anchorlm.infer import advance, next_seq_index, score_continuation, score_trees
 from anchorlm.masks import TokenFlags, causal_mask, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
 from conftest import tiny_config
+from oracles import naive_log_softmax
 
 AC = AnchorPolicy(mode="ac")
 EP = AnchorPolicy(mode="ep")
@@ -73,7 +74,7 @@ def test_single_window_matches_manual_sum(tiny_weights):
     ppl = perplexity(tiny_weights, seg, "causal", 8)
     out = forward(tiny_weights, seg.ids, causal_mask(5))
     nll = -sum(
-        float(_log_softmax(out.logits[t])[seg.ids[t + 1]]) for t in range(4)
+        float(naive_log_softmax(out.logits[t])[seg.ids[t + 1]]) for t in range(4)
     )
     assert abs(ppl - np.exp(nll / 4)) < 1e-9
 
@@ -87,7 +88,7 @@ def test_windows_are_non_overlapping(tiny_weights):
         ids = seg.ids[lo : lo + 4]
         out = forward(tiny_weights, ids, causal_mask(4))
         for t in range(3):
-            total -= float(_log_softmax(out.logits[t])[ids[t + 1]])
+            total -= float(naive_log_softmax(out.logits[t])[ids[t + 1]])
             count += 1
     assert abs(ppl - np.exp(total / count)) < 1e-9
 
@@ -108,7 +109,7 @@ def test_inserted_anchor_targets_excluded(ac_vocab, ac_model):
     for t in range(len(seg) - 1):
         if seg.ids[t + 1] == ac_vocab.anchor_id:
             continue
-        nll -= float(_log_softmax(out.logits[t])[seg.ids[t + 1]])
+        nll -= float(naive_log_softmax(out.logits[t])[seg.ids[t + 1]])
         n += 1
     assert abs(ppl_excl - np.exp(nll / n)) < 1e-9
 
@@ -118,6 +119,13 @@ def test_perplexity_errors(tiny_weights):
         perplexity(tiny_weights, plain_seg([]), "causal", 8)
     with pytest.raises(ContractError):
         perplexity(tiny_weights, plain_seg([1, 2]), "causal", 10_000)
+
+
+@pytest.mark.parametrize("mask_mode", ["anchor", "ANSAN"])
+def test_perplexity_rejects_unknown_mask_mode(tiny_weights, mask_mode):
+    # a misspelt mode must not fall back to causal masks
+    with pytest.raises(ContractError, match="'causal', 'ansan'"):
+        perplexity(tiny_weights, plain_seg([1, 2, 3]), mask_mode, 8)
 
 
 # -- multiple choice ---------------------------------------------------------------
@@ -172,8 +180,8 @@ def test_per_item_argmax_consistency(ac_vocab, ac_model):
 
     items, pool = make_task(5, seed=3)
     demo_texts = [p.context + " " + p.choices[p.gold] for p in pool[:2]]
-    prepared, _ = _prepare_items(items, demo_texts, ac_vocab, AC, 256)
-    cached, _ = _score_cached(ac_model, prepared, use_ansan=True)
+    demo, prepared, _ = _prepare_items(items, demo_texts, ac_vocab, AC, 256)
+    cached, _ = _score_cached(ac_model, demo, prepared, use_ansan=True)
     plain = _score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
         if a:
@@ -221,28 +229,27 @@ def record_calls(monkeypatch):
     return calls, forwards
 
 
-def item_tokens(prep):
+def item_tokens(prep, demo):
     """New tokens an item adds to a packed forward: its context, then
     every choice but its last token."""
-    return len(prep.prompt) - prep.demo_len + sum(len(c) - 1 for c in prep.choice_ids)
+    return len(prep.prompt) - len(demo) + sum(len(c) - 1 for c in prep.choice_ids)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
     policy, demos = CHUNK_CASES[case]
     items, _ = make_task(4, seed=8)
-    prepared, _ = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
-    first = prepared[0]
-    demo_len = first.demo_len
-    flags = segment_flags(first.prompt)[:demo_len]
+    demo, prepared, _ = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
+    demo_len = len(demo)
+    flags = segment_flags(demo)
     anchors = np.flatnonzero(flags[:, 0])
     tail = demo_len - 1 - anchors[-1]
     assert (tail > 0) == (case in ("every-n=7", "ep-tail"))
     assert flags[-1, 1] >= 1  # two or more sequences in the demo part
-    assert sum(item_tokens(p) for p in prepared) <= evaluate.ITEM_TOKEN_BUDGET
+    assert sum(item_tokens(p, demo) for p in prepared) <= evaluate.ITEM_TOKEN_BUDGET
 
     calls, forwards = record_calls(monkeypatch)
-    cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
+    cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
     # one forward per anchor-closed sequence, the tail as the last one,
     # then one for every item, which fit the budget together
     ends = [*(anchors + 1), demo_len] if tail else list(anchors + 1)
@@ -258,7 +265,7 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
         assert int(np.argmax(a)) == int(np.argmax(b))
 
     whole = AnchorKVCache()
-    advance(ac_model, whole, first.prompt.ids[:demo_len], flags)
+    advance(ac_model, whole, demo.ids, flags)
     whole.reduction()
     assert acct.total_discards == whole.stats.total_discards > 0
     # item contexts are scored in scratch slots and never become live
@@ -286,14 +293,14 @@ BUDGET_CASES = {
 @pytest.mark.parametrize("case", list(BUDGET_CASES))
 def test_items_pack_greedily_under_the_budget(ac_vocab, ac_model, monkeypatch, case):
     budget, groups = BUDGET_CASES[case]
-    prepared, _ = evaluate._prepare_items(BUDGET_ITEMS, DEMOS, ac_vocab, AC, 256)
-    assert [item_tokens(p) for p in prepared] == [3, 5, 10, 3, 3]
+    demo, prepared, _ = evaluate._prepare_items(BUDGET_ITEMS, DEMOS, ac_vocab, AC, 256)
+    assert [item_tokens(p, demo) for p in prepared] == [3, 5, 10, 3, 3]
     monkeypatch.setattr(evaluate, "ITEM_TOKEN_BUDGET", budget)
     calls, forwards = record_calls(monkeypatch)
-    cached, acct = evaluate._score_cached(ac_model, prepared, use_ansan=True)
+    cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
     assert [n for name, n in calls if name == "score_trees"] == groups
     assert len(forwards) == len(DEMOS) + len(groups)
-    assert acct.total_appends == prepared[0].demo_len
+    assert acct.total_appends == len(demo)
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
         a, b = np.asarray(a), np.asarray(b)
@@ -315,21 +322,76 @@ def test_cache_reduction_does_not_depend_on_item_count(ac_vocab, ac_model):
 def test_demo_part_built_once_matches_build_mc_prompt(ac_vocab, case):
     policy, demos = CHUNK_CASES[case]
     items, _ = make_task(5, seed=9)
-    prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
+    demo, prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
     assert skipped == 0
     for item, prep in zip(items, prepared):
         prompt, demo_len = build_mc_prompt(demos, item.context, ac_vocab, policy)
-        assert prep.prompt == prompt and prep.demo_len == demo_len
+        assert prep.prompt == prompt and len(demo) == demo_len
+
+
+@pytest.mark.parametrize("field", ["ids", "is_anchor", "seq_index"])
+def test_prompt_must_start_with_the_demo_part(ac_vocab, monkeypatch, field):
+    demo_text = " ".join(DEMOS)
+
+    def annotate_stream_apart(text, vocab, policy):
+        seg = annotate(text, vocab, policy)
+        if text != demo_text:  # the whole stream, not the demonstrations alone
+            values = getattr(seg, field)
+            values[0] = not values[0] if field == "is_anchor" else values[0] + 1
+        return seg
+
+    monkeypatch.setattr(evaluate, "annotate", annotate_stream_apart)
+    items, _ = make_task(2, seed=8)
+    with pytest.raises(ContractError, match="demonstration part"):
+        evaluate._prepare_items(items, DEMOS, ac_vocab, EP, 256)
+
+
+@pytest.mark.parametrize("unfit", [
+    MCItem("the amber lamp", ("birch", "stone " * 256), 0),  # too long with its longest choice
+    MCItem("", ("birch", "stone"), 0),  # no context to score after the demonstrations
+], ids=["too-long", "no-context"])
+def test_items_that_do_not_fit_are_skipped(ac_vocab, ac_model, unfit):
+    demos = ["the amber lamp holds the stone ."]
+    items = [BUDGET_ITEMS[0], unfit, BUDGET_ITEMS[3]]
+    demo, prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, AC, 256)
+    assert skipped == 1
+    alone = [
+        [
+            score_continuation(
+                ac_model, build_mc_prompt(demos, item.context, ac_vocab, AC)[0],
+                ac_vocab.encode_text(choice), True,
+            )
+            for choice in item.choices
+        ]
+        for item in (items[0], items[2])
+    ]
+    cached, _ = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
+    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    assert len(cached) == len(plain) == 2
+    for a, b in zip(cached + plain, alone + alone):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+
+    # gold is the first fitting item's pick and not the second's: 1 of 2
+    picks = [int(np.argmax(scores)) for scores in alone]
+    golds = [picks[0], 1 - picks[1], 0]
+    items = [dataclasses.replace(item, gold=g) for item, g in zip(items, golds)]
+    pool = [MCItem("the amber lamp holds the", ("stone .",), 0)]  # demo text demos[0]
+    for reuse_demo_cache in (True, False):
+        report = run_mc_task(
+            ac_model, ac_vocab, items, 1, AC, True, reuse_demo_cache, demo_pool=pool
+        )
+        assert (report.n_items, report.n_skipped, report.accuracy) == (3, 1, 0.5)
 
 
 def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     items, _ = make_task(2, seed=8)
-    prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
+    demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
     calls, forwards = record_calls(monkeypatch)
-    _, acct = evaluate._score_cached(ac_model, prepared, use_ansan=False)
-    assert calls == [("advance", prepared[0].demo_len), ("score_trees", len(items))]
+    _, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=False)
+    assert calls == [("advance", len(demo)), ("score_trees", len(items))]
     assert len(forwards) == 2
-    assert acct.total_discards == 0 and acct.total_appends == prepared[0].demo_len
+    assert acct.total_discards == 0 and acct.total_appends == len(demo)
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):
@@ -464,18 +526,17 @@ forest_items = (
 def item_forest(vocab, weights, policy, use_ansan, demos, items):
     """Items as `_score_cached` scores them: the prepared items, the
     demonstration cache, and one tree per item."""
-    prepared, _ = evaluate._prepare_items(
+    demo, prepared, _ = evaluate._prepare_items(
         [MCItem(context, tuple(choices), 0) for context, choices in items],
         demos, vocab, policy, 256,
     )
-    demo_len, first = prepared[0].demo_len, prepared[0].prompt
     cache = AnchorKVCache()
-    if demo_len:
-        advance(weights, cache, first.ids[:demo_len], segment_flags(first)[:demo_len], use_ansan)
+    if len(demo):
+        advance(weights, cache, demo.ids, segment_flags(demo), use_ansan)
         if use_ansan:
             cache.reduction()
     trees = [
-        (p.prompt.ids[demo_len:], segment_flags(p.prompt, demo_len), p.choice_ids)
+        (p.prompt.ids[len(demo) :], segment_flags(p.prompt, len(demo)), p.choice_ids)
         for p in prepared
     ]
     return prepared, cache, trees
@@ -486,7 +547,7 @@ def item_forest(vocab, weights, policy, use_ansan, demos, items):
 @example(EP, True, ["the lamp ."], [("amber . the lamp", ["stone", "the birch"])] * 2)
 def test_tree_scores_match_noncache(ac_vocab, ac_model, policy, use_ansan, demos, items):
     prepared, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
-    assert all(prepared)
+    assert len(prepared) == len(items)
     scores = score_trees(ac_model, cache, trees, use_ansan)
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan)
     assert len(scores) == len(items)

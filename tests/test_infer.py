@@ -6,10 +6,11 @@ import anchorlm.evaluate as evaluate
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError
-from anchorlm.infer import GenerationConfig, generate, score_continuation
+from anchorlm.infer import GenerationConfig, generate, log_softmax, score_continuation
 from anchorlm.masks import TokenFlags, mask_rows
 from anchorlm.model import init_weights
 from conftest import random_segmented, tiny_config
+from oracles import naive_log_softmax
 
 
 def anchored_prefix(anchor_id=4):
@@ -215,8 +216,8 @@ def test_generate_builds_no_tensor(tiny_weights, no_tensors):
 @pytest.mark.parametrize("use_ansan", [True, False])
 def test_mc_scoring_builds_no_tensor(tiny_weights, no_tensors, use_ansan):
     prompt = anchored_prefix()
-    prepared = [evaluate._PreparedItem(prompt, 3, [[1], [2, 3], [5, 6, 7]], 0)]
-    cached, _ = evaluate._score_cached(tiny_weights, prepared, use_ansan)
+    prepared = [evaluate._PreparedItem(prompt, [[1], [2, 3], [5, 6, 7]], 0)]
+    cached, _ = evaluate._score_cached(tiny_weights, prompt.slice(0, 3), prepared, use_ansan)
     noncached = evaluate._score_noncache(tiny_weights, prepared, use_ansan)
     assert len(cached[0]) == len(noncached[0]) == 3
 
@@ -236,3 +237,15 @@ def test_score_continuation_allocates_no_cache(tiny_weights, monkeypatch, use_an
     monkeypatch.setattr(AnchorKVCache, "stacked", refuse)
     score = score_continuation(tiny_weights, anchored_prefix(), [1, 2, 3], use_ansan)
     assert np.isfinite(score)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 33])
+@pytest.mark.parametrize("vocab_size", [5, 97, 4096])
+def test_log_softmax_rows_equal_the_oracle_bitwise(n_rows, vocab_size):
+    rng = np.random.default_rng(n_rows * vocab_size)
+    x = rng.normal(scale=8.0, size=(n_rows, vocab_size))
+    rows = log_softmax(x)
+    assert rows.shape == x.shape
+    for got, row in zip(rows, x):
+        assert np.array_equal(got, naive_log_softmax(row))
+    assert np.array_equal(log_softmax(x[0]), naive_log_softmax(x[0]))

@@ -99,7 +99,7 @@ def main() -> None:
     points = []
     for n_items in ITEM_COUNTS:
         items, _ = make_task(n_items, n_choices=CHOICES, seed=derive(3, 0))
-        prepared, skipped = evaluate._prepare_items(
+        demo, prepared, skipped = evaluate._prepare_items(
             items, demo_texts, vocab, policy, config.context_len
         )
         assert not skipped
@@ -110,7 +110,7 @@ def main() -> None:
                 evaluate.ITEM_TOKEN_BUDGET = 10**9 if budget == "all" else budget
                 spent[0] = 0.0
                 groups.clear()
-                scores, _ = evaluate._score_cached(weights, prepared, use_ansan=True)
+                scores, _ = evaluate._score_cached(weights, demo, prepared, use_ansan=True)
                 if rep:
                     runs[budget].append((spent[0], np.asarray(scores), list(groups)))
         reference = runs[1][0][1]
