@@ -83,15 +83,19 @@ def attend(
     ids: Sequence[int],
     flags: Sequence[TokenFlags] | np.ndarray,
     ansan: bool = True,
+    logit_rows: Sequence[int] | np.ndarray | slice | None = None,
 ) -> ForwardOutput:
     """Run new tokens against the live cache and each other under the
     anchor rule (causal when ansan is False). Their keys/values land in
     the cache's free slots, so the live entries and len(cache) are not
     changed. Positions continue from the newest entry, which reduction
-    never drops."""
+    never drops. logit_rows picks the rows whose logits `forward`
+    computes (None: every row)."""
     rows = mask_rows(flags, cache.flag_array(), ansan)
     kv = cache.stacked(len(ids), weights.config)
-    return forward(weights, ids, rows, kv, positions=cache.next_positions(len(ids)))
+    return forward(
+        weights, ids, rows, kv, positions=cache.next_positions(len(ids)), logit_rows=logit_rows
+    )
 
 
 def advance(
@@ -101,10 +105,12 @@ def advance(
     flags: Sequence[TokenFlags] | np.ndarray,
     ansan: bool = True,
 ) -> np.ndarray:
-    """`attend`, then commit the tokens' keys/values; returns the logits."""
-    out = attend(weights, cache, ids, flags, ansan)
+    """`attend`, then commit the tokens' keys/values; returns the logits
+    of the last token, the next token's distribution. The last layer runs
+    only that token's row past its keys/values (`forward`'s logit_rows)."""
+    out = attend(weights, cache, ids, flags, ansan, logit_rows=slice(-1, None))
     cache.extend_from_forward(flags)
-    return out.logits
+    return out.logits[0]
 
 
 # (context ids, context flags, continuations), as `score_trees` takes them
@@ -125,24 +131,32 @@ def score_trees(
     that continue the trunk's positions and see the cache, the trunk and
     their own branch under the one mask rule. No token sees another tree
     or another branch. Keys/values stay in the cache's scratch slots, so
-    the cache is not changed. Returns per tree the summed log-probability
-    of each continuation (`continuation_logprob`)."""
-    flags, tokens, depth, tree_of, branch_of, spans = [], [], [], [], [], []
-    offset = 0
+    the cache is not changed. Only the rows whose logits are read, each
+    trunk's last and the branches, run the last layer past its
+    keys/values. Returns per tree the summed log-probability of each
+    continuation (`continuation_logprob`). An empty trunk or continuation
+    raises ContractError."""
+    flags, tokens, depth, tree_of, branch_of, read, spans = [], [], [], [], [], [], []
+    offset = n_read = 0
     for t, (ids, ctx_flags, continuations) in enumerate(trees):
         n, lengths = len(ids), [len(c) - 1 for c in continuations]
         if n == 0:
             raise ContractError("a tree's trunk needs at least one token")
+        if min(lengths, default=0) < 0:
+            raise ContractError("a continuation needs at least one token")
         ctx_flags = np.asarray(ctx_flags, dtype=np.int64)
         is_anchor, seq = ctx_flags[-1]
         flags += [ctx_flags, np.repeat([[0, seq + bool(is_anchor)]], sum(lengths), axis=0)]
         tokens += [*ids, *(tok for c in continuations for tok in c[:-1])]
         depth += [np.arange(n), *(n + np.arange(m) for m in lengths)]
-        ends = offset + n + np.cumsum([0, *lengths])
-        tree_of.append(np.full(ends[-1] - offset, t))
+        end = offset + n + sum(lengths)
+        tree_of.append(np.full(end - offset, t))
         branch_of.append(np.repeat(np.arange(-1, len(lengths)), [n, *lengths]))  # -1: trunk
-        spans.append((offset + n - 1, ends))
-        offset = ends[-1]
+        # the trunk's last row, then the branches: the tree's logit rows,
+        # and where each branch's rows lie among all trees' logit rows
+        read.append(np.arange(offset + n - 1, end))
+        spans.append(n_read + 1 + np.cumsum([0, *lengths]))
+        offset, n_read = end, n_read + 1 + sum(lengths)
     tree, branch = np.concatenate(tree_of), np.concatenate(branch_of)
     rows = mask_rows(np.concatenate(flags), cache.flag_array(), ansan)
     rows[:, len(cache) :] &= (tree[:, None] == tree) & (
@@ -150,20 +164,24 @@ def score_trees(
     )
     kv = cache.stacked(len(tokens), weights.config)
     positions = cache.next_positions(1)[0] + np.concatenate(depth)
-    logits = forward(weights, tokens, rows, kv, positions).logits
+    logits = forward(weights, tokens, rows, kv, positions, logit_rows=np.concatenate(read)).logits
     return [
         [
-            continuation_logprob(np.concatenate([logits[last : last + 1], logits[lo:hi]]), c)
+            continuation_logprob(np.concatenate([logits[ends[0] - 1 : ends[0]], logits[lo:hi]]), c)
             for c, lo, hi in zip(continuations, ends, ends[1:])
         ]
-        for (last, ends), (_, _, continuations) in zip(spans, trees)
+        for ends, (_, _, continuations) in zip(spans, trees)
     ]
 
 
 def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:
-    """Sum of log-probabilities of continuation[t] under logits row t."""
+    """Sum of log-probabilities of continuation[t] under logits row t.
+    An id outside [0, vocab_size) raises ContractError."""
     n = len(continuation)
-    values = log_softmax(logits[:n])[np.arange(n), np.asarray(continuation, dtype=np.int64)]
+    ids = np.asarray(continuation, dtype=np.int64)
+    if n and (ids.min() < 0 or ids.max() >= logits.shape[-1]):
+        raise ContractError(f"continuation ids must lie in [0, {logits.shape[-1]})")
+    values = log_softmax(logits[:n])[np.arange(n), ids]
     return sum(values.tolist(), 0.0)
 
 
@@ -188,9 +206,9 @@ def generate(
     if cfg.reduction_enabled:
         cache.reduction()
 
-    generated = [_sample(logits[-1], cfg, rng)]
+    generated = [_sample(logits, cfg, rng)]
     live_sizes = [len(cache)]
-    sampled_logits = [logits[-1].copy()] if cfg.collect_logits else []
+    sampled_logits = [logits] if cfg.collect_logits else []
     cur_seq = next_seq_index(prefix)
     decode_seconds = 0.0
 
@@ -206,10 +224,10 @@ def generate(
             if cfg.reduction_enabled:
                 cache.reduction()
             cur_seq += 1
-        generated.append(_sample(logits[-1], cfg, rng))
+        generated.append(_sample(logits, cfg, rng))
         live_sizes.append(len(cache))
         if cfg.collect_logits:
-            sampled_logits.append(logits[-1].copy())
+            sampled_logits.append(logits)
 
     return GenerationResult(
         ids=generated,
@@ -234,7 +252,8 @@ def score_continuation(
     Continuation tokens are scored as non-anchor members of the sequence
     that follows the context (a new sequence when the context ends in an
     anchor). One forward runs over the context and every continuation
-    token but the last, whose logits no score reads.
+    token but the last, whose logits no score reads; the last layer runs
+    only the rows whose logits are read, from the context's last on.
     """
     total = len(context) + len(continuation)
     if total > weights.config.context_len:
@@ -250,5 +269,8 @@ def score_continuation(
     rest = list(continuation[:-1])
     rest_flags = np.repeat([[0, next_seq_index(context)]], len(rest), axis=0)
     flags = np.concatenate([segment_flags(context), rest_flags])
-    out = forward(weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan))
-    return continuation_logprob(out.logits[len(context) - 1 :], continuation)
+    out = forward(
+        weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan),
+        logit_rows=slice(len(context) - 1, None),
+    )
+    return continuation_logprob(out.logits, continuation)

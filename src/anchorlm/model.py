@@ -9,6 +9,14 @@ training runs it over Tensors, which record the tape for backward. Norm,
 GELU, rotary, the attention core and the loss are the fused `autodiff`
 ops `rmsnorm`, `gelu`, `rotate`, `attention` and `cross_entropy`, one
 tape node each, so a block records 22 nodes per layer plus 4.
+
+A forward computes logits only for the rows it is asked for
+(`logit_rows`; all rows by default). Every layer but the last runs every
+row, because later layers read their keys and values. The last layer
+computes keys and values for every row too, since the cache and the
+layer's own attention read them, but runs its query, attention, output
+projection and feed-forward, and the final norm and head, only for the
+rows whose logits are read.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -81,8 +90,9 @@ class ModelWeights:
 
 @dataclass
 class ForwardOutput:
-    logits: np.ndarray  # (T, vocab_size)
-    # per layer (H, T, S) probabilities, kept only with collect_attn
+    logits: np.ndarray  # (R, vocab_size): the logit rows, in the order asked for
+    # per layer (H, T, S) probabilities, kept only with collect_attn; the
+    # last layer's are (H, R, S)
     attn: list[np.ndarray] = field(default_factory=list)
 
 
@@ -116,6 +126,7 @@ def _forward_graph(
     cache_kv: list[tuple[np.ndarray, np.ndarray]] | None,
     positions: np.ndarray,
     collect_attn: bool,
+    logit_rows: np.ndarray | None = None,
 ) -> tuple[Node, ForwardOutput]:
     T = len(ids)
     n_cached = cache_kv[0][0].shape[1] - T if cache_kv else 0
@@ -144,10 +155,8 @@ def _forward_graph(
         prefix = f"layer{li}."
         p = lambda f: params[prefix + f]
         a = rmsnorm(h, p("attn_gain"), config.norm_eps)
-        q = (a @ p("wq")).reshape(T, H, hd).swapaxes(0, 1)
         k = (a @ p("wk")).reshape(T, H, hd).swapaxes(0, 1)
         v = (a @ p("wv")).reshape(T, H, hd).swapaxes(0, 1)
-        q = rotate(q, cos, sin)
         k = rotate(k, cos, sin)
         if cache_kv:
             k_all, v_all = cache_kv[li]
@@ -155,11 +164,18 @@ def _forward_graph(
             v_all[:, n_cached:] = data_of(v)
         else:
             k_all, v_all = k, v
+        if logit_rows is not None and li == config.n_layers - 1:
+            # every row's keys/values are written; only the logit rows go on
+            h, a = take(h, logit_rows), take(a, logit_rows)
+            keep, cos, sin = keep[logit_rows], cos[logit_rows], sin[logit_rows]
+        n = len(keep)
+        q = (a @ p("wq")).reshape(n, H, hd).swapaxes(0, 1)
+        q = rotate(q, cos, sin)
         ctx, probs = attention(q, k_all, v_all, keep)
         if collect_attn:
             out.attn.append(probs)
-        del probs  # (H, T, S): not held through the next layer unless collected
-        h = h + ctx.swapaxes(0, 1).reshape(T, config.d_model) @ p("wo")
+        del probs  # (H, n, S): not held through the next layer unless collected
+        h = h + ctx.swapaxes(0, 1).reshape(n, config.d_model) @ p("wo")
         f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
         h = h + gelu(f @ p("w1")) @ p("w2")
         if not np.all(np.isfinite(data_of(h))):
@@ -179,6 +195,7 @@ def forward(
     cache_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
     positions: np.ndarray | None = None,
     collect_attn: bool = False,
+    logit_rows: Sequence[int] | np.ndarray | slice | None = None,
 ) -> ForwardOutput:
     """Run the model over T tokens, optionally attending into cached
     keys/values. cache_kv holds per layer (K, V) of shape
@@ -192,13 +209,36 @@ def forward(
     earlier position: a chain's positions increase, and the branches of
     a tree may repeat positions where they cannot see each other. Ids
     outside [0, vocab_size) and positions breaking that rule raise
-    ContractError. Each layer's (n_heads, T, cached + T) attention
-    probabilities are returned in `attn` only with collect_attn;
-    otherwise they are released before the next layer runs, so one
-    layer's are alive at a time."""
+    ContractError.
+
+    logit_rows (row indices, negative ones counting from the end, or a
+    slice; None means every row) picks the rows whose logits are
+    returned, in the order given. Every layer but the last runs all T
+    rows; the last one computes and writes keys/values for all T rows
+    and runs the rest of the layer, the final norm and the head for the
+    logit rows only. Their logits agree with the same rows of a forward
+    over every row to rounding (a smaller matmul may take another BLAS
+    kernel), and the cache writes are bitwise the same. Every row in
+    order is the forward over every row. An empty or out-of-range
+    selection raises ContractError.
+
+    Each layer's (n_heads, T, cached + T) attention probabilities are
+    returned in `attn` only with collect_attn, the last layer's for the
+    logit rows only, (n_heads, R, cached + T); otherwise they are
+    released before the next layer runs, so one layer's are alive at a
+    time."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")
+    if logit_rows is not None:
+        try:
+            logit_rows = np.arange(ids.size)[logit_rows]
+        except IndexError as exc:
+            raise ContractError(f"logit_rows must index the {ids.size} rows: {exc}") from exc
+        if logit_rows.ndim != 1 or logit_rows.size == 0:
+            raise ContractError("logit_rows must select at least one row")
+        if logit_rows.size == ids.size and logit_rows.tolist() == list(range(ids.size)):
+            logit_rows = None  # every row, in order: nothing to gather
     mask_bits = np.atleast_2d(np.asarray(mask_bits))
     if positions is None:
         if cache_kv:
@@ -207,7 +247,8 @@ def forward(
     else:
         positions = np.asarray(positions, dtype=np.int64)
     _, out = _forward_graph(
-        weights.arrays, weights.config, ids, mask_bits, cache_kv, positions, collect_attn
+        weights.arrays, weights.config, ids, mask_bits, cache_kv, positions, collect_attn,
+        logit_rows,
     )
     return out
 

@@ -8,8 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anchorlm import model
 from anchorlm.corpus import SegmentedText
 from anchorlm.model import ModelConfig, init_weights
+
+# Cached and non-cached scores sum the same log-probabilities in a
+# different order, and a forward over fewer rows may take another BLAS
+# kernel: allow 2**12 float64 ulps relative (the benchmark's tolerance).
+SCORE_RTOL = 2.0**12 * np.finfo(np.float64).eps
 
 
 def random_segmented(rng: np.random.Generator, max_len: int = 64) -> SegmentedText:
@@ -60,3 +66,24 @@ def tiny_config(vocab_size: int = 11, context_len: int = 64) -> ModelConfig:
 @pytest.fixture(scope="session")
 def tiny_weights():
     return init_weights(tiny_config(), seed=7)
+
+
+@pytest.fixture
+def last_layer_queries(monkeypatch):
+    """Spy on the model's attention; calling the fixture's value with a
+    layer count gives the query rows each forward's last layer ran, in
+    call order."""
+    queries = []
+    attention = model.attention
+
+    def spy(q, k, v, keep):
+        queries.append(q.shape[-2])
+        return attention(q, k, v, keep)
+
+    monkeypatch.setattr(model, "attention", spy)
+
+    def last(n_layers):
+        assert len(queries) % n_layers == 0
+        return queries[n_layers - 1 :: n_layers]
+
+    return last

@@ -25,7 +25,7 @@ from anchorlm.infer import advance, next_seq_index, score_continuation, score_tr
 from anchorlm.masks import TokenFlags, causal_mask, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
-from conftest import tiny_config
+from conftest import SCORE_RTOL, tiny_config
 from oracles import naive_log_softmax
 
 AC = AnchorPolicy(mode="ac")
@@ -201,7 +201,6 @@ CHUNK_CASES = {
     "every-n=7": (AnchorPolicy(mode="every_n", n=7), DEMOS),
     "ep-tail": (EP, DEMOS + ["a glade sign marks"]),
 }
-SCORE_RTOL = 2.0**12 * np.finfo(np.float64).eps  # the benchmark's tolerance
 
 
 def record_calls(monkeypatch):
@@ -212,9 +211,9 @@ def record_calls(monkeypatch):
     calls, forwards = [], []
 
     def spy(fn):
-        def call(weights, cache, taken, *rest):
+        def call(weights, cache, taken, *rest, **kwargs):
             calls.append((fn.__name__, len(taken)))
-            return fn(weights, cache, taken, *rest)
+            return fn(weights, cache, taken, *rest, **kwargs)
 
         return call
 
@@ -392,6 +391,20 @@ def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     assert calls == [("advance", len(demo)), ("score_trees", len(items))]
     assert len(forwards) == 2
     assert acct.total_discards == 0 and acct.total_appends == len(demo)
+
+
+@pytest.mark.parametrize("use_ansan", [True, False], ids=["ansan", "causal"])
+def test_last_layer_runs_only_the_rows_scoring_reads(ac_vocab, ac_model, use_ansan,
+                                                    last_layer_queries):
+    # a demonstration chunk's logits are never read, so its last layer runs
+    # one row (`advance` keeps the next-token row); each packed group runs
+    # its trees' trunk-last and branch rows
+    items, _ = make_task(4, seed=8)
+    demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
+    evaluate._score_cached(ac_model, demo, prepared, use_ansan)
+    chunks = int(segment_flags(demo)[:, 0].sum()) if use_ansan else 1
+    read = sum(1 + sum(len(c) - 1 for c in p.choice_ids) for p in prepared)
+    assert last_layer_queries(ac_model.config.n_layers) == [1] * chunks + [read]
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):

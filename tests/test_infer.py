@@ -6,8 +6,14 @@ import anchorlm.evaluate as evaluate
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError
-from anchorlm.infer import GenerationConfig, generate, log_softmax, score_continuation
-from anchorlm.masks import TokenFlags, mask_rows
+from anchorlm.infer import (
+    GenerationConfig,
+    generate,
+    log_softmax,
+    score_continuation,
+    score_trees,
+)
+from anchorlm.masks import TokenFlags, mask_rows, segment_flags
 from anchorlm.model import init_weights
 from conftest import random_segmented, tiny_config
 from oracles import naive_log_softmax
@@ -172,6 +178,44 @@ def test_score_matches_generate_path(tiny_weights):
     for other in range(tiny_weights.config.vocab_size):
         s = score_continuation(tiny_weights, prefix, [other], use_ansan=True)
         assert s <= s_best + 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1, 11], ids=["negative", "vocab_size"])
+def test_continuation_ids_outside_vocab_rejected(tiny_weights, bad):
+    # the final id is never fed to the model, so only scoring can check it
+    prefix = anchored_prefix()
+    with pytest.raises(ContractError, match="continuation ids"):
+        score_continuation(tiny_weights, prefix, [4, bad], use_ansan=True)
+    tree = (prefix.ids, segment_flags(prefix), [[1], [4, bad]])
+    with pytest.raises(ContractError, match="continuation ids"):
+        score_trees(tiny_weights, AnchorKVCache(), [tree])
+
+
+def test_empty_tree_continuation_rejected(tiny_weights):
+    prefix = anchored_prefix()
+    tree = (prefix.ids, segment_flags(prefix), [[1], []])
+    with pytest.raises(ContractError, match="continuation needs"):
+        score_trees(tiny_weights, AnchorKVCache(), [tree])
+
+
+def test_generate_runs_one_last_layer_row_per_forward(tiny_weights, last_layer_queries):
+    # only the next-token logits are read, the prefix's included
+    generate(tiny_weights, anchored_prefix(), gen_cfg(max_new_tokens=3))
+    assert last_layer_queries(tiny_weights.config.n_layers) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("use_ansan", [True, False])
+def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, last_layer_queries,
+                                                     use_ansan):
+    prefix = anchored_prefix()
+    score_continuation(tiny_weights, prefix, [1, 2, 3], use_ansan)
+    # per tree its trunk's last row, then every continuation token but the last
+    trees = [
+        (prefix.ids[:3], segment_flags(prefix)[:3], [[1], [2, 3], [5, 6, 7]]),
+        (prefix.ids[3:], segment_flags(prefix)[3:], [[8, 9]]),
+    ]
+    score_trees(tiny_weights, AnchorKVCache(), trees, use_ansan)
+    assert last_layer_queries(tiny_weights.config.n_layers) == [3, 1 + 3 + 1 + 1]
 
 
 def test_continuation_rows_causal_and_ansan():

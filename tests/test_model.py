@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlm import model
 from anchorlm.autodiff import Tensor
@@ -9,7 +11,7 @@ from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.infer import advance
-from anchorlm.masks import TokenFlags, anchor_mask, causal_mask, segment_flags
+from anchorlm.masks import TokenFlags, anchor_mask, causal_mask, mask_rows, segment_flags
 from anchorlm.model import (
     ModelConfig,
     _forward_graph,
@@ -20,7 +22,7 @@ from anchorlm.model import (
     param_shapes,
     save_checkpoint,
 )
-from conftest import random_segmented, tiny_config, traced_peak
+from conftest import SCORE_RTOL, random_segmented, tiny_config, traced_peak
 from oracles import finite_difference_grads, naive_attention, naive_init
 
 
@@ -407,3 +409,76 @@ def test_ids_outside_vocab_rejected(tiny_weights, bad):
         forward(tiny_weights, [1, bad, 2], causal_mask(3))
     with pytest.raises(ContractError, match="token ids"):
         loss_and_grads(tiny_weights, plain_seg([1, bad, 2]), causal_mask(3))
+
+
+def new_rows(rng, kind, n_cached, T):
+    """Flags of n_cached + T tokens, and mask rows and positions of the
+    last T: a causal chain, anchor masks, or a trunk and up to three
+    branches that each see the trunk and themselves only."""
+    flags, seq = [], 0
+    while len(flags) < n_cached + T:
+        run = int(rng.integers(1, 5))
+        anchored = kind == "anchor" and rng.random() < 0.7
+        flags += [(anchored and i == run - 1, seq) for i in range(run)]
+        seq += 1
+    flags = np.array(flags[: n_cached + T])
+    rows = mask_rows(flags[n_cached:], flags[:n_cached], ansan=kind == "anchor")
+    depth = np.arange(T)
+    if kind == "tree":
+        trunk = int(rng.integers(1, T + 1))
+        branch = np.r_[np.full(trunk, -1), np.sort(rng.integers(0, 3, T - trunk))]
+        rows[:, n_cached:] &= (branch[:, None] == branch) | (branch == -1)
+        depth[trunk:] = [trunk + np.sum(branch[trunk:i] == branch[i]) for i in range(trunk, T)]
+    return flags, rows, n_cached + depth
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["causal", "anchor", "tree"]), st.sampled_from([None, 0, 1, 6]),
+    st.integers(1, 12), st.integers(0, 2**32 - 1), st.data(),
+)
+def test_logit_rows_match_the_same_rows_of_a_full_forward(
+    tiny_weights, kind, n_cached, T, seed, data
+):
+    rng = np.random.default_rng(seed)
+    n = n_cached or 0
+    ids = rng.integers(0, tiny_weights.config.vocab_size, n + T)
+    flags, rows, positions = new_rows(rng, kind, n, T)
+    picked = data.draw(st.one_of(
+        st.lists(st.integers(-T, T - 1), min_size=1, max_size=T, unique=True),
+        st.builds(slice, st.integers(0, T - 1), st.none()),
+    ))
+    cache_kv = None  # no cache; 0 is an empty one
+    if n_cached is not None:
+        cache = AnchorKVCache()
+        if n_cached:
+            advance(tiny_weights, cache, ids[:n], flags[:n])
+        cache_kv = cache.stacked(T, tiny_weights.config)
+
+    def run(**kwargs):
+        for layer in cache_kv or ():
+            for a in layer:
+                a[:, n:] = np.nan  # so each run must write its own keys/values
+        out = forward(tiny_weights, ids[n:], rows, cache_kv, positions, True, **kwargs)
+        return out, [a[:, n:].copy() for layer in cache_kv or () for a in layer]
+
+    full, full_kv = run()
+    part, part_kv = run(logit_rows=picked)
+    want = full.logits[picked]
+    assert part.logits.shape == want.shape
+    assert np.all(np.abs(part.logits - want) <= SCORE_RTOL * np.maximum(1.0, np.abs(want)))
+    assert all(np.array_equal(a, b) for a, b in zip(part_kv, full_kv))
+    # every layer but the last runs every row, bitwise as before
+    assert len(part.attn) == len(full.attn) == tiny_weights.config.n_layers
+    assert all(np.array_equal(a, b) for a, b in zip(part.attn[:-1], full.attn[:-1]))
+    last = full.attn[-1][:, picked]
+    assert part.attn[-1].shape == last.shape == (tiny_weights.config.n_heads, len(want), n + T)
+    assert np.all(np.abs(part.attn[-1] - last) <= SCORE_RTOL)
+
+
+@pytest.mark.parametrize("bad", [[], [3], [-4], slice(3, None), [0.5], 1, [[0]]],
+                         ids=["empty", "past-end", "before-start", "empty-slice", "float",
+                              "scalar", "nested"])
+def test_bad_logit_rows_rejected(tiny_weights, bad):
+    with pytest.raises(ContractError, match="logit_rows"):
+        forward(tiny_weights, [1, 2, 3], causal_mask(3), logit_rows=bad)

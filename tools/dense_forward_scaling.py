@@ -3,16 +3,20 @@
     PYTHONPATH=src python3 tools/dense_forward_scaling.py [--out BENCH_dense_forward.json]
 
 A dense forward is one `model.forward` over the whole prompt under its
-anchor mask, with no cache: the non-cached MC baseline, `eval ppl` and
-the prefix forward of `generate` all run one. The model has the
-benchmark's sizes (d_model 64, 2 layers, 4 heads, d_ff 256) with random
-weights from a fixed seed, and the prompt is random ids from a fixed
-seed with an anchor closing every 12th token. For each length the file
-records the median seconds of 5 forwards after one warm-up, the
-tracemalloc peak of one more forward, the attention keys the mask rows
+anchor mask, with no cache. Two curves are measured at each length: the
+forward that returns every row's logits (`eval ppl` and training run
+it), and the one that returns the last row's only (`logit_rows=[-1]`,
+whose last layer runs one query row past its keys/values), which
+`generate`'s prefix runs. The model has the benchmark's sizes (d_model
+64, 2 layers, 4 heads, d_ff 256) with random weights from a fixed seed,
+and the prompt is random ids from a fixed seed with an anchor closing
+every 12th token. For each length and curve the file records the
+median seconds of 5 forwards after one warm-up (the two curves take
+turns, so they share the machine's noise), and the tracemalloc peak of
+one more forward; per length also the attention keys the mask rows
 keep, and one (heads, T, T) float64 score buffer in MB for scale. BLAS
-is pinned to one thread before numpy is imported. Takes about a minute
-on 2 vCPU; it is not part of the test suite.
+is pinned to one thread before numpy is imported. Takes about two
+minutes on 2 vCPU; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from pathlib import Path
 LENGTHS = (256, 512, 1024, 2048, 4096)
 ANCHOR_EVERY = 12
 RUNS = 5
+# curve name -> forward's logit_rows
+CURVES = {"all_rows": None, "last_row": [-1]}
 SIZES = {"d_model": 64, "n_layers": 2, "n_heads": 4, "d_ff": 256}
 VOCAB = 512
 SEED = 0
@@ -70,28 +76,36 @@ def main() -> None:
             seq_index=[t // ANCHOR_EVERY for t in range(T)],
         )
         mask = anchor_mask(seg)
-        forward(weights, ids, mask)  # warm-up
-        seconds = []
-        for _ in range(RUNS):
-            t0 = time.perf_counter()
-            forward(weights, ids, mask)
-            seconds.append(time.perf_counter() - t0)
-        tracemalloc.start()
-        forward(weights, ids, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        points.append({
-            "tokens": T,
-            "seconds_median": statistics.median(seconds),
-            "seconds": seconds,
-            "traced_peak_mb": peak / 1e6,
-            "score_buffer_mb": config.n_heads * T * T * 8 / 1e6,
-            "kept_keys": int(mask.sum()),
-        })
-        print(f"T={T}: {points[-1]['seconds_median']:.4f} s, {peak / 1e6:.1f} MB", flush=True)
+        point = {"tokens": T}
+        seconds = {curve: [] for curve in CURVES}
+        for curve, rows in CURVES.items():
+            forward(weights, ids, mask, logit_rows=rows)  # warm-up
+        for run in range(RUNS):
+            for curve, rows in list(CURVES.items())[:: 1 if run % 2 == 0 else -1]:
+                t0 = time.perf_counter()
+                forward(weights, ids, mask, logit_rows=rows)
+                seconds[curve].append(time.perf_counter() - t0)
+        for curve, rows in CURVES.items():
+            tracemalloc.start()
+            forward(weights, ids, mask, logit_rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            point[curve] = {
+                "seconds_median": statistics.median(seconds[curve]),
+                "seconds": seconds[curve],
+                "traced_peak_mb": peak / 1e6,
+            }
+            print(f"T={T} {curve}: {point[curve]['seconds_median']:.4f} s, "
+                  f"{peak / 1e6:.1f} MB", flush=True)
+        point["score_buffer_mb"] = config.n_heads * T * T * 8 / 1e6
+        point["kept_keys"] = int(mask.sum())
+        points.append(point)
 
     report = {
-        "what": "one dense anchor-masked forward per prompt length (no cache)",
+        "what": "one dense anchor-masked forward per prompt length (no cache), "
+                "returning every row's logits or the last row's only",
+        "curves": {curve: "every row" if rows is None else f"logit_rows={rows}"
+                   for curve, rows in CURVES.items()},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
