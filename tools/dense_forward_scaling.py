@@ -15,8 +15,8 @@ median seconds of 5 forwards after one warm-up (the two curves take
 turns, so they share the machine's noise), and the tracemalloc peak of
 one more forward; per length also the attention keys the mask rows
 keep, and one (heads, T, T) float64 score buffer in MB for scale. BLAS
-is pinned to one thread before numpy is imported. Takes about two
-minutes on 2 vCPU; it is not part of the test suite.
+is pinned to one thread before numpy is imported. Takes under a minute
+on 2 vCPU; it is not part of the test suite.
 """
 
 from __future__ import annotations
