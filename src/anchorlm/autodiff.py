@@ -274,7 +274,7 @@ def attention(
     scale = 1.0 / math.sqrt(qd.shape[-1])
     probs = qd @ kd.swapaxes(-1, -2)  # scores, then probabilities, in place
     probs *= scale
-    probs -= np.max(probs, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True, where=keep, initial=-np.inf)
     np.minimum(probs, 0.0, out=probs)
     np.exp(probs, out=probs)
     probs *= keep

@@ -13,6 +13,7 @@ the generated text unchanged.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from .cache import AnchorKVCache, CacheStats
 from .corpus import SegmentedText
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .masks import TokenFlags, mask_rows, segment_flags
 from .model import ForwardOutput, ModelWeights, forward
 
@@ -64,10 +65,21 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _sample(logits_row: np.ndarray, cfg: GenerationConfig, rng: np.random.Generator) -> int:
+    """The argmax when greedy; otherwise an inverse-CDF draw from the
+    softmax at the temperature: the normalized probabilities' cumulative
+    sum, divided by its last entry, searched (right side) for one
+    `rng.random()`. That is the arithmetic `Generator.choice(len(p), p=p)`
+    runs after checking p, so it takes the same draws and picks the same
+    id, without re-checking p on every token. A distribution that is not
+    finite (logits / temperature overflowed) raises NumericError."""
     if cfg.temperature is None:
         return int(np.argmax(logits_row))
     probs = np.exp(log_softmax(logits_row / cfg.temperature))
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    cdf = (probs / probs.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise NumericError(f"non-finite sampling distribution at temperature {cfg.temperature}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def next_seq_index(seg: SegmentedText) -> int:
@@ -214,11 +226,12 @@ def generate(
 
     while len(generated) < cfg.max_new_tokens and generated[-1] != cfg.eos_id:
         token = generated[-1]
-        flags = TokenFlags(token == cfg.anchor_token_id, cur_seq)
+        is_anchor = token == cfg.anchor_token_id
+        flags = np.array([[is_anchor, cur_seq]])  # one (is_anchor, seq_index) row
         t0 = time.perf_counter()
-        logits = advance(weights, cache, [token], [flags])
+        logits = advance(weights, cache, [token], flags)
         decode_seconds += time.perf_counter() - t0
-        if flags.is_anchor:
+        if is_anchor:
             # The anchor's keys/values are cached, so its sequence can now
             # collapse onto it; the next token opens a new sequence.
             if cfg.reduction_enabled:
@@ -253,7 +266,9 @@ def score_continuation(
     that follows the context (a new sequence when the context ends in an
     anchor). One forward runs over the context and every continuation
     token but the last, whose logits no score reads; the last layer runs
-    only the rows whose logits are read, from the context's last on.
+    only the rows whose logits are read, from the context's last on. An
+    empty context or continuation raises ContractError, as in
+    `score_trees`: a score of 0.0 would beat every real choice.
     """
     total = len(context) + len(continuation)
     if total > weights.config.context_len:
@@ -262,7 +277,7 @@ def score_continuation(
             f"{weights.config.context_len}"
         )
     if not continuation:
-        return 0.0
+        raise ContractError("a continuation needs at least one token")
     if len(context) == 0:
         raise ContractError("scoring requires a nonempty context")
 

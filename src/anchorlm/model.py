@@ -21,6 +21,7 @@ rows whose logits are read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,10 +112,17 @@ def init_weights(config: ModelConfig, seed: int, anchor_id: int | None = None) -
     return ModelWeights(config, arrays)
 
 
+@functools.cache
+def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
+    """Rotary inverse frequencies, (head_dim // 2,), computed once per
+    (head_dim, rope_base) and shared by every forward, so read-only."""
+    inv_freq = rope_base ** (-np.arange(head_dim // 2) * 2.0 / head_dim)
+    inv_freq.flags.writeable = False
+    return inv_freq
+
+
 def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = config.head_dim // 2
-    inv_freq = config.rope_base ** (-np.arange(half) * 2.0 / config.head_dim)
-    angles = positions[:, None] * inv_freq[None, :]  # (T, half)
+    angles = positions[:, None] * _inv_freq(config.head_dim, config.rope_base)  # (T, half)
     return np.cos(angles), np.sin(angles)
 
 
@@ -138,11 +146,13 @@ def _forward_graph(
     keep = mask_bits.astype(bool)
     # every new key a row keeps, other than the query itself, comes before
     # it: a chain's positions increase, and a tree's branches may repeat
-    # positions, which they cannot see across
-    later = positions >= positions[:, None]
-    np.fill_diagonal(later, False)
-    if np.any(later & keep[:, n_cached:]):
-        raise ContractError("a row keeps a new key at or after its own position")
+    # positions, which they cannot see across. One token's only new key is
+    # itself, which the rule exempts, so a decode step skips the T x T check
+    if T > 1:
+        later = positions >= positions[:, None]
+        np.fill_diagonal(later, False)
+        if np.any(later & keep[:, n_cached:]):
+            raise ContractError("a row keeps a new key at or after its own position")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
 
@@ -178,12 +188,12 @@ def _forward_graph(
         h = h + ctx.swapaxes(0, 1).reshape(n, config.d_model) @ p("wo")
         f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
         h = h + gelu(f @ p("w1")) @ p("w2")
-        if not np.all(np.isfinite(data_of(h))):
+        if not np.isfinite(data_of(h)).all():
             raise NumericError(f"non-finite activations after layer {li}")
 
     logits = rmsnorm(h, params["final_gain"], config.norm_eps) @ params["head"]
     out.logits = data_of(logits)
-    if not np.all(np.isfinite(out.logits)):
+    if not np.isfinite(out.logits).all():
         raise NumericError("non-finite logits in forward pass")
     return logits, out
 

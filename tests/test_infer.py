@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorlm.autodiff as autodiff
 import anchorlm.evaluate as evaluate
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
-from anchorlm.errors import ContractError
+from anchorlm.errors import ContractError, NumericError
 from anchorlm.infer import (
     GenerationConfig,
+    _sample,
     generate,
     log_softmax,
     score_continuation,
@@ -86,6 +89,30 @@ def test_temperature_sampling_deterministic_per_seed(tiny_weights):
     assert a.ids != c.ids or len(a.ids) == 1
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([0.1, 1.0, 3.0]), st.integers(2, 300), st.floats(0.0, 60.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_takes_the_draws_of_generator_choice(temperature, vocab_size, peak, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=4.0, size=vocab_size)
+    # a high peak makes one probability 1 to within rounding
+    logits[rng.integers(vocab_size)] += peak * temperature
+    probs = np.exp(log_softmax(logits / temperature))
+    cfg = gen_cfg(temperature=temperature)
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert _sample(logits, cfg, ours) == twin.choice(vocab_size, p=probs / probs.sum())
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_sample_rejects_an_overflowing_distribution():
+    cfg = gen_cfg(temperature=1e-308)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="sampling"):
+        _sample(np.array([10.0, 1.0, 0.0]), cfg, np.random.default_rng(0))
+
+
 def test_cache_bound_with_reduction(tiny_weights):
     prefix = anchored_prefix()
     res = generate(tiny_weights, prefix, gen_cfg(max_new_tokens=20))
@@ -132,8 +159,12 @@ def ctx(ids):
     return SegmentedText(ids=list(ids), is_anchor=[False] * len(ids), seq_index=[0] * len(ids))
 
 
-def test_empty_continuation_scores_zero(tiny_weights):
-    assert score_continuation(tiny_weights, ctx([1, 2]), [], use_ansan=True) == 0.0
+def test_empty_continuation_rejected(tiny_weights):
+    # a 0.0 score would beat every real choice's negative log-probability
+    with pytest.raises(ContractError, match="continuation needs"):
+        score_continuation(tiny_weights, ctx([1, 2]), [], use_ansan=True)
+    with pytest.raises(ContractError, match="continuation needs"):
+        score_trees(tiny_weights, AnchorKVCache(), [([1, 2], [(0, 0), (0, 0)], [[]])])
 
 
 def test_uniform_model_continuation_score():

@@ -10,7 +10,7 @@ from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
-from anchorlm.infer import advance
+from anchorlm.infer import advance, attend
 from anchorlm.masks import TokenFlags, anchor_mask, causal_mask, mask_rows, segment_flags
 from anchorlm.model import (
     ModelConfig,
@@ -317,6 +317,43 @@ def test_non_finite_raises():
     weights.arrays["embedding"][1] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         forward(weights, [1, 2, 3], causal_mask(3))
+
+
+def decode_cache(weights, n_cached=5):
+    """A cache holding n_cached tokens of one sequence, for one-token steps."""
+    cache = AnchorKVCache()
+    advance(weights, cache, list(range(1, n_cached + 1)), [TokenFlags(False, 0)] * n_cached)
+    return cache
+
+
+@pytest.mark.parametrize("bad", [-1, 11])
+def test_one_token_step_rejects_ids_outside_vocab(tiny_weights, bad):
+    with pytest.raises(ContractError, match="token ids"):
+        attend(tiny_weights, decode_cache(tiny_weights), [bad], [TokenFlags(False, 0)])
+
+
+@pytest.mark.parametrize("width", [5, 7])
+def test_one_token_step_rejects_a_mask_of_the_wrong_shape(tiny_weights, width):
+    cache = decode_cache(tiny_weights)  # the right width is 6
+    kv, positions = cache.stacked(1, tiny_weights.config), cache.next_positions(1)
+    with pytest.raises(ContractError, match="mask shape"):
+        forward(tiny_weights, [1], np.ones((1, width), dtype=np.uint8), kv, positions)
+
+
+def test_one_token_step_names_the_first_non_finite_layer(tiny_weights):
+    for li in range(tiny_weights.config.n_layers):
+        weights = tiny_weights.copy()
+        cache = decode_cache(weights)
+        weights.arrays[f"layer{li}.w2"][0, 0] = np.nan
+        with pytest.raises(NumericError, match=f"after layer {li}"):
+            attend(weights, cache, [1], [TokenFlags(False, 0)])
+
+
+def test_rotary_inverse_frequencies_are_read_only():
+    inv_freq = model._inv_freq(8, 10000.0)
+    assert inv_freq is model._inv_freq(8, 10000.0)  # computed once, shared
+    with pytest.raises(ValueError):
+        inv_freq[0] = 2.0
 
 
 def test_short_block_rejected(tiny_weights):

@@ -2,13 +2,13 @@
 
     PYTHONPATH=src python3 tools/seeded_pipeline.py [--out DIR] [--check FILE]
 
-synth -> prepare -> train -> generate -> eval ppl -> eval mc, each
-through `anchorlm.cli.main` with fixed arguments, seeds and prompt. Two
-commits whose outputs should be bitwise identical print the same hashes.
-The commands' own stdout goes to stderr, so stdout holds only the
-`<sha256>  <artifact>` lines. `--check tools/seeded_pipeline.sha256`
-compares them with the committed hashes, names each artifact that
-differs on stderr and exits 1 if any does.
+synth -> prepare -> train -> generate (greedy, then sampled) -> eval ppl
+-> eval mc, each through `anchorlm.cli.main` with fixed arguments, seeds
+and prompt. Two commits whose outputs should be bitwise identical print
+the same hashes. The commands' own stdout goes to stderr, so stdout
+holds only the `<sha256>  <artifact>` lines. `--check
+tools/seeded_pipeline.sha256` compares them with the committed hashes,
+names each artifact that differs on stderr and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ ARTIFACTS = (
     "train/ckpt.bin",
     "train/losses.log",
     "generate/generation.txt",
+    "generate_sampled/generation.txt",
     "ppl/metrics.txt",
     "mc/metrics.txt",
 )
@@ -44,6 +45,9 @@ def commands(root: Path) -> list[list[str]]:
          "--out", str(root / "train")],
         ["generate", *ckpt, "--prompt", PROMPT, "--policy", "ac", "--reduce", "on",
          "--max-new", "24", "--out", str(root / "generate")],
+        ["generate", *ckpt, "--prompt", PROMPT, "--policy", "ac", "--reduce", "on",
+         "--max-new", "24", "--temperature", "1", "--sample-seed", "7",
+         "--out", str(root / "generate_sampled")],
         ["eval", "--task", "ppl", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
          "--text", str(synth / "corpus.txt"), "--out", str(root / "ppl")],
         ["eval", "--task", "mc", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
