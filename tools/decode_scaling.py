@@ -20,8 +20,9 @@ decode steps of each of RUNS runs (the arms take turns), their median,
 TTFT (the prompt's forward plus the first sample), the mean and peak
 live cache size over the decode steps (the sizes the tokens were
 sampled at), the cache's lifetime peak, and the tracemalloc peak of one
-more run. BLAS is pinned to one thread before numpy is imported. Takes
-about a minute on 2 vCPU; it is not part of the test suite.
+more run (the prompt's dense forward sets it). BLAS is pinned to one
+thread before numpy is imported. Takes about a minute on 2 vCPU; it is
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 
 LENGTHS = (128, 512, 1024, 2048, 4096)
 NEW_TOKENS = 128
-RUNS = 5
+RUNS = 9
 STREAM_DOCS = 40  # ~6k tokens, enough for the longest prompt
 SEED = 0
 ARMS = {"reduced": True, "full": False}  # arm -> GenerationConfig.reduction_enabled
