@@ -226,20 +226,32 @@ def gelu(x: Tensor | Array) -> Tensor | Array:
     return Tensor._op(data, (x,), bwd)
 
 
+def _swap_halves(a: Array) -> Array:
+    half = a.shape[-1] // 2
+    return np.concatenate((a[..., half:], a[..., :half]), axis=-1)
+
+
 def rotate(x: Tensor | Array, cos: Array, sin: Array) -> Tensor | Array:
-    """Rotary encoding: turn each pair (x[..., i], x[..., half + i]) by the
-    angle whose cosine and sine are cos[..., i] and sin[..., i]. The
-    backward is the inverse rotation."""
+    """Rotary encoding: turn each pair (x[..., i], x[..., half + i]) by its
+    angle. cos and sin are (..., head_dim) tables [cos, cos] and
+    [-sin, sin] of the angles (`model._rope_tables`), so the rotation is
+    swap(x) * sin + x * cos, where swap exchanges the two halves: per
+    element the same IEEE operations as x1 cos - x2 sin and
+    x1 sin + x2 cos. The backward is the inverse rotation,
+    g * cos - swap(g) * sin."""
     xd = data_of(x)
-    half = xd.shape[-1] // 2
-    x1, x2 = xd[..., :half], xd[..., half:]
-    data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    data = _swap_halves(xd)
+    data *= sin
+    data += xd * cos
     if not isinstance(x, Tensor):
         return data
 
     def bwd(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        return (np.concatenate([g1 * cos + g2 * sin, g2 * cos - g1 * sin], axis=-1),)
+        swapped = _swap_halves(g)
+        swapped *= sin
+        out = g * cos
+        out -= swapped
+        return (out,)
 
     return Tensor._op(data, (x,), bwd)
 

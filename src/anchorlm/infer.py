@@ -2,6 +2,10 @@
 built on one cached step (`attend`, and `advance`, which also caches;
 `score_trees` scores several contexts and their continuations as a
 forest of trees in one forward over the cache, committing nothing).
+Both scorers, `score_trees` and the non-cached `score_continuation`,
+read their scores with one routine, `_logprob_sums`: one row-wise
+log-softmax over the forward's logit rows, one gather of every scored
+id, and a left-to-right sum per continuation.
 
 Generation processes the prefix under anchor masks, reduces the cache
 once, then decodes token by token; whenever a generated anchor token has
@@ -145,56 +149,73 @@ def score_trees(
     or another branch. Keys/values stay in the cache's scratch slots, so
     the cache is not changed. Only the rows whose logits are read, each
     trunk's last and the branches, run the last layer past its
-    keys/values. Returns per tree the summed log-probability of each
-    continuation (`continuation_logprob`). An empty trunk or continuation
-    raises ContractError."""
-    flags, tokens, depth, tree_of, branch_of, read, spans = [], [], [], [], [], [], []
-    offset = n_read = 0
+    keys/values. The forest is laid out in one pass over plain lists and
+    scored in one `_logprob_sums` call over every logit row. Returns per
+    tree the summed log-probability of each continuation. An empty trunk
+    or continuation raises ContractError."""
+    tokens: list[int] = []
+    flags: list[list[int]] = []  # (is_anchor, seq_index) per token
+    depth: list[int] = []  # position after the cache
+    tree_of: list[int] = []
+    branch_of: list[int] = []  # -1: trunk
+    read: list[int] = []  # the rows whose logits the forward computes
+    scored: list[int] = []  # per scored token, its row among `read`
+    targets: list[int] = []  # per scored token, its id
+    ends: list[int] = []  # per continuation, its end in `targets`
     for t, (ids, ctx_flags, continuations) in enumerate(trees):
-        n, lengths = len(ids), [len(c) - 1 for c in continuations]
+        n = len(ids)
         if n == 0:
             raise ContractError("a tree's trunk needs at least one token")
-        if min(lengths, default=0) < 0:
-            raise ContractError("a continuation needs at least one token")
-        ctx_flags = np.asarray(ctx_flags, dtype=np.int64)
-        is_anchor, seq = ctx_flags[-1]
-        flags += [ctx_flags, np.repeat([[0, seq + bool(is_anchor)]], sum(lengths), axis=0)]
-        tokens += [*ids, *(tok for c in continuations for tok in c[:-1])]
-        depth += [np.arange(n), *(n + np.arange(m) for m in lengths)]
-        end = offset + n + sum(lengths)
-        tree_of.append(np.full(end - offset, t))
-        branch_of.append(np.repeat(np.arange(-1, len(lengths)), [n, *lengths]))  # -1: trunk
-        # the trunk's last row, then the branches: the tree's logit rows,
-        # and where each branch's rows lie among all trees' logit rows
-        read.append(np.arange(offset + n - 1, end))
-        spans.append(n_read + 1 + np.cumsum([0, *lengths]))
-        offset, n_read = end, n_read + 1 + sum(lengths)
-    tree, branch = np.concatenate(tree_of), np.concatenate(branch_of)
-    rows = mask_rows(np.concatenate(flags), cache.flag_array(), ansan)
+        ctx_rows = np.asarray(ctx_flags, dtype=np.int64).tolist()
+        is_anchor, seq = ctx_rows[-1]
+        branch_flags = [0, seq + bool(is_anchor)]
+        tokens += ids
+        flags += ctx_rows
+        depth += range(n)
+        tree_of += [t] * n
+        branch_of += [-1] * n
+        read.append(len(tokens) - 1)
+        trunk_row = len(read) - 1  # scores each continuation's first token
+        for b, c in enumerate(continuations):
+            m = len(c) - 1
+            if m < 0:
+                raise ContractError("a continuation needs at least one token")
+            scored += [trunk_row, *range(len(read), len(read) + m)]
+            read += range(len(tokens), len(tokens) + m)
+            tokens += c[:-1]
+            flags += [branch_flags] * m
+            depth += range(n, n + m)
+            tree_of += [t] * m
+            branch_of += [b] * m
+            targets += c
+            ends.append(len(targets))
+    tree, branch = np.array(tree_of), np.array(branch_of)
+    rows = mask_rows(np.array(flags, dtype=np.int64), cache.flag_array(), ansan)
     rows[:, len(cache) :] &= (tree[:, None] == tree) & (
         (branch[:, None] == branch) | (branch == -1)
     )
     kv = cache.stacked(len(tokens), weights.config)
-    positions = cache.next_positions(1)[0] + np.concatenate(depth)
-    logits = forward(weights, tokens, rows, kv, positions, logit_rows=np.concatenate(read)).logits
-    return [
-        [
-            continuation_logprob(np.concatenate([logits[ends[0] - 1 : ends[0]], logits[lo:hi]]), c)
-            for c, lo, hi in zip(continuations, ends, ends[1:])
-        ]
-        for ends, (_, _, continuations) in zip(spans, trees)
-    ]
+    positions = cache.next_positions(1)[0] + np.array(depth)
+    logits = forward(weights, tokens, rows, kv, positions, logit_rows=np.array(read)).logits
+    sums = iter(_logprob_sums(logits, scored, targets, ends))
+    return [[next(sums) for _ in continuations] for _, _, continuations in trees]
 
 
-def continuation_logprob(logits: np.ndarray, continuation: Sequence[int]) -> float:
-    """Sum of log-probabilities of continuation[t] under logits row t.
-    An id outside [0, vocab_size) raises ContractError."""
-    n = len(continuation)
-    ids = np.asarray(continuation, dtype=np.int64)
-    if n and (ids.min() < 0 or ids.max() >= logits.shape[-1]):
-        raise ContractError(f"continuation ids must lie in [0, {logits.shape[-1]})")
-    values = log_softmax(logits[:n])[np.arange(n), ids]
-    return sum(values.tolist(), 0.0)
+def _logprob_sums(
+    logits: np.ndarray, rows: Sequence[int], targets: Sequence[int], ends: Sequence[int]
+) -> list[float]:
+    """The one continuation scorer: targets[i] is read under logits row
+    rows[i], and each continuation, the targets from the previous end
+    (0 first) to its own, gets the left-to-right sum of its
+    log-probabilities. One row-wise log-softmax over every row and one
+    gather serve all continuations. An id outside [0, vocab_size) raises
+    ContractError."""
+    ids = np.array(targets, dtype=np.int64)
+    vocab_size = logits.shape[-1]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ContractError(f"continuation ids must lie in [0, {vocab_size})")
+    values = log_softmax(logits)[rows, ids].tolist()
+    return [sum(values[a:b], 0.0) for a, b in zip([0, *ends], ends)]
 
 
 def generate(
@@ -288,4 +309,5 @@ def score_continuation(
         weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan),
         logit_rows=slice(len(context) - 1, None),
     )
-    return continuation_logprob(out.logits, continuation)
+    n = len(continuation)
+    return _logprob_sums(out.logits, range(n), continuation, [n])[0]

@@ -114,16 +114,21 @@ def init_weights(config: ModelConfig, seed: int, anchor_id: int | None = None) -
 
 @functools.cache
 def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
-    """Rotary inverse frequencies, (head_dim // 2,), computed once per
+    """Rotary inverse frequencies, each twice, (head_dim,): one per
+    element of the halves that `rotate` pairs. Computed once per
     (head_dim, rope_base) and shared by every forward, so read-only."""
-    inv_freq = rope_base ** (-np.arange(head_dim // 2) * 2.0 / head_dim)
+    inv_freq = np.tile(rope_base ** (-np.arange(head_dim // 2) * 2.0 / head_dim), 2)
     inv_freq.flags.writeable = False
     return inv_freq
 
 
 def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    angles = positions[:, None] * _inv_freq(config.head_dim, config.rope_base)  # (T, half)
-    return np.cos(angles), np.sin(angles)
+    """(T, head_dim) tables [cos, cos] and [-sin, sin] of each position's
+    angles, the layout `rotate` takes."""
+    angles = positions[:, None] * _inv_freq(config.head_dim, config.rope_base)
+    cos, sin = np.cos(angles), np.sin(angles)
+    sin[:, : config.head_dim // 2] *= -1.0
+    return cos, sin
 
 
 def _forward_graph(

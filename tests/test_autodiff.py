@@ -145,8 +145,10 @@ def weighted(out, w):
 
 
 def rope(rng, tokens, half):
+    """`rotate`'s tables of random angles: [cos, cos] and [-sin, sin]."""
     angles = rng.normal(size=(tokens, half))
-    return np.cos(angles), np.sin(angles)
+    c, s = np.cos(angles), np.sin(angles)
+    return np.concatenate([c, c], axis=-1), np.concatenate([-s, s], axis=-1)
 
 
 def sparse_keep(rng, tokens, cached):
@@ -233,9 +235,11 @@ def composed_gelu(x):
 
 
 def composed_rotate(x, cos, sin):
+    # the textbook pairwise rotation, on the angles' own cos and sin
     half = x.shape[-1] // 2
     x1, x2 = x[:, :, :half], x[:, :, half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    c, s = cos[:, :half], sin[:, half:]
+    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
 
 
 def composed_attention(q, k, v, keep):

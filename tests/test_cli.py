@@ -327,7 +327,9 @@ def test_missing_items_is_input_error(workspace, tmp_path, capsys):
     '{"context": "the lamp", "choices": "bc", "gold": 0}',
     '{"context": 5, "choices": ["a", "b"], "gold": 0}',
     '{"context": "the lamp", "choices": ["a", "  "], "gold": 0}',
-], ids=["gold-not-int", "choices-not-list", "context-not-str", "choice-without-tokens"])
+    '{"context": "the lamp", "choices": ["a", "b"]',
+], ids=["gold-not-int", "choices-not-list", "context-not-str", "choice-without-tokens",
+        "malformed-json"])
 def test_malformed_task_record_is_input_error(workspace, tmp_path, capsys, record):
     items = tmp_path / "task.jsonl"
     items.write_text(record + "\n", encoding="utf-8")

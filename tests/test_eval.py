@@ -669,6 +669,22 @@ def test_items_file_errors(tmp_path):
         load_mc_items(bad)
 
 
+VALID_RECORD = '{"context": "x", "choices": ["a", "b"], "gold": 1}\n'
+
+
+@pytest.mark.parametrize("content, message", [
+    (VALID_RECORD + '{"context": "x", "choices": ["a"]\n', r"bad task record at .*:2"),
+    ('{"context": "x", "choices": ["a", "b"], "gold": true}\n', r"\(not bool\) gold"),
+    ('{"context": "x", "choices": ["a", 3], "gold": 0}\n', "list of string choices"),
+    ("\n   \n\n", "contains no items"),
+], ids=["malformed-json", "bool-gold", "non-string-choice", "only-blank-lines"])
+def test_malformed_items_file_is_input_error(tmp_path, content, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(content, encoding="utf-8")
+    with pytest.raises(InputError, match=message):
+        load_mc_items(bad)
+
+
 def test_synth_task_gold_is_partner():
     items, pool = make_task(10, seed=0)
     for item in items + pool:

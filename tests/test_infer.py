@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import anchorlm.autodiff as autodiff
 import anchorlm.evaluate as evaluate
+import anchorlm.infer as infer
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, NumericError
@@ -17,7 +18,7 @@ from anchorlm.infer import (
     score_trees,
 )
 from anchorlm.masks import TokenFlags, mask_rows, segment_flags
-from anchorlm.model import init_weights
+from anchorlm.model import forward, init_weights
 from conftest import random_segmented, tiny_config
 from oracles import naive_log_softmax
 
@@ -217,9 +218,45 @@ def test_continuation_ids_outside_vocab_rejected(tiny_weights, bad):
     prefix = anchored_prefix()
     with pytest.raises(ContractError, match="continuation ids"):
         score_continuation(tiny_weights, prefix, [4, bad], use_ansan=True)
+    # the forest is checked as a whole: the bad id may sit in any tree
+    good = (prefix.ids, segment_flags(prefix), [[1], [2, 3]])
     tree = (prefix.ids, segment_flags(prefix), [[1], [4, bad]])
-    with pytest.raises(ContractError, match="continuation ids"):
-        score_trees(tiny_weights, AnchorKVCache(), [tree])
+    for trees in ([tree], [good, tree], [good, good, tree]):
+        with pytest.raises(ContractError, match="continuation ids"):
+            score_trees(tiny_weights, AnchorKVCache(), trees)
+
+
+def test_tree_scores_equal_each_continuation_scored_alone_bitwise(tiny_weights, monkeypatch):
+    # one log-softmax and one gather over the whole forest must give each
+    # continuation the bits of a log-softmax over its own rows only
+    logits = []
+
+    def keep_logits(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out.logits.copy())
+        return out
+
+    monkeypatch.setattr(infer, "forward", keep_logits)
+    prefix = anchored_prefix()
+    flags = segment_flags(prefix)
+    trees = [
+        (prefix.ids[:3], flags[:3], [[1], [2, 3], [5, 6, 7]]),  # trunk ends in an anchor
+        (prefix.ids[3:], flags[3:], [[8, 9, 10, 0], [3]]),
+        (prefix.ids[6:], flags[6:], [[7, 2], [10, 1, 1]]),
+    ]
+    scores = score_trees(tiny_weights, AnchorKVCache(), trees)
+    (rows,) = logits
+    # per tree its trunk's last row, then each continuation's branch rows
+    row = 0
+    for (_, _, continuations), got in zip(trees, scores):
+        trunk, row = row, row + 1
+        want = []
+        for c in continuations:
+            own = [trunk, *range(row, row + len(c) - 1)]
+            row += len(c) - 1
+            want.append(sum(log_softmax(rows[own])[np.arange(len(c)), c].tolist(), 0.0))
+        assert got == want
+    assert row == len(rows)
 
 
 def test_empty_tree_continuation_rejected(tiny_weights):
