@@ -9,6 +9,9 @@ PagedAttention layout (Kwon et al., 2023): keys and values each in one
 (n_layers, n_heads, capacity, head_dim) array, with per-slot positions
 and (is_anchor, seq_index) flag rows beside them. The first len(cache)
 slots are live, in position order; capacity grows geometrically.
+`kept_by_reduction` states the reduction rule once, for `reduction` and
+for `infer.advance`, which computes keys/values only for the new tokens
+a reduction right after it keeps.
 
 There is one way in and one way to shrink. The free slots after the
 live ones are where new keys/values are written: `stacked(T)` hands a
@@ -40,6 +43,18 @@ class CacheStats:
     peak_live_count: int = 0
     total_appends: int = 0
     total_discards: int = 0
+
+
+def kept_by_reduction(flags: Sequence[TokenFlags] | np.ndarray) -> np.ndarray | None:
+    """The reduction rule over entries in position order, given as
+    (is_anchor, seq_index) rows: the indices of every anchor and of every
+    entry from the last anchor on, increasing; None when no entry is an
+    anchor, and reduction keeps them all."""
+    is_anchor = np.asarray(flags, dtype=np.int64).reshape(-1, 2)[:, 0]
+    anchors = np.flatnonzero(is_anchor)
+    if len(anchors) == 0:
+        return None
+    return np.concatenate((anchors[:-1], np.arange(anchors[-1], len(is_anchor))))
 
 
 class AnchorKVCache:
@@ -100,13 +115,8 @@ class AnchorKVCache:
         """Discard non-anchor entries before the last anchor, compacting the
         live slots in place; the newest entry is always kept."""
         n = self._live
-        positions = self._positions[:n]
-        anchors = self._flags[:n, 0] != 0
-        keyed = np.flatnonzero(anchors)
-        if len(keyed) == 0:
-            return
-        keep = np.flatnonzero(anchors | (positions >= positions[keyed[-1]]))
-        if len(keep) == n:
+        keep = kept_by_reduction(self._flags[:n])
+        if keep is None or len(keep) == n:
             return
         self.stats.total_discards += n - len(keep)
         self._keep(keep)

@@ -11,12 +11,15 @@ with a reduction to the anchors after each, so no forward attends to
 keys its mask blocks and the live cache never holds more than the
 anchors so far plus one sequence (a chunked prefill, as in SARATHI,
 Agrawal et al., 2023, with the chunks cut where the mask already cuts
-attention). The demonstration part does not depend on the item, so it
-is built once per task under every policy, and each prompt is checked
-to start with it when the prompt is built. The items are then scored in
-packed forwards, each over a clone of that cache: an item's context is
-the trunk of a tree, each choice but its last token is a branch that sees
-the trunk and itself, never another choice, and consecutive items share
+attention). Such a forward reads no logits and keeps only its anchor's
+keys/values, so its last layer runs no row past its keys/values and the
+layer below runs the anchor alone. The demonstration part does not
+depend on the item, so it is built once per task under every policy, and
+each prompt is checked to start with it when the prompt is built. The
+items are then scored in packed forwards, each over a clone of that
+cache: an item's context is the trunk of a tree, each choice but its last
+token is a branch that sees the trunk and itself, never another choice,
+and consecutive items share
 one forward as a forest whose trees never see each other
 (`infer.score_trees`, tree attention across prompts that share a cached
 prefix, as in Hydragen, Juravsky et al., 2024). Nothing an item adds is
@@ -309,10 +312,14 @@ def _score_cached(
     demonstration part is prefilled one anchor-closed sequence per
     forward, and the cache is reduced to its anchors after each one: a
     sequence then attends to itself plus the earlier anchors, exactly the
-    keys its mask rows allow, instead of a dense L x L block. A tail
-    after the last anchor is the last forward. Under causal masks the
-    demonstration part is one forward and is not reduced. Every prompt
-    starts with `demo`; `_prompt` checked that when it built them.
+    keys its mask rows allow, instead of a dense L x L block. Each is an
+    `advance` that reduces and reads no logits: it keeps only the
+    anchor's keys/values, so its last layer runs no row past its
+    keys/values and the layer below runs the anchor alone; the sequence's
+    other tokens only feed the keys/values the anchor reads. A tail after
+    the last anchor is the last forward, and keeps every row. Under causal
+    masks the demonstration part is one forward and is not reduced. Every
+    prompt starts with `demo`; `_prompt` checked that when it built them.
 
     Consecutive items are then packed greedily into groups of at most
     ITEM_TOKEN_BUDGET new tokens (contexts plus branch tokens); an item
@@ -328,9 +335,10 @@ def _score_cached(
         # cut after every anchor but a final one
         ends = np.flatnonzero(flags[:-1, 0]) + 1 if use_ansan else []
         for lo, hi in zip([0, *ends], [*ends, len(demo)]):
-            advance(weights, demo_cache, demo.ids[lo:hi], flags[lo:hi], use_ansan)
-            if use_ansan:
-                demo_cache.reduction()
+            advance(
+                weights, demo_cache, demo.ids[lo:hi], flags[lo:hi], use_ansan,
+                reduce=use_ansan, logits=False,
+            )
 
     groups: list[list[_PreparedItem]] = []
     size = 0

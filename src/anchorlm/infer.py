@@ -7,12 +7,16 @@ read their scores with one routine, `_logprob_sums`: one row-wise
 log-softmax over the forward's logit rows, one gather of every scored
 id, and a left-to-right sum per continuation.
 
-Generation processes the prefix under anchor masks, reduces the cache
-once, then decodes token by token; whenever a generated anchor token has
-been processed (its keys/values cached), the cache is reduced again and
-the next token starts a new sequence. Discarded entries are exactly the
-ones the masks already block for every future query, so reduction leaves
-the generated text unchanged.
+Generation processes the prefix under anchor masks in one `advance`,
+which reduces the cache after it, then decodes token by token; the
+`advance` of a generated anchor token (its keys/values cached) reduces
+the cache again, and the next token starts a new sequence. Discarded
+entries are exactly the ones the masks already block for every future
+query, so reduction leaves the generated text unchanged. A reducing
+`advance` also skips their work: it keeps only the keys/values the
+reduction keeps, so a token the reduction discards runs only as far as
+its sequence's anchor reads it (`model.forward`'s kv_rows), and a
+non-anchor token of a closed sequence never runs the last layer.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import AnchorKVCache, CacheStats
+from .cache import AnchorKVCache, CacheStats, kept_by_reduction
 from .corpus import SegmentedText
 from .errors import ContractError, NumericError
 from .masks import TokenFlags, mask_rows, segment_flags
@@ -51,7 +55,8 @@ class GenerationConfig:
 @dataclass
 class GenerationResult:
     """prefix_seconds and decode_seconds time whole `advance` calls (mask
-    rows, forward and cache write), not reduction or sampling."""
+    rows, forward, cache write and the reductions `advance` runs when
+    reduction is enabled), not sampling."""
 
     ids: list[int]
     live_sizes: list[int]  # live cache size when each token was sampled
@@ -100,17 +105,20 @@ def attend(
     flags: Sequence[TokenFlags] | np.ndarray,
     ansan: bool = True,
     logit_rows: Sequence[int] | np.ndarray | slice | None = None,
+    kv_rows: Sequence[int] | np.ndarray | slice | None = None,
 ) -> ForwardOutput:
     """Run new tokens against the live cache and each other under the
     anchor rule (causal when ansan is False). Their keys/values land in
     the cache's free slots, so the live entries and len(cache) are not
     changed. Positions continue from the newest entry, which reduction
     never drops. logit_rows picks the rows whose logits `forward`
-    computes (None: every row)."""
+    computes, kv_rows the rows whose keys/values it writes (None: every
+    row)."""
     rows = mask_rows(flags, cache.flag_array(), ansan)
     kv = cache.stacked(len(ids), weights.config)
     return forward(
-        weights, ids, rows, kv, positions=cache.next_positions(len(ids)), logit_rows=logit_rows
+        weights, ids, rows, kv, positions=cache.next_positions(len(ids)),
+        logit_rows=logit_rows, kv_rows=kv_rows,
     )
 
 
@@ -120,13 +128,29 @@ def advance(
     ids: Sequence[int],
     flags: Sequence[TokenFlags] | np.ndarray,
     ansan: bool = True,
-) -> np.ndarray:
-    """`attend`, then commit the tokens' keys/values; returns the logits
-    of the last token, the next token's distribution. The last layer runs
-    only that token's row past its keys/values (`forward`'s logit_rows)."""
-    out = attend(weights, cache, ids, flags, ansan, logit_rows=slice(-1, None))
+    reduce: bool = False,
+    logits: bool = True,
+) -> np.ndarray | None:
+    """`attend`, then commit the tokens' keys/values, then, with reduce,
+    reduce the cache (`AnchorKVCache.reduction`); one `forward` call.
+    Returns the logits of the last token, the next token's distribution,
+    or None when logits is False, and the forward computes no logits.
+    The last layer runs only the rows whose logits are read. With reduce,
+    keys/values are computed only for the rows the reduction keeps
+    (`kept_by_reduction`: the new anchors and the rows from the last new
+    anchor on, or every row without a new anchor), so a closed sequence's
+    other tokens run only as far as their anchor reads them. Entries of
+    the rows left out are committed unwritten and discarded by the
+    reduction right after."""
+    kv_rows = kept_by_reduction(flags) if reduce and len(ids) > 1 else None
+    out = attend(
+        weights, cache, ids, flags, ansan,
+        logit_rows=slice(-1, None) if logits else [], kv_rows=kv_rows,
+    )
     cache.extend_from_forward(flags)
-    return out.logits[0]
+    if reduce:
+        cache.reduction()
+    return out.logits[0] if logits else None
 
 
 # (context ids, context flags, continuations), as `score_trees` takes them
@@ -234,10 +258,10 @@ def generate(
     cache = AnchorKVCache()
 
     t0 = time.perf_counter()
-    logits = advance(weights, cache, prefix.ids, segment_flags(prefix))
+    logits = advance(
+        weights, cache, prefix.ids, segment_flags(prefix), reduce=cfg.reduction_enabled
+    )
     prefix_seconds = time.perf_counter() - t0
-    if cfg.reduction_enabled:
-        cache.reduction()
 
     generated = [_sample(logits, cfg, rng)]
     live_sizes = [len(cache)]
@@ -249,15 +273,13 @@ def generate(
         token = generated[-1]
         is_anchor = token == cfg.anchor_token_id
         flags = np.array([[is_anchor, cur_seq]])  # one (is_anchor, seq_index) row
+        # once an anchor's keys/values are cached its sequence can collapse
+        # onto it, and the next token opens a new sequence
+        reduce = cfg.reduction_enabled and is_anchor
         t0 = time.perf_counter()
-        logits = advance(weights, cache, [token], flags)
+        logits = advance(weights, cache, [token], flags, reduce=reduce)
         decode_seconds += time.perf_counter() - t0
-        if is_anchor:
-            # The anchor's keys/values are cached, so its sequence can now
-            # collapse onto it; the next token opens a new sequence.
-            if cfg.reduction_enabled:
-                cache.reduction()
-            cur_seq += 1
+        cur_seq += is_anchor
         generated.append(_sample(logits, cfg, rng))
         live_sizes.append(len(cache))
         if cfg.collect_logits:
@@ -286,8 +308,11 @@ def score_continuation(
     Continuation tokens are scored as non-anchor members of the sequence
     that follows the context (a new sequence when the context ends in an
     anchor). One forward runs over the context and every continuation
-    token but the last, whose logits no score reads; the last layer runs
-    only the rows whose logits are read, from the context's last on. An
+    token but the last, whose logits no score reads, and keeps no
+    keys/values: the last layer runs only the rows whose logits are read,
+    from the context's last on, and each layer below only the rows the
+    layer above reads, so under anchor masks an earlier sequence's
+    non-anchor tokens only feed their anchor's keys/values. An
     empty context or continuation raises ContractError, as in
     `score_trees`: a score of 0.0 would beat every real choice.
     """
@@ -307,7 +332,7 @@ def score_continuation(
     flags = np.concatenate([segment_flags(context), rest_flags])
     out = forward(
         weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan),
-        logit_rows=slice(len(context) - 1, None),
+        logit_rows=slice(len(context) - 1, None), kv_rows=[],
     )
     n = len(continuation)
     return _logprob_sums(out.logits, range(n), continuation, [n])[0]

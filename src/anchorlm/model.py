@@ -10,13 +10,19 @@ GELU, rotary, the attention core and the loss are the fused `autodiff`
 ops `rmsnorm`, `gelu`, `rotate`, `attention` and `cross_entropy`, one
 tape node each, so a block records 22 nodes per layer plus 4.
 
-A forward computes logits only for the rows it is asked for
-(`logit_rows`; all rows by default). Every layer but the last runs every
-row, because later layers read their keys and values. The last layer
-computes keys and values for every row too, since the cache and the
-layer's own attention read them, but runs its query, attention, output
-projection and feed-forward, and the final norm and head, only for the
-rows whose logits are read.
+A forward runs each layer only for the rows a later read needs. The
+caller names the rows whose logits it reads (`logit_rows`) and the rows
+whose keys/values it keeps in the cache (`kv_rows`), every row by
+default. From the mask, working down from the top layer, `_layer_rows`
+derives per layer the rows whose keys/values it computes and the rows it
+runs past them (query, attention, output projection and feed-forward):
+the last layer runs the logit rows, and each layer below runs the rows
+whose keys/values the layer above computes. A token that anchor masks
+hide from every later read, such as a non-anchor token of a sequence
+that a reduction will discard, stops at the keys/values its own
+sequence's rows read. When every row is needed nothing is gathered, so
+training, perplexity and one-token decode steps run every row as one
+block.
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ class ModelWeights:
 @dataclass
 class ForwardOutput:
     logits: np.ndarray  # (R, vocab_size): the logit rows, in the order asked for
-    # per layer (H, T, S) probabilities, kept only with collect_attn; the
-    # last layer's are (H, R, S)
+    # per layer that runs rows, (H, rows run, keys read) probabilities,
+    # kept only with collect_attn; (H, T, S) when every row runs
     attn: list[np.ndarray] = field(default_factory=list)
 
 
@@ -131,6 +137,49 @@ def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray
     return cos, sin
 
 
+def _layer_rows(
+    keep: np.ndarray,
+    n_cached: int,
+    n_layers: int,
+    logit_rows: np.ndarray | None,
+    kv_rows: np.ndarray | None,
+) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Per layer, bottom first, (kv, run): the new rows whose keys/values
+    the layer computes, as increasing indices, and the ones among them it
+    runs past their keys/values, as indices into kv (or into every row);
+    None stands for every row.
+
+    Derived once from the mask, from the top down. The last layer runs
+    the logit rows. A layer computes keys/values for the rows it runs,
+    every new key they keep, and the rows whose keys/values the caller
+    keeps (kv_rows; None: every row), as the cache holds them in every
+    layer. The layer below runs exactly the rows this one computes, whose
+    input this one reads. Every other row is never read, so never run."""
+    if logit_rows is None:  # every row in the last layer, so in every layer
+        return [(None, None)] * n_layers
+    if kv_rows is None:
+        return [(None, None)] * (n_layers - 1) + [(None, logit_rows)]
+    keep_new = keep[:, n_cached:]
+    T = len(keep_new)
+    kept = np.zeros(T, dtype=bool)
+    kept[kv_rows] = True
+    plan: list[tuple[np.ndarray | None, np.ndarray | None]] = []
+    run = logit_rows
+    while len(plan) < n_layers:
+        written = kept | keep_new[run].any(axis=0)
+        written[run] = True
+        kv = None if written.all() else np.flatnonzero(written)
+        if plan and len(run) == len(written if kv is None else kv):
+            plan.append((kv, None))  # the layer above reads every row this one writes
+        else:
+            plan.append((kv, run if kv is None else np.searchsorted(kv, run)))
+        if kv is None:
+            break
+        run = kv
+    plan += [(None, None)] * (n_layers - len(plan))
+    return plan[::-1]
+
+
 def _forward_graph(
     params: dict[str, Node],
     config: ModelConfig,
@@ -140,6 +189,7 @@ def _forward_graph(
     positions: np.ndarray,
     collect_attn: bool,
     logit_rows: np.ndarray | None = None,
+    kv_rows: np.ndarray | None = None,
 ) -> tuple[Node, ForwardOutput]:
     T = len(ids)
     n_cached = cache_kv[0][0].shape[1] - T if cache_kv else 0
@@ -162,31 +212,43 @@ def _forward_graph(
         raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
 
     H, hd = config.n_heads, config.head_dim
-    cos, sin = _rope_tables(config, positions)
+    cos_all, sin_all = _rope_tables(config, positions)
     out = ForwardOutput(logits=np.empty(0))
 
-    h = take(params["embedding"], ids)  # (T, d_model)
-    for li in range(config.n_layers):
+    plan = _layer_rows(keep, n_cached, config.n_layers, logit_rows, kv_rows)
+    h = take(params["embedding"], ids if plan[0][0] is None else ids[plan[0][0]])
+    for li, (kv, run) in enumerate(plan):
         prefix = f"layer{li}."
         p = lambda f: params[prefix + f]
+        # h holds the rows in kv, the ones this layer computes keys/values for
+        layer_keep, cos, sin = keep, cos_all, sin_all
+        if kv is not None:
+            cols = np.concatenate((np.arange(n_cached), n_cached + kv))  # keys written
+            layer_keep, cos, sin = keep[kv][:, cols], cos_all[kv], sin_all[kv]
+        m = len(cos)
         a = rmsnorm(h, p("attn_gain"), config.norm_eps)
-        k = (a @ p("wk")).reshape(T, H, hd).swapaxes(0, 1)
-        v = (a @ p("wv")).reshape(T, H, hd).swapaxes(0, 1)
+        k = (a @ p("wk")).reshape(m, H, hd).swapaxes(0, 1)
+        v = (a @ p("wv")).reshape(m, H, hd).swapaxes(0, 1)
         k = rotate(k, cos, sin)
         if cache_kv:
             k_all, v_all = cache_kv[li]
-            k_all[:, n_cached:] = data_of(k)
-            v_all[:, n_cached:] = data_of(v)
+            slots = slice(n_cached, None) if kv is None else n_cached + kv
+            k_all[:, slots] = data_of(k)
+            v_all[:, slots] = data_of(v)
+            if kv is not None:  # slots left unwritten may hold NaN or stale data
+                k_all, v_all = k_all[:, cols], v_all[:, cols]
         else:
             k_all, v_all = k, v
-        if logit_rows is not None and li == config.n_layers - 1:
-            # every row's keys/values are written; only the logit rows go on
-            h, a = take(h, logit_rows), take(a, logit_rows)
-            keep, cos, sin = keep[logit_rows], cos[logit_rows], sin[logit_rows]
-        n = len(keep)
+        if run is not None:
+            # only the rows a later read needs go on past their keys/values
+            h, a = take(h, run), take(a, run)
+            layer_keep, cos, sin = layer_keep[run], cos[run], sin[run]
+        n = len(layer_keep)
+        if not n:
+            continue  # nothing reads this layer's output: no attention, no FFN
         q = (a @ p("wq")).reshape(n, H, hd).swapaxes(0, 1)
         q = rotate(q, cos, sin)
-        ctx, probs = attention(q, k_all, v_all, keep)
+        ctx, probs = attention(q, k_all, v_all, layer_keep)
         if collect_attn:
             out.attn.append(probs)
         del probs  # (H, n, S): not held through the next layer unless collected
@@ -203,6 +265,18 @@ def _forward_graph(
     return logits, out
 
 
+def _row_indices(n: int, selection, name: str) -> np.ndarray:
+    """The rows of n that selection (indices, negative ones counting
+    from the end, or a slice) picks, in its order."""
+    try:
+        rows = np.arange(n)[selection]
+    except IndexError as exc:
+        raise ContractError(f"{name} must index the {n} rows: {exc}") from exc
+    if rows.ndim != 1:
+        raise ContractError(f"{name} must be a list of row indices or a slice")
+    return rows
+
+
 def forward(
     weights: ModelWeights,
     ids: list[int] | np.ndarray,
@@ -211,47 +285,54 @@ def forward(
     positions: np.ndarray | None = None,
     collect_attn: bool = False,
     logit_rows: Sequence[int] | np.ndarray | slice | None = None,
+    kv_rows: Sequence[int] | np.ndarray | slice | None = None,
 ) -> ForwardOutput:
     """Run the model over T tokens, optionally attending into cached
     keys/values. cache_kv holds per layer (K, V) of shape
     (n_heads, cached + T, head_dim), as `AnchorKVCache.stacked(T)` gives:
     its last T slots are scratch that this call fills with the new
     tokens' keys (rotary applied) and values, and attention reads the
-    whole view in place; a cache is inference-only, and no gradient
-    flows into it. mask_bits has shape (T, cached + T); positions
-    are absolute and are never renumbered after cache reduction. Every
-    new key a row keeps, other than the query itself, must lie at an
-    earlier position: a chain's positions increase, and the branches of
-    a tree may repeat positions where they cannot see each other. Ids
-    outside [0, vocab_size) and positions breaking that rule raise
-    ContractError.
+    cached slots and the written ones in place; a cache is
+    inference-only, and no gradient flows into it. mask_bits has shape
+    (T, cached + T); positions are absolute and are never renumbered
+    after cache reduction. Every new key a row keeps, other than the
+    query itself, must lie at an earlier position: a chain's positions
+    increase, and the branches of a tree may repeat positions where they
+    cannot see each other. Ids outside [0, vocab_size) and positions
+    breaking that rule raise ContractError.
 
     logit_rows (row indices, negative ones counting from the end, or a
     slice; None means every row) picks the rows whose logits are
-    returned, in the order given. Every layer but the last runs all T
-    rows; the last one computes and writes keys/values for all T rows
-    and runs the rest of the layer, the final norm and the head for the
-    logit rows only. Their logits agree with the same rows of a forward
-    over every row to rounding (a smaller matmul may take another BLAS
-    kernel), and the cache writes are bitwise the same. Every row in
-    order is the forward over every row. An empty or out-of-range
-    selection raises ContractError.
+    returned, in the order given; kv_rows (the same forms; None means
+    every row) the rows whose keys/values the caller keeps, which every
+    layer writes into the scratch slots. Each layer runs only the rows a
+    later read needs (`_layer_rows`): the last layer runs its query,
+    attention, output projection and feed-forward, and the final norm
+    and head, for the logit rows only, and each layer below for the rows
+    whose keys/values the layer above computes. Attention reads only the
+    slots a layer wrote; the others may hold anything. When every row is
+    needed, as with both None, nothing is gathered. The logits, and the
+    kept rows' keys/values, agree with a forward over every row to
+    rounding (a smaller matmul may take another BLAS kernel). logit_rows
+    may be empty only when kept keys/values go into a cache, since a
+    forward must leave something to read; an out-of-range selection
+    raises ContractError.
 
-    Each layer's (n_heads, T, cached + T) attention probabilities are
-    returned in `attn` only with collect_attn, the last layer's for the
-    logit rows only, (n_heads, R, cached + T); otherwise they are
-    released before the next layer runs, so one layer's are alive at a
-    time."""
+    Each layer's (n_heads, rows run, keys read) attention probabilities
+    are returned in `attn` only with collect_attn, one array per layer
+    that runs a row; otherwise they are released before the next layer
+    runs, so one layer's are alive at a time."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")
+    if kv_rows is not None:
+        kv_rows = _row_indices(ids.size, kv_rows, "kv_rows")
     if logit_rows is not None:
-        try:
-            logit_rows = np.arange(ids.size)[logit_rows]
-        except IndexError as exc:
-            raise ContractError(f"logit_rows must index the {ids.size} rows: {exc}") from exc
-        if logit_rows.ndim != 1 or logit_rows.size == 0:
-            raise ContractError("logit_rows must select at least one row")
+        logit_rows = _row_indices(ids.size, logit_rows, "logit_rows")
+        if logit_rows.size == 0 and not (cache_kv and (kv_rows is None or kv_rows.size)):
+            raise ContractError(
+                "logit_rows must select at least one row unless kept keys/values go into a cache"
+            )
         if logit_rows.size == ids.size and logit_rows.tolist() == list(range(ids.size)):
             logit_rows = None  # every row, in order: nothing to gather
     mask_bits = np.atleast_2d(np.asarray(mask_bits))
@@ -263,7 +344,7 @@ def forward(
         positions = np.asarray(positions, dtype=np.int64)
     _, out = _forward_graph(
         weights.arrays, weights.config, ids, mask_bits, cache_kv, positions, collect_attn,
-        logit_rows,
+        logit_rows, kv_rows,
     )
     return out
 

@@ -69,21 +69,22 @@ def tiny_weights():
 
 
 @pytest.fixture
-def last_layer_queries(monkeypatch):
-    """Spy on the model's attention; calling the fixture's value with a
-    layer count gives the query rows each forward's last layer ran, in
-    call order."""
-    queries = []
-    attention = model.attention
+def layer_queries(monkeypatch):
+    """Spy on the model; calling the fixture's value gives per forward, in
+    call order, the query rows each layer ran, bottom first, with 0 for a
+    layer that ran no attention."""
+    forwards: list[list[int]] = []
+    graph, attention = model._forward_graph, model.attention
 
-    def spy(q, k, v, keep):
-        queries.append(q.shape[-2])
+    def graph_spy(params, config, *args, **kwargs):
+        forwards.append([0] * config.n_layers)
+        return graph(params, config, *args, **kwargs)
+
+    def attention_spy(q, k, v, keep):
+        rows = forwards[-1]
+        rows[rows.index(0)] = q.shape[-2]  # the layers that run rows are the lowest
         return attention(q, k, v, keep)
 
-    monkeypatch.setattr(model, "attention", spy)
-
-    def last(n_layers):
-        assert len(queries) % n_layers == 0
-        return queries[n_layers - 1 :: n_layers]
-
-    return last
+    monkeypatch.setattr(model, "_forward_graph", graph_spy)
+    monkeypatch.setattr(model, "attention", attention_spy)
+    return lambda: forwards

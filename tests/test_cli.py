@@ -386,6 +386,17 @@ def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
     assert "batch_size" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("steps = 1\nseed 3\n", "bad config line"), ("steps = 1\nsteep = 3\n", "steep"),
+], ids=["no-equals", "unknown-key"])
+def test_malformed_train_config_is_config_error(workspace, tmp_path, capsys, content, message):
+    config = tmp_path / "train.cfg"
+    config.write_text(content, encoding="utf-8")
+    assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_negative_train_config_seed_is_config_error(workspace, tmp_path, capsys):
     config = tmp_path / "train.cfg"
     config.write_text("steps = 1\nseed = -1\n", encoding="utf-8")
@@ -530,6 +541,18 @@ def test_truncated_checkpoint_is_input_error(workspace, tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "payload" in err and "Traceback" not in err
+
+
+def test_non_checkpoint_file_is_input_error(workspace, tmp_path, capsys):
+    not_ckpt = tmp_path / "ckpt.bin"
+    not_ckpt.write_text("the amber lamp\n", encoding="utf-8")
+    code = main([
+        "generate", "--ckpt", str(not_ckpt), "--vocab", str(workspace / "data" / "vocab.txt"),
+        "--prompt", "the amber lamp", "--policy", "ac", "--out", str(tmp_path / "g"),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not a checkpoint" in err and "Traceback" not in err
 
 
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):

@@ -82,6 +82,15 @@ def test_vocab_file_round_trip(tmp_path):
     assert loaded.id_to_token[:5] == ("<pad>", "<bos>", "<eos>", "<unk>", ANCHOR_TOKEN)
 
 
+@pytest.mark.parametrize("content", ["", "the\ncat\n", "<pad>\n<bos>\n<unk>\n<eos>\n"],
+                         ids=["empty", "no-header", "header-out-of-order"])
+def test_vocab_without_special_header_is_input_error(tmp_path, content):
+    path = tmp_path / "vocab.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(InputError, match="special-token header"):
+        Vocab.load(path)
+
+
 def test_vocab_inverse_mapping(tmp_path):
     vocab = make_vocab(tmp_path, "the cat sat on the mat .", AC)
     for i, tok in enumerate(vocab.id_to_token):

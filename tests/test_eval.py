@@ -395,16 +395,23 @@ def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
 
 @pytest.mark.parametrize("use_ansan", [True, False], ids=["ansan", "causal"])
 def test_last_layer_runs_only_the_rows_scoring_reads(ac_vocab, ac_model, use_ansan,
-                                                    last_layer_queries):
+                                                    layer_queries):
     # a demonstration chunk's logits are never read, so its last layer runs
-    # one row (`advance` keeps the next-token row); each packed group runs
-    # its trees' trunk-last and branch rows
+    # no row. Under anchor masks the reduction after it keeps only its
+    # anchor, so the layer below runs that one row, and computes keys/values
+    # for the chunk the anchor reads; under causal masks every demonstration
+    # row is kept. Each packed group runs every new row below its last
+    # layer, where its trees' trunk-last and branch rows run
     items, _ = make_task(4, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
     evaluate._score_cached(ac_model, demo, prepared, use_ansan)
     chunks = int(segment_flags(demo)[:, 0].sum()) if use_ansan else 1
+    demo_rows = [1, 0] if use_ansan else [len(demo), 0]
+    tokens = sum(len(p.prompt) - len(demo) + sum(len(c) - 1 for c in p.choice_ids)
+                 for p in prepared)
     read = sum(1 + sum(len(c) - 1 for c in p.choice_ids) for p in prepared)
-    assert last_layer_queries(ac_model.config.n_layers) == [1] * chunks + [read]
+    assert ac_model.config.n_layers == 2
+    assert layer_queries() == [demo_rows] * chunks + [[tokens, read]]
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):

@@ -266,15 +266,14 @@ def test_empty_tree_continuation_rejected(tiny_weights):
         score_trees(tiny_weights, AnchorKVCache(), [tree])
 
 
-def test_generate_runs_one_last_layer_row_per_forward(tiny_weights, last_layer_queries):
+def test_generate_runs_one_last_layer_row_per_forward(tiny_weights, layer_queries):
     # only the next-token logits are read, the prefix's included
     generate(tiny_weights, anchored_prefix(), gen_cfg(max_new_tokens=3))
-    assert last_layer_queries(tiny_weights.config.n_layers) == [1, 1, 1]
+    assert [rows[-1] for rows in layer_queries()] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("use_ansan", [True, False])
-def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, last_layer_queries,
-                                                     use_ansan):
+def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, layer_queries, use_ansan):
     prefix = anchored_prefix()
     score_continuation(tiny_weights, prefix, [1, 2, 3], use_ansan)
     # per tree its trunk's last row, then every continuation token but the last
@@ -283,7 +282,7 @@ def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, last_layer_qu
         (prefix.ids[3:], segment_flags(prefix)[3:], [[8, 9]]),
     ]
     score_trees(tiny_weights, AnchorKVCache(), trees, use_ansan)
-    assert last_layer_queries(tiny_weights.config.n_layers) == [3, 1 + 3 + 1 + 1]
+    assert [rows[-1] for rows in layer_queries()] == [3, 1 + 3 + 1 + 1]
 
 
 def test_continuation_rows_causal_and_ansan():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anchorlm import model
 from anchorlm.autodiff import Tensor
-from anchorlm.cache import AnchorKVCache
+from anchorlm.cache import AnchorKVCache, kept_by_reduction
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.infer import advance, attend
@@ -404,6 +404,28 @@ def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
         load_checkpoint(path)
 
 
+def _rename_tensor(blob):
+    # the payload still fits the header, but final_gain is not declared
+    return blob.replace(b"tensor final_gain 16", b"tensor final_gainx 16")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("directory", "cannot read checkpoint"), ("missing", "cannot read checkpoint"),
+    ("text", "not a checkpoint"), ("missing-tensor", "missing tensor final_gain"),
+])
+def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, message):
+    path = tmp_path / "ckpt.bin"
+    if case == "directory":
+        path.mkdir()
+    elif case == "text":
+        path.write_text("steps = 1\nend\n", encoding="utf-8")
+    elif case == "missing-tensor":
+        save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
+        path.write_bytes(_rename_tensor(path.read_bytes()))
+    with pytest.raises(InputError, match=message):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("n_cached", [None, 0, 5])
 def test_array_forward_matches_taped_path_bitwise(tiny_weights, n_cached):
     # forward runs _forward_graph over plain arrays; training runs the same
@@ -511,6 +533,108 @@ def test_logit_rows_match_the_same_rows_of_a_full_forward(
     last = full.attn[-1][:, picked]
     assert part.attn[-1].shape == last.shape == (tiny_weights.config.n_heads, len(want), n + T)
     assert np.all(np.abs(part.attn[-1] - last) <= SCORE_RTOL)
+
+
+def chunk_flags(rng, layout, n_cached, T):
+    """(is_anchor, seq_index) rows of n_cached random tokens, then of T new
+    ones whose anchors are laid out as named: none, only the last, or at
+    random places (mid-chunk ones among them)."""
+    cached = rng.random(n_cached) < 0.3
+    new = {
+        "no-anchor": np.zeros(T, dtype=bool),
+        "anchor-last": np.arange(T) == T - 1,
+        "anchors-mid": (rng.random(T) < 0.4) | (np.arange(T) == rng.integers(T)),
+    }[layout]
+    is_anchor = np.r_[cached, new]
+    seq = np.r_[0, np.cumsum(is_anchor[:-1])]
+    return np.column_stack((is_anchor, seq)).astype(np.int64)
+
+
+def all_close(a, b):
+    return a.shape == b.shape and np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["no-anchor", "anchor-last", "anchors-mid"]),
+    st.sampled_from([None, 0, 1, 7]), st.integers(1, 12), st.booleans(),
+    st.integers(0, 2**32 - 1), st.data(),
+)
+def test_kept_rows_match_the_same_rows_of_a_full_forward(
+    tiny_weights, layout, n_cached, T, ansan, seed, data
+):
+    # a forward that keeps only some rows' keys/values, and reads only some
+    # rows' logits, skips every other row wherever no later read needs it;
+    # what it returns and keeps is what the forward over every row gives
+    config = tiny_weights.config
+    rng = np.random.default_rng(seed)
+    n = n_cached or 0
+    flags = chunk_flags(rng, layout, n, T)
+    ids = rng.integers(0, config.vocab_size, n + T)
+    rows = mask_rows(flags[n:], flags[:n], ansan)
+    reduced = kept_by_reduction(flags[n:])
+    kept = data.draw(st.one_of(
+        st.just(list(range(T)) if reduced is None else reduced.tolist()),
+        st.lists(st.integers(0, T - 1), unique=True, max_size=T),
+    ))
+    picked = data.draw(st.lists(
+        st.integers(-T, T - 1), min_size=0 if n_cached is not None and kept else 1,
+        max_size=T, unique=True,
+    ))
+
+    def prefilled():
+        cache = AnchorKVCache()
+        if n:
+            advance(tiny_weights, cache, ids[:n], flags[:n], ansan)
+        return cache
+
+    cache = prefilled() if n_cached is not None else None
+
+    def run(**kwargs):
+        kv = None if cache is None else cache.stacked(T, config)
+        for layer in kv or ():
+            for a in layer:
+                a[:, n:] = np.nan  # a slot a forward does not write stays NaN
+        out = forward(tiny_weights, ids[n:], rows, kv, np.arange(n, n + T), True, **kwargs)
+        return out, [a[:, n:].copy() for layer in kv or () for a in layer]
+
+    full, full_kv = run()
+    part, part_kv = run(logit_rows=picked, kv_rows=kept)
+    assert all_close(part.logits, full.logits[picked])
+    assert all(all_close(a[:, kept], b[:, kept]) for a, b in zip(part_kv, full_kv))
+    if not ansan and T - 1 in np.arange(T)[picked]:
+        # under causal masks the last row keeps every key: every row runs
+        # below the last layer, and every layer writes every row's keys/values
+        assert [a.shape[1] for a in part.attn[:-1]] == [T] * (config.n_layers - 1)
+        assert all(np.isfinite(a).all() for a in part_kv)
+
+    # advance with reduce computes only the rows the reduction keeps, and
+    # leaves the cache a separate reduction leaves
+    one, two = prefilled(), prefilled()
+    for layer in one.stacked(T, config):
+        for a in layer:
+            a[:, n:] = np.nan  # a slot left unwritten must not stay live
+    read = data.draw(st.booleans())
+    got = advance(tiny_weights, one, ids[n:], flags[n:], ansan, reduce=True, logits=read)
+    want = advance(tiny_weights, two, ids[n:], flags[n:], ansan)
+    two.reduction()
+    assert all_close(got, want) if read else got is None
+    assert one.live_positions() == two.live_positions()
+    assert np.array_equal(one.flag_array(), two.flag_array())
+    assert one.stats == two.stats
+    assert all(
+        all_close(a, b) for x, y in zip(one.stacked(), two.stacked()) for a, b in zip(x, y)
+    )
+
+
+def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer_queries):
+    # under causal masks the next-token row keeps every key, so every row
+    # runs in every layer below the last; under anchor masks it keeps the
+    # anchors and its own sequence, which is all the layer below runs
+    flags = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 2]])
+    for ansan in (False, True):
+        advance(tiny_weights, AnchorKVCache(), [1, 2, 3, 4, 5], flags, ansan, reduce=True)
+    assert layer_queries() == [[5, 1], [3, 1]]
 
 
 @pytest.mark.parametrize("bad", [[], [3], [-4], slice(3, None), [0.5], 1, [[0]]],

@@ -180,6 +180,16 @@ def test_out_of_range_config_is_config_error(tmp_path, name, value):
         TrainConfig.from_file(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    ("steps = 1\nseed 3\n", "bad config line"), ("steps = 1\nsteep = 3\n", "unknown"),
+], ids=["no-equals", "unknown-key"])
+def test_malformed_config_file_is_config_error(tmp_path, content, message):
+    path = tmp_path / "train.cfg"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig.from_file(path)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = TrainConfig(steps=7, learning_rate=2e-5, mask_mode="causal", seed=3)
     path = tmp_path / "train.cfg"

@@ -17,12 +17,15 @@ one starts. So a decode step is everything between two forwards:
 sampling, any reduction, the mask row and the forward itself. For each
 prompt length and arm the file records the median ms/token over the
 decode steps of each of RUNS runs (the arms take turns), their median,
-TTFT (the prompt's forward plus the first sample), the mean and peak
-live cache size over the decode steps (the sizes the tokens were
-sampled at), the cache's lifetime peak, and the tracemalloc peak of one
-more run (the prompt's dense forward sets it). BLAS is pinned to one
-thread before numpy is imported. Takes about a minute on 2 vCPU; it is
-not part of the test suite.
+TTFT (the prompt's `advance`, with its reduction in the reduced arm,
+plus the first sample), the mean and peak live cache size over the
+decode steps (the sizes the tokens were sampled at), the cache's
+lifetime peak, and the tracemalloc peak of one more run. In the full
+arm the prompt's dense forward sets that peak; the reduced arm's prompt
+forward keeps only the rows the reduction keeps, so every layer but the
+first runs only the anchors and the open sequence, and its peak is
+lower. BLAS is pinned to one thread before numpy is imported. Takes
+about a minute on 2 vCPU; it is not part of the test suite.
 """
 
 from __future__ import annotations
