@@ -108,12 +108,13 @@ def attend(
     kv_rows: Sequence[int] | np.ndarray | slice | None = None,
 ) -> ForwardOutput:
     """Run new tokens against the live cache and each other under the
-    anchor rule (causal when ansan is False). Their keys/values land in
-    the cache's free slots, so the live entries and len(cache) are not
-    changed. Positions continue from the newest entry, which reduction
-    never drops. logit_rows picks the rows whose logits `forward`
-    computes, kv_rows the rows whose keys/values it writes (None: every
-    row)."""
+    anchor rule (causal when ansan is False), which `forward` gets as a
+    `MaskRule` over the cache's live flags and reads only for the rows
+    it runs. Their keys/values land in the cache's free slots, so the
+    live entries and len(cache) are not changed. Positions continue from
+    the newest entry, which reduction never drops. logit_rows picks the
+    rows whose logits `forward` computes, kv_rows the rows whose
+    keys/values it writes (None: every row)."""
     rows = mask_rows(flags, cache.flag_array(), ansan)
     kv = cache.stacked(len(ids), weights.config)
     return forward(
@@ -169,7 +170,9 @@ def score_trees(
     positions. Each continuation but its last token is a branch: non-anchor
     members of the sequence after the trunk (as in `score_continuation`)
     that continue the trunk's positions and see the cache, the trunk and
-    their own branch under the one mask rule. No token sees another tree
+    their own branch under the one mask rule: every row of a forest runs
+    below the last layer, so the rule's whole block is read once and the
+    tree and branch restriction applied to it. No token sees another tree
     or another branch. Keys/values stay in the cache's scratch slots, so
     the cache is not changed. Only the rows whose logits are read, each
     trunk's last and the branches, run the last layer past its
@@ -214,7 +217,7 @@ def score_trees(
             targets += c
             ends.append(len(targets))
     tree, branch = np.array(tree_of), np.array(branch_of)
-    rows = mask_rows(np.array(flags, dtype=np.int64), cache.flag_array(), ansan)
+    rows = mask_rows(np.array(flags, dtype=np.int64), cache.flag_array(), ansan)[:]
     rows[:, len(cache) :] &= (tree[:, None] == tree) & (
         (branch[:, None] == branch) | (branch == -1)
     )
@@ -312,7 +315,8 @@ def score_continuation(
     keys/values: the last layer runs only the rows whose logits are read,
     from the context's last on, and each layer below only the rows the
     layer above reads, so under anchor masks an earlier sequence's
-    non-anchor tokens only feed their anchor's keys/values. An
+    non-anchor tokens only feed their anchor's keys/values. The mask
+    goes in as the rule, so only those rows' mask rows are built. An
     empty context or continuation raises ContractError, as in
     `score_trees`: a score of 0.0 would beat every real choice.
     """

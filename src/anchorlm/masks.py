@@ -10,10 +10,12 @@ sequence k and key j (j <= i):
     (an anchor aggregates its own sequence only);
   * allowed otherwise.
 
-Masks are dense 0/1 matrices; at this scale exact testability beats
-sparse storage. One vectorized rule, `mask_rows`, builds every mask:
-full L x L matrices for training and rows over the live cache entries
-for cached decoding and scoring.
+One vectorized rule, `mask_rows`, gives every mask. It is read by rows,
+as FlexAttention's `mask_mod` (Dong et al., 2024) is evaluated only
+where attention is computed: `mask_rows(...)[rows]` builds the bool rows
+of those queries from the flags alone, so a forward that runs a few
+query rows over many keys never builds the rest. `np.asarray` of it, as
+`anchor_mask` gives for training, is the dense 0/1 matrix.
 """
 
 from __future__ import annotations
@@ -54,32 +56,49 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=np.uint8))
 
 
+class MaskRule:
+    """Mask rows for T new tokens over K earlier keys followed by the new
+    tokens themselves, shape (T, K + T), built only when read.
+
+    `rule[rows]` gives the bool rows of any query indices (an int, an
+    index array or a slice), as indexing the dense matrix would; and
+    `np.asarray(rule)` gives that 0/1 matrix. The earlier keys precede
+    every new token, so only the anchor rule (module docstring) can block
+    them and their columns need no causal compare; the new-token block is
+    also causal. With ansan False the rows are plain causal. The flags
+    are held as given, not copied: a rule over a cache's live flags reads
+    them until the cache next changes."""
+
+    def __init__(self, new: np.ndarray, keys: np.ndarray, ansan: bool) -> None:
+        self.new, self.keys, self.ansan = new, keys, ansan
+        self.shape = (len(new), len(keys) + len(new))
+
+    def __getitem__(self, rows) -> np.ndarray:
+        q, i = self.new[rows], np.arange(len(self.new))
+        causal = i <= i[rows][..., None]
+        if not self.ansan:
+            cached = np.ones(q.shape[:-1] + (len(self.keys),), dtype=bool)
+            return np.concatenate((cached, causal), axis=-1)
+        # visible: a key not in an earlier sequence, or an anchor key seen
+        # by a non-anchor query
+        seq, plain = q[..., 1, None], q[..., 0, None] == 0
+        visible = lambda keys: (keys[:, 1] >= seq) | np.logical_and(keys[:, 0], plain)
+        return np.concatenate((visible(self.keys), causal & visible(self.new)), axis=-1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:].astype(np.uint8 if dtype is None else dtype)
+
+
 def mask_rows(
     new_flags: Sequence[TokenFlags] | np.ndarray,
     key_flags: Sequence[TokenFlags] | np.ndarray = (),
     ansan: bool = True,
-) -> np.ndarray:
-    """Mask rows for T new tokens over K earlier keys followed by the new
-    tokens themselves, shape (T, K + T).
-
-    Flags are (is_anchor, seq_index) rows in position order. The earlier
-    keys precede every new token, so only the anchor rule (module
-    docstring) can block them; the new-token block is also causal.
-    With ansan False the rows are plain causal.
-    """
-    new = _flag_rows(new_flags)
-    keys = np.concatenate([_flag_rows(key_flags), new])
-    n_new, n_keys = len(new), len(keys)
-    allowed = np.arange(n_keys) <= np.arange(n_keys - n_new, n_keys)[:, None]
-    if ansan:
-        # visible: a key not in an earlier sequence, or an anchor key
-        # seen by a non-anchor query
-        same_or_later_seq = keys[:, 1] >= new[:, 1, None]
-        anchor_for_plain_query = (keys[:, 0] != 0) & (new[:, 0, None] == 0)
-        allowed &= same_or_later_seq | anchor_for_plain_query
-    return allowed.astype(np.uint8)
+) -> MaskRule:
+    """The mask rule for new tokens with these flags over earlier keys
+    with these, as (is_anchor, seq_index) rows in position order."""
+    return MaskRule(_flag_rows(new_flags), _flag_rows(key_flags), ansan)
 
 
 def anchor_mask(seg: SegmentedText) -> np.ndarray:
-    """Anchor-based mask over one segmented block (see module docstring)."""
-    return mask_rows(segment_flags(seg))
+    """Anchor-based 0/1 mask over one segmented block (see module docstring)."""
+    return np.asarray(mask_rows(segment_flags(seg)))

@@ -20,9 +20,13 @@ the last layer runs the logit rows, and each layer below runs the rows
 whose keys/values the layer above computes. A token that anchor masks
 hide from every later read, such as a non-anchor token of a sequence
 that a reduction will discard, stops at the keys/values its own
-sequence's rows read. When every row is needed nothing is gathered, so
-training, perplexity and one-token decode steps run every row as one
-block.
+sequence's rows read. The mask is read the same way: a forward builds
+the mask rows of the rows each layer runs and no others (`_layer_rows`),
+so given the anchor rule (`masks.mask_rows`) rather than a dense matrix,
+a forward that runs a few query rows over many keys never builds the
+rest. When every row is needed nothing is gathered, so training,
+perplexity and one-token decode steps run every row as one block, read
+once.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 from .autodiff import Tensor, attention, cross_entropy, data_of, gelu, rmsnorm, rotate, take
 from .corpus import SegmentedText
 from .errors import ContractError, InputError, NumericError
+from .masks import MaskRule
 
 Node = Tensor | np.ndarray  # what the forward helpers compute on
 
@@ -138,45 +143,44 @@ def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray
 
 
 def _layer_rows(
-    keep: np.ndarray,
+    mask: MaskRule | np.ndarray,
     n_cached: int,
     n_layers: int,
     logit_rows: np.ndarray | None,
     kv_rows: np.ndarray | None,
-) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Per layer, bottom first, (kv, run): the new rows whose keys/values
-    the layer computes, as increasing indices, and the ones among them it
-    runs past their keys/values, as indices into kv (or into every row);
-    None stands for every row.
+) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]]:
+    """Per layer, bottom first, (kv, run, keep): the new rows whose
+    keys/values the layer computes, as increasing indices, and the ones
+    among them it runs past their keys/values, as indices into kv (or
+    into every row), None standing for every row; and keep, the bool
+    mask rows of the rows it runs, over every key column.
 
-    Derived once from the mask, from the top down. The last layer runs
-    the logit rows. A layer computes keys/values for the rows it runs,
-    every new key they keep, and the rows whose keys/values the caller
-    keeps (kv_rows; None: every row), as the cache holds them in every
-    layer. The layer below runs exactly the rows this one computes, whose
-    input this one reads. Every other row is never read, so never run."""
-    if logit_rows is None:  # every row in the last layer, so in every layer
-        return [(None, None)] * n_layers
-    if kv_rows is None:
-        return [(None, None)] * (n_layers - 1) + [(None, logit_rows)]
-    keep_new = keep[:, n_cached:]
-    T = len(keep_new)
-    kept = np.zeros(T, dtype=bool)
-    kept[kv_rows] = True
-    plan: list[tuple[np.ndarray | None, np.ndarray | None]] = []
+    Derived once, from the top down, reading only the mask rows of the
+    rows each layer runs. The last layer runs the logit rows. A layer
+    computes keys/values for the rows it runs, every new key they keep,
+    and the rows whose keys/values the caller keeps (kv_rows; None: every
+    row), as the cache holds them in every layer. The layer below runs
+    exactly the rows this one computes, whose input this one reads. Every
+    other row is never read, so never run, and its mask row never built.
+    Below a layer that computes every row's keys/values, every layer runs
+    every row, and they share the whole block, read once."""
+    plan: list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]] = []
     run = logit_rows
-    while len(plan) < n_layers:
-        written = kept | keep_new[run].any(axis=0)
+    if run is not None:
+        kept = np.zeros(mask.shape[0], dtype=bool)
+        kept[slice(None) if kv_rows is None else kv_rows] = True
+    while run is not None and len(plan) < n_layers:
+        keep = np.asarray(mask[run], dtype=bool)  # a 0/1 array's rows too
+        written = kept | keep[:, n_cached:].any(axis=0)
         written[run] = True
         kv = None if written.all() else np.flatnonzero(written)
         if plan and len(run) == len(written if kv is None else kv):
-            plan.append((kv, None))  # the layer above reads every row this one writes
+            plan.append((kv, None, keep))  # the layer above reads every row this one writes
         else:
-            plan.append((kv, run if kv is None else np.searchsorted(kv, run)))
-        if kv is None:
-            break
+            plan.append((kv, run if kv is None else np.searchsorted(kv, run), keep))
         run = kv
-    plan += [(None, None)] * (n_layers - len(plan))
+    if len(plan) < n_layers:
+        plan += [(None, None, np.asarray(mask[:], dtype=bool))] * (n_layers - len(plan))
     return plan[::-1]
 
 
@@ -184,28 +188,35 @@ def _forward_graph(
     params: dict[str, Node],
     config: ModelConfig,
     ids: np.ndarray,
-    mask_bits: np.ndarray,
+    mask: MaskRule | np.ndarray,
     cache_kv: list[tuple[np.ndarray, np.ndarray]] | None,
     positions: np.ndarray,
     collect_attn: bool,
     logit_rows: np.ndarray | None = None,
     kv_rows: np.ndarray | None = None,
 ) -> tuple[Node, ForwardOutput]:
+    """The forward source; the mask is read only as `mask[rows]`, bool
+    rows, and `mask.shape`, so a `MaskRule` builds only the rows read."""
     T = len(ids)
     n_cached = cache_kv[0][0].shape[1] - T if cache_kv else 0
-    if n_cached < 0 or mask_bits.shape != (T, n_cached + T) or positions.shape != (T,):
+    if n_cached < 0 or mask.shape != (T, n_cached + T) or positions.shape != (T,):
         raise ContractError(
-            f"mask shape {mask_bits.shape} and {positions.shape} positions do not match "
+            f"mask shape {mask.shape} and {positions.shape} positions do not match "
             f"(tokens={T}, cached={n_cached})"
         )
-    keep = mask_bits.astype(bool)
+    plan = _layer_rows(mask, n_cached, config.n_layers, logit_rows, kv_rows)
     # every new key a row keeps, other than the query itself, comes before
     # it: a chain's positions increase, and a tree's branches may repeat
-    # positions, which they cannot see across. One token's only new key is
-    # itself, which the rule exempts, so a decode step skips the T x T check
+    # positions, which they cannot see across. Checked for the rows read,
+    # the bottom layer's, a superset of every layer's; one token's only
+    # new key is itself, which the rule exempts, so a decode step skips it
     if T > 1:
-        later = positions >= positions[:, None]
-        np.fill_diagonal(later, False)
+        kv, run, keep = plan[0]
+        read = np.arange(T)
+        read = read if kv is None else read[kv]
+        read = read if run is None else read[run]
+        later = positions >= positions[read, None]
+        later[np.arange(len(read)), read] = False
         if np.any(later & keep[:, n_cached:]):
             raise ContractError("a row keeps a new key at or after its own position")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
@@ -215,16 +226,15 @@ def _forward_graph(
     cos_all, sin_all = _rope_tables(config, positions)
     out = ForwardOutput(logits=np.empty(0))
 
-    plan = _layer_rows(keep, n_cached, config.n_layers, logit_rows, kv_rows)
     h = take(params["embedding"], ids if plan[0][0] is None else ids[plan[0][0]])
-    for li, (kv, run) in enumerate(plan):
+    for li, (kv, run, keep) in enumerate(plan):
         prefix = f"layer{li}."
         p = lambda f: params[prefix + f]
         # h holds the rows in kv, the ones this layer computes keys/values for
-        layer_keep, cos, sin = keep, cos_all, sin_all
+        cos, sin = cos_all, sin_all
         if kv is not None:
             cols = np.concatenate((np.arange(n_cached), n_cached + kv))  # keys written
-            layer_keep, cos, sin = keep[kv][:, cols], cos_all[kv], sin_all[kv]
+            keep, cos, sin = keep[:, cols], cos_all[kv], sin_all[kv]
         m = len(cos)
         a = rmsnorm(h, p("attn_gain"), config.norm_eps)
         k = (a @ p("wk")).reshape(m, H, hd).swapaxes(0, 1)
@@ -242,13 +252,13 @@ def _forward_graph(
         if run is not None:
             # only the rows a later read needs go on past their keys/values
             h, a = take(h, run), take(a, run)
-            layer_keep, cos, sin = layer_keep[run], cos[run], sin[run]
-        n = len(layer_keep)
+            cos, sin = cos[run], sin[run]
+        n = len(keep)
         if not n:
             continue  # nothing reads this layer's output: no attention, no FFN
         q = (a @ p("wq")).reshape(n, H, hd).swapaxes(0, 1)
         q = rotate(q, cos, sin)
-        ctx, probs = attention(q, k_all, v_all, layer_keep)
+        ctx, probs = attention(q, k_all, v_all, keep)
         if collect_attn:
             out.attn.append(probs)
         del probs  # (H, n, S): not held through the next layer unless collected
@@ -293,13 +303,16 @@ def forward(
     its last T slots are scratch that this call fills with the new
     tokens' keys (rotary applied) and values, and attention reads the
     cached slots and the written ones in place; a cache is
-    inference-only, and no gradient flows into it. mask_bits has shape
-    (T, cached + T); positions are absolute and are never renumbered
+    inference-only, and no gradient flows into it. mask_bits, of shape
+    (T, cached + T), is a 0/1 matrix or a `masks.MaskRule`, which builds
+    only the rows the layers read: each layer reads the mask rows of the
+    rows it runs, and the position rule below is checked for those rows.
+    Positions are absolute and are never renumbered
     after cache reduction. Every new key a row keeps, other than the
     query itself, must lie at an earlier position: a chain's positions
     increase, and the branches of a tree may repeat positions where they
     cannot see each other. Ids outside [0, vocab_size) and positions
-    breaking that rule raise ContractError.
+    breaking that rule in a row read raise ContractError.
 
     logit_rows (row indices, negative ones counting from the end, or a
     slice; None means every row) picks the rows whose logits are
@@ -335,7 +348,8 @@ def forward(
             )
         if logit_rows.size == ids.size and logit_rows.tolist() == list(range(ids.size)):
             logit_rows = None  # every row, in order: nothing to gather
-    mask_bits = np.atleast_2d(np.asarray(mask_bits))
+    if not isinstance(mask_bits, MaskRule):
+        mask_bits = np.atleast_2d(np.asarray(mask_bits))
     if positions is None:
         if cache_kv:
             raise ContractError("positions are required when a cache is supplied")

@@ -205,9 +205,13 @@ def _generate(ws, *flags):
             "--vocab", str(ws / "data" / "vocab.txt"), "--policy", "ac", *flags]
 
 
+def _eval_without_ckpt(ws, task, *flags):
+    return ["eval", "--task", task, "--vocab", str(ws / "data" / "vocab.txt"),
+            "--policy", "ac", *flags]
+
+
 def _eval(ws, task, *flags):
-    return ["eval", "--task", task, "--ckpt", str(ws / "train" / "ckpt.bin"),
-            "--vocab", str(ws / "data" / "vocab.txt"), "--policy", "ac", *flags]
+    return _eval_without_ckpt(ws, task, "--ckpt", str(ws / "train" / "ckpt.bin"), *flags)
 
 
 def _prepare(ws, *flags):
@@ -231,6 +235,19 @@ BAD_FLAGS = {
     "eval-context-len-1": (lambda ws: _eval(
         ws, "ppl", "--text", str(ws / "synth" / "corpus.txt"), "--eval-context-len", "1"),
         "--eval-context-len"),
+    "mc-without-ckpt": (lambda ws: _eval_without_ckpt(
+        ws, "mc", "--items", str(ws / "synth" / "task.jsonl")), "--ckpt"),
+    "ppl-without-ckpt": (lambda ws: _eval_without_ckpt(
+        ws, "ppl", "--text", str(ws / "synth" / "corpus.txt")), "--ckpt"),
+    "ppl-without-text": (lambda ws: _eval(ws, "ppl"), "--text"),
+    "mc-without-items": (lambda ws: _eval(ws, "mc"), "--items"),
+    "ablation-without-arm": (lambda ws: _eval_without_ckpt(
+        ws, "ablation", "--items", str(ws / "synth" / "task.jsonl")), "--arm"),
+    "ablation-without-items": (lambda ws: _eval_without_ckpt(
+        ws, "ablation", "--arm", f"ac@{ws / 'train' / 'ckpt.bin'}"), "--items"),
+    "arm-without-at": (lambda ws: _eval_without_ckpt(
+        ws, "ablation", "--items", str(ws / "synth" / "task.jsonl"), "--arm", "ac"), "--arm"),
+    "shots-over-demo-pool": (lambda ws: _eval_mc(ws, "--shots", "1000"), "--shots"),
     "eval-context-len-over-checkpoint": (lambda ws: _eval(
         ws, "ppl", "--text", str(ws / "synth" / "corpus.txt"), "--eval-context-len", "49"),
         "--eval-context-len"),
@@ -436,6 +453,16 @@ def test_malformed_block_record_is_input_error(workspace, tmp_path, capsys, reco
     assert train_on(data, tmp_path) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "blocks.jsonl:1" in err and "Traceback" not in err
+
+
+def test_unreadable_block_file_is_input_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "blocks.jsonl").unlink()
+    (data / "blocks.jsonl").mkdir()  # a directory where the file should be
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "blocks.jsonl" in err and "Traceback" not in err
 
 
 def test_block_id_beyond_vocab_is_input_error(workspace, tmp_path, capsys):

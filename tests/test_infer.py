@@ -12,12 +12,13 @@ from anchorlm.errors import ContractError, NumericError
 from anchorlm.infer import (
     GenerationConfig,
     _sample,
+    advance,
     generate,
     log_softmax,
     score_continuation,
     score_trees,
 )
-from anchorlm.masks import TokenFlags, mask_rows, segment_flags
+from anchorlm.masks import MaskRule, TokenFlags, mask_rows, segment_flags
 from anchorlm.model import forward, init_weights
 from conftest import random_segmented, tiny_config
 from oracles import naive_log_softmax
@@ -285,16 +286,55 @@ def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, layer_queries
     assert [rows[-1] for rows in layer_queries()] == [3, 1 + 3 + 1 + 1]
 
 
+@pytest.fixture
+def mask_reads(monkeypatch):
+    """Per read of a `MaskRule`, in call order, the number of rows built."""
+    reads: list[int] = []
+    getitem = MaskRule.__getitem__
+
+    def spy(self, rows):
+        out = getitem(self, rows)
+        reads.append(len(out))
+        return out
+
+    monkeypatch.setattr(MaskRule, "__getitem__", spy)
+    return reads
+
+
+def test_noncached_scoring_reads_only_the_rows_it_runs(mask_reads):
+    # an mc-sized prompt: 92 sequences of 8 tokens, each closed by an
+    # anchor, and a 4-token continuation, so 739 new rows. The last layer
+    # reads its 4 logit rows; they keep the 92 anchors, the last
+    # sequence's other 7 tokens and the continuation's 3, which is all the
+    # layer below reads. No 739 x 739 block is built
+    weights = init_weights(tiny_config(context_len=1024), seed=7)
+    n = 92 * 8
+    context = SegmentedText(
+        ids=[1 + i % 10 for i in range(n)], is_anchor=[i % 8 == 7 for i in range(n)],
+        seq_index=[i // 8 for i in range(n)],
+    )
+    score_continuation(weights, context, [1, 2, 3, 4], use_ansan=True)
+    assert mask_reads == [4, 92 + 7 + 3]
+
+
+def test_decode_step_reads_one_mask_row(tiny_weights, mask_reads):
+    cache, prefix = AnchorKVCache(), anchored_prefix()
+    advance(tiny_weights, cache, prefix.ids, segment_flags(prefix), reduce=True)
+    mask_reads.clear()
+    advance(tiny_weights, cache, [3], np.array([[0, 2]]))
+    assert mask_reads == [1]  # every row runs: one block, read once for both layers
+
+
 def test_continuation_rows_causal_and_ansan():
     live = [TokenFlags(True, 0), TokenFlags(False, 1)]
     new = [TokenFlags(False, 1), TokenFlags(False, 1)]
-    ansan = mask_rows(new, live, ansan=True)
-    causal = mask_rows(new, live, ansan=False)
+    ansan = np.asarray(mask_rows(new, live, ansan=True))
+    causal = np.asarray(mask_rows(new, live, ansan=False))
     assert ansan.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     assert causal.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     # a later-sequence query blocks the live non-anchor under ansan
     new2 = [TokenFlags(False, 2)]
-    assert mask_rows(new2, live, ansan=True).tolist() == [[1, 0, 1]]
+    assert np.asarray(mask_rows(new2, live, ansan=True)).tolist() == [[1, 0, 1]]
 
 
 def test_score_continuation_random_masks_agree(tiny_weights):

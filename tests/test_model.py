@@ -23,7 +23,7 @@ from anchorlm.model import (
     save_checkpoint,
 )
 from conftest import SCORE_RTOL, random_segmented, tiny_config, traced_peak
-from oracles import finite_difference_grads, naive_attention, naive_init
+from oracles import finite_difference_grads, naive_anchor_mask, naive_attention, naive_init
 
 
 def zeroed(config):
@@ -486,6 +486,7 @@ def new_rows(rng, kind, n_cached, T):
     if kind == "tree":
         trunk = int(rng.integers(1, T + 1))
         branch = np.r_[np.full(trunk, -1), np.sort(rng.integers(0, 3, T - trunk))]
+        rows = rows[:]  # the whole block, restricted as score_trees does
         rows[:, n_cached:] &= (branch[:, None] == branch) | (branch == -1)
         depth[trunk:] = [trunk + np.sum(branch[trunk:i] == branch[i]) for i in range(trunk, T)]
     return flags, rows, n_cached + depth
@@ -625,6 +626,64 @@ def test_kept_rows_match_the_same_rows_of_a_full_forward(
     assert all(
         all_close(a, b) for x, y in zip(one.stacked(), two.stacked()) for a, b in zip(x, y)
     )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["no-anchor", "anchor-last", "anchors-mid"]),
+    st.sampled_from([None, 0, 1, 7]), st.integers(1, 12), st.booleans(),
+    st.integers(0, 2**32 - 1), st.data(),
+)
+def test_mask_rule_reads_as_its_dense_matrix(
+    tiny_weights, layout, n_cached, T, ansan, seed, data
+):
+    # the rule builds any rows as the dense matrix holds them, and a forward
+    # given the rule is bitwise the forward given that matrix
+    config = tiny_weights.config
+    rng = np.random.default_rng(seed)
+    n = n_cached or 0
+    flags = chunk_flags(rng, layout, n, T)
+    rule = mask_rows(flags[n:], flags[:n], ansan)
+    dense = np.asarray(rule)
+    full = naive_anchor_mask(flags[:, 0], flags[:, 1]) if ansan else causal_mask(n + T)
+    assert dense.dtype == np.uint8 and rule.shape == (T, n + T)
+    assert np.array_equal(dense, full[n:])
+    rows = data.draw(st.one_of(
+        st.lists(st.integers(-T, T - 1), max_size=2 * T),
+        st.builds(slice, st.integers(-T, T) | st.none(), st.integers(-T, T) | st.none(),
+                  st.sampled_from([None, 1, 2, -1])),
+        st.integers(-T, T - 1),
+    ))
+    got = rule[rows]
+    assert got.dtype == bool and np.array_equal(got, dense[rows])
+
+    every_row = st.none()
+    kept = data.draw(every_row | st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    picked = data.draw(every_row | st.lists(
+        st.integers(-T, T - 1), min_size=0 if n_cached is not None and kept != [] else 1,
+        max_size=T, unique=True,
+    ))
+    cache = None
+    if n_cached is not None:
+        cache = AnchorKVCache()
+        if n:
+            advance(tiny_weights, cache, rng.integers(0, config.vocab_size, n), flags[:n], ansan)
+    ids = rng.integers(0, config.vocab_size, T)
+
+    def run(mask):
+        kv = None if cache is None else cache.stacked(T, config)
+        for layer in kv or ():
+            for a in layer:
+                a[:, n:] = np.nan  # a slot a forward does not write stays NaN
+        out = forward(tiny_weights, ids, mask, kv, np.arange(n, n + T), True,
+                      logit_rows=picked, kv_rows=kept)
+        rows_kept = slice(None) if kept is None else kept
+        return out, [a[:, n:][:, rows_kept].copy() for layer in kv or () for a in layer]
+
+    (by_rule, rule_kv), (by_dense, dense_kv) = run(rule), run(dense)
+    assert np.array_equal(by_rule.logits, by_dense.logits)
+    assert all(np.array_equal(a, b) for a, b in zip(rule_kv, dense_kv, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(by_rule.attn, by_dense.attn, strict=True))
 
 
 def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer_queries):

@@ -3,16 +3,23 @@
     PYTHONPATH=src python3 tools/dense_forward_scaling.py [--out BENCH_dense_forward.json]
 
 A dense forward is one `model.forward` over the whole prompt under its
-anchor mask, with no cache. Two curves are measured at each length: the
-forward that returns every row's logits (`eval ppl` and training run
-it), and the one that returns the last row's only (`logit_rows=[-1]`,
+anchor mask, with no cache. Three curves are measured at each length:
+the forward that returns every row's logits (`eval ppl` and training
+run it), the one that returns the last row's only (`logit_rows=[-1]`,
 whose last layer runs one query row past its keys/values), which
-`generate`'s prefix runs. The model has the benchmark's sizes (d_model
+`generate`'s prefix runs, both given the prebuilt 0/1 matrix
+`anchor_mask`; and the non-cached scorer's forward (`logit_rows=[-1],
+kv_rows=[]`, as `infer.score_continuation` runs it, which keeps no
+keys/values, so each layer runs only the rows a later read needs), given
+the mask as that scorer passes it, `mask_rows(flags)`, built in the
+timed call: where `mask_rows` gives a rule read by rows, only the rows
+read are built. The model has the benchmark's sizes (d_model
 64, 2 layers, 4 heads, d_ff 256) with random weights from a fixed seed,
 and the prompt is random ids from a fixed seed with an anchor closing
 every 12th token. For each length and curve the file records the
-median seconds of 5 forwards after one warm-up (the two curves take
-turns, so they share the machine's noise), and the tracemalloc peak of
+median seconds of 5 forwards after one warm-up (the curves take turns,
+forward and reversed order in alternate runs, so they share the
+machine's noise), and the tracemalloc peak of
 one more forward; per length also the attention keys the mask rows
 keep, and one (heads, T, T) float64 score buffer in MB for scale. BLAS
 is pinned to one thread before numpy is imported. Takes under a minute
@@ -34,8 +41,12 @@ from pathlib import Path
 LENGTHS = (256, 512, 1024, 2048, 4096)
 ANCHOR_EVERY = 12
 RUNS = 5
-# curve name -> forward's logit_rows
-CURVES = {"all_rows": None, "last_row": [-1]}
+# curve name -> what it times
+CURVES = {
+    "all_rows": "every row, the prebuilt anchor_mask",
+    "last_row": "logit_rows=[-1], the prebuilt anchor_mask",
+    "scored_rows": "logit_rows=[-1], kv_rows=[], mask_rows(flags) built in the call",
+}
 SIZES = {"d_model": 64, "n_layers": 2, "n_heads": 4, "d_ff": 256}
 VOCAB = 512
 SEED = 0
@@ -62,7 +73,7 @@ def main() -> None:
     import numpy as np
 
     from anchorlm.corpus import SegmentedText
-    from anchorlm.masks import anchor_mask
+    from anchorlm.masks import anchor_mask, mask_rows, segment_flags
     from anchorlm.model import ModelConfig, forward, init_weights
 
     config = ModelConfig(vocab_size=VOCAB, context_len=max(LENGTHS), **SIZES)
@@ -75,19 +86,26 @@ def main() -> None:
             is_anchor=[t % ANCHOR_EVERY == ANCHOR_EVERY - 1 for t in range(T)],
             seq_index=[t // ANCHOR_EVERY for t in range(T)],
         )
-        mask = anchor_mask(seg)
+        mask, flags = anchor_mask(seg), segment_flags(seg)
+        calls = {
+            "all_rows": lambda: forward(weights, ids, mask),
+            "last_row": lambda: forward(weights, ids, mask, logit_rows=[-1]),
+            "scored_rows": lambda: forward(
+                weights, ids, mask_rows(flags), logit_rows=[-1], kv_rows=[]
+            ),
+        }
         point = {"tokens": T}
         seconds = {curve: [] for curve in CURVES}
-        for curve, rows in CURVES.items():
-            forward(weights, ids, mask, logit_rows=rows)  # warm-up
+        for call in calls.values():
+            call()  # warm-up
         for run in range(RUNS):
-            for curve, rows in list(CURVES.items())[:: 1 if run % 2 == 0 else -1]:
+            for curve in list(CURVES)[:: 1 if run % 2 == 0 else -1]:
                 t0 = time.perf_counter()
-                forward(weights, ids, mask, logit_rows=rows)
+                calls[curve]()
                 seconds[curve].append(time.perf_counter() - t0)
-        for curve, rows in CURVES.items():
+        for curve in CURVES:
             tracemalloc.start()
-            forward(weights, ids, mask, logit_rows=rows)
+            calls[curve]()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             point[curve] = {
@@ -103,9 +121,9 @@ def main() -> None:
 
     report = {
         "what": "one dense anchor-masked forward per prompt length (no cache), "
-                "returning every row's logits or the last row's only",
-        "curves": {curve: "every row" if rows is None else f"logit_rows={rows}"
-                   for curve, rows in CURVES.items()},
+                "returning every row's logits or the last row's only, or keeping no "
+                "keys/values as the non-cached scorer does",
+        "curves": CURVES,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
