@@ -9,9 +9,9 @@ weighted sum of values) and `cross_entropy` (the training loss). Like
 Tensor, computing the value with the same numpy ops either way, so one
 forward source runs on Tensors (training) or on arrays (inference, no
 Tensor built) and both agree bitwise. The model joins the fused ops
-with the Tensor operators `+`, `@`, `reshape` and `swapaxes`; `-`, `*`
-and `sum` complete the elementwise algebra. Gradient correctness is
-pinned down by the finite-difference tests, not by construction.
+with the only Tensor operators: `+` (broadcasting), `@`, `reshape` and
+`swapaxes`. Gradient correctness is pinned down by the finite-difference
+tests, not by construction.
 """
 
 from __future__ import annotations
@@ -103,37 +103,6 @@ class Tensor:
 
         return Tensor._op(data, (self, other), bwd)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = ensure_tensor(other)
-        data = self.data - other.data
-
-        def bwd(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
-
-        return Tensor._op(data, (self, other), bwd)
-
-    def __rsub__(self, other) -> "Tensor":
-        return ensure_tensor(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        other = ensure_tensor(other)
-        data = self.data * other.data
-
-        def bwd(g):
-            return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
-            )
-
-        return Tensor._op(data, (self, other), bwd)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._op(-self.data, (self,), lambda g: (-g,))
-
     def __matmul__(self, other) -> "Tensor":
         other = ensure_tensor(other)
         data = self.data @ other.data
@@ -145,17 +114,7 @@ class Tensor:
 
         return Tensor._op(data, (self, other), bwd)
 
-    # -- reductions / shape ----------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
-
-        return Tensor._op(data, (self,), bwd)
+    # -- shape ---------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
         data = self.data.reshape(*shape)
@@ -164,9 +123,6 @@ class Tensor:
     def swapaxes(self, a: int, b: int) -> "Tensor":
         data = self.data.swapaxes(a, b)
         return Tensor._op(data, (self,), lambda g: (g.swapaxes(a, b),))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def ensure_tensor(value) -> Tensor:

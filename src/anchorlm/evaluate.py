@@ -40,7 +40,7 @@ from .cache import AnchorKVCache, CacheStats
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
 from .infer import advance, log_softmax, next_seq_index, score_continuation, score_trees
-from .masks import MASK_MODES, anchor_mask, causal_mask, segment_flags
+from .masks import MASK_MODES, mask_rows, segment_flags
 from .model import ModelWeights, forward
 
 # New tokens (item contexts plus choice branches) per packed scoring
@@ -65,7 +65,9 @@ def perplexity(
     eval_context_len: int,
     inserted_anchor_id: int | None = None,
 ) -> float:
-    """exp(mean next-token NLL) over non-overlapping windows.
+    """exp(mean next-token NLL) over non-overlapping windows, each one
+    forward under the mask rule over the window's own flags
+    (`masks.mask_rows`, anchor-based or causal by mask_mode).
 
     Inserted anchor tokens stay in the stream as inputs but are excluded
     from the loss average; pass their id via inserted_anchor_id.
@@ -85,7 +87,7 @@ def perplexity(
         window = text.slice(start, min(start + eval_context_len, len(text)))
         if len(window) < 2:
             continue
-        mask = anchor_mask(window) if mask_mode == "ansan" else causal_mask(len(window))
+        mask = mask_rows(segment_flags(window), ansan=mask_mode == "ansan")
         out = forward(weights, window.ids, mask, None, positions=np.arange(len(window)))
         targets = np.asarray(window.ids[1:])
         keep = ~(np.asarray(window.is_anchor[1:], dtype=bool) & (targets == inserted_anchor_id))

@@ -1,4 +1,4 @@
-"""Attention mask construction: causal and anchor-based.
+"""The attention mask rule, causal or anchor-based.
 
 Anchor-based masking keeps causal attention inside the current sequence
 but, across sequences, routes everything through anchors. For query i in
@@ -10,12 +10,12 @@ sequence k and key j (j <= i):
     (an anchor aggregates its own sequence only);
   * allowed otherwise.
 
-One vectorized rule, `mask_rows`, gives every mask. It is read by rows,
-as FlexAttention's `mask_mod` (Dong et al., 2024) is evaluated only
-where attention is computed: `mask_rows(...)[rows]` builds the bool rows
-of those queries from the flags alone, so a forward that runs a few
-query rows over many keys never builds the rest. `np.asarray` of it, as
-`anchor_mask` gives for training, is the dense 0/1 matrix.
+One vectorized rule, `mask_rows`, gives every mask, for training,
+perplexity and inference alike; with ansan False it is plain causal. It
+is read by rows, as FlexAttention's `mask_mod` (Dong et al., 2024) is
+evaluated only where attention is computed: `mask_rows(...)[rows]`
+builds the bool rows of those queries from the flags alone, so a forward
+that runs a few query rows over many keys never builds the rest.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ def segment_flags(seg: SegmentedText, start: int = 0) -> np.ndarray:
     (len - start, 2); seq_index values are the segment's own, not
     re-based (unlike `SegmentedText.slice`)."""
     return _flag_rows(np.column_stack((seg.is_anchor[start:], seg.seq_index[start:])))
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Lower-triangular mask: bit[i][j] = 1 iff i >= j."""
-    return np.tril(np.ones((length, length), dtype=np.uint8))
 
 
 class MaskRule:
@@ -97,8 +92,3 @@ def mask_rows(
     """The mask rule for new tokens with these flags over earlier keys
     with these, as (is_anchor, seq_index) rows in position order."""
     return MaskRule(_flag_rows(new_flags), _flag_rows(key_flags), ansan)
-
-
-def anchor_mask(seg: SegmentedText) -> np.ndarray:
-    """Anchor-based 0/1 mask over one segmented block (see module docstring)."""
-    return np.asarray(mask_rows(segment_flags(seg)))

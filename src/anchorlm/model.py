@@ -20,13 +20,12 @@ the last layer runs the logit rows, and each layer below runs the rows
 whose keys/values the layer above computes. A token that anchor masks
 hide from every later read, such as a non-anchor token of a sequence
 that a reduction will discard, stops at the keys/values its own
-sequence's rows read. The mask is read the same way: a forward builds
-the mask rows of the rows each layer runs and no others (`_layer_rows`),
-so given the anchor rule (`masks.mask_rows`) rather than a dense matrix,
-a forward that runs a few query rows over many keys never builds the
-rest. When every row is needed nothing is gathered, so training,
-perplexity and one-token decode steps run every row as one block, read
-once.
+sequence's rows read. The mask is read the same way: every caller
+passes the mask rule (`masks.mask_rows`), and a forward builds the mask
+rows of the rows each layer runs and no others (`_layer_rows`), so a
+forward that runs a few query rows over many keys never builds the rest.
+When every row is needed nothing is gathered, so training, perplexity
+and one-token decode steps run every row as one block, built once.
 """
 
 from __future__ import annotations
@@ -364,18 +363,18 @@ def forward(
 
 
 def loss_and_grads(
-    weights: ModelWeights, block: SegmentedText, mask_bits: np.ndarray
+    weights: ModelWeights, block: SegmentedText, mask_bits: MaskRule | np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean next-token cross-entropy over the block and its exact gradient,
-    one array per parameter name."""
+    one array per parameter name. mask_bits is the block's (L, L) mask, a
+    `masks.MaskRule` as training passes it or a 0/1 matrix; every row
+    runs, so it is read once, whole."""
     L = len(block)
     if L < 2:
         raise ContractError("training block must contain at least 2 tokens")
     ids = np.asarray(block.ids, dtype=np.int64)
     params = {name: Tensor(a, requires_grad=True) for name, a in weights.arrays.items()}
-    logits, _ = _forward_graph(
-        params, weights.config, ids, np.asarray(mask_bits), None, np.arange(L), False
-    )
+    logits, _ = _forward_graph(params, weights.config, ids, mask_bits, None, np.arange(L), False)
 
     loss = cross_entropy(logits, ids[1:])
     if not np.isfinite(loss.data):

@@ -1,5 +1,8 @@
 """Next-token training under causal or anchor masks.
 
+Each block's mask is `masks.mask_rows` over the block's flags, causal or
+anchor-based by the config's mask mode.
+
 Decoupled-weight-decay Adam with linear warmup then a constant rate,
 gradient-norm clipping, and a stateless batch schedule (a fresh seeded
 permutation per epoch) so that a resumed run reproduces the loss
@@ -17,7 +20,7 @@ import numpy as np
 
 from .corpus import SegmentedText
 from .errors import ConfigError, ContractError, InputError, NumericError
-from .masks import MASK_MODES, anchor_mask, causal_mask
+from .masks import MASK_MODES, mask_rows, segment_flags
 from .model import ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint
 
 
@@ -41,8 +44,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"mask_mode must be one of {MASK_MODES}")
-        if not 0 <= self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        # 0 weight decay is none, and 0 grad_clip no clipping; NaN fails every compare
+        for name in ("learning_rate", "weight_decay", "grad_clip"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigError("adam betas must lie in (0, 1)")
         if (self.steps is None) == (self.epochs is None):
@@ -189,17 +197,24 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
+def steps_per_epoch(n_blocks: int, batch_size: int) -> int:
+    return max(1, n_blocks // batch_size)
+
+
+def step_count(cfg: TrainConfig, n_blocks: int) -> int:
+    """The update steps cfg asks for over n_blocks: cfg.steps, or cfg.epochs
+    whole epochs."""
+    if cfg.steps is not None:
+        return cfg.steps
+    return cfg.epochs * steps_per_epoch(n_blocks, cfg.batch_size)
+
+
 def batch_indices(seed: int, n_blocks: int, batch_size: int, step: int) -> np.ndarray:
     """Block indices for a 1-based step; stateless, so any step can be
     recomputed independently (resume support)."""
-    steps_per_epoch = max(1, n_blocks // batch_size)
-    epoch, slot = divmod(step - 1, steps_per_epoch)
+    epoch, slot = divmod(step - 1, steps_per_epoch(n_blocks, batch_size))
     perm = np.random.default_rng([seed, epoch]).permutation(n_blocks)
     return perm[slot * batch_size : slot * batch_size + batch_size]
-
-
-def steps_per_epoch(n_blocks: int, batch_size: int) -> int:
-    return max(1, n_blocks // batch_size)
 
 
 def schedule_digest(cfg: TrainConfig, n_blocks: int, total_steps: int) -> str:
@@ -214,10 +229,6 @@ def weights_digest(weights: ModelWeights) -> str:
     for arr in weights.arrays.values():
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def _block_mask(block: SegmentedText, mask_mode: str) -> np.ndarray:
-    return anchor_mask(block) if mask_mode == "ansan" else causal_mask(len(block))
 
 
 def train(
@@ -243,9 +254,7 @@ def train(
             raise ContractError(f"block {i} has fewer than 2 tokens")
 
     n = len(blocks)
-    total_steps = (
-        cfg.steps if cfg.steps is not None else cfg.epochs * steps_per_epoch(n, cfg.batch_size)
-    )
+    total_steps = step_count(cfg, n)
     weights = initial.copy() if initial is not None else init_weights(
         model_config, cfg.seed, anchor_id=anchor_id
     )
@@ -274,7 +283,8 @@ def train(
         grad_sum: dict[str, np.ndarray] | None = None
         for bi in batch:
             block = blocks[bi]
-            loss, grads = loss_and_grads(weights, block, _block_mask(block, cfg.mask_mode))
+            mask = mask_rows(segment_flags(block), ansan=cfg.mask_mode == "ansan")
+            loss, grads = loss_and_grads(weights, block, mask)
             loss_sum += loss
             if grad_sum is None:
                 grad_sum = grads
@@ -339,11 +349,7 @@ def compare_from_scratch(
     anchor arm)."""
     from .evaluate import perplexity  # local import avoids a cycle
 
-    total_steps = (
-        cfg.steps
-        if cfg.steps is not None
-        else cfg.epochs * steps_per_epoch(len(blocks), cfg.batch_size)
-    )
+    total_steps = step_count(cfg, len(blocks))
     init = init_weights(model_config, cfg.seed, anchor_id=anchor_id)
     arms: dict[str, TrainReport] = {}
     digests: list[str] = []

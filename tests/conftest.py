@@ -10,6 +10,7 @@ import pytest
 
 from anchorlm import model
 from anchorlm.corpus import SegmentedText
+from anchorlm.masks import MaskRule, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, init_weights
 
 # Cached and non-cached scores sum the same log-probabilities in a
@@ -39,6 +40,17 @@ def random_segmented(rng: np.random.Generator, max_len: int = 64) -> SegmentedTe
     seg = SegmentedText(ids=ids, is_anchor=anchors, seq_index=seqs)
     seg.validate()
     return seg
+
+
+def anchor_rule(seg: SegmentedText) -> MaskRule:
+    """The anchor mask rule over one segment, as training builds it."""
+    return mask_rows(segment_flags(seg))
+
+
+def causal_rule(n: int) -> MaskRule:
+    """The causal mask rule over n tokens, as causal training builds it;
+    the flags do not matter."""
+    return mask_rows(np.zeros((n, 2), dtype=np.int64), ansan=False)
 
 
 def traced_peak(fn) -> int:

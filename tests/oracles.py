@@ -30,6 +30,15 @@ def naive_anchor_mask(flags: list[bool], seqs: list[int]) -> np.ndarray:
     return m
 
 
+def naive_causal_mask(n: int) -> np.ndarray:
+    """Lower-triangular 0/1 mask: query i keeps keys 0..i."""
+    m = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = 1
+    return m
+
+
 def naive_reduction(entries: list[tuple[int, bool]]) -> set[int]:
     """Retained positions for (position, is_anchor) entries: keep anchors
     and everything at or after the last anchor; no anchor keeps all."""

@@ -24,11 +24,11 @@ from anchorlm.evaluate import (
     run_mc_task,
 )
 from anchorlm.infer import GenerationConfig, advance, generate
-from anchorlm.masks import TokenFlags, anchor_mask, mask_rows
+from anchorlm.masks import TokenFlags, mask_rows
 from anchorlm.model import ModelConfig, forward, init_weights, loss_and_grads
 from anchorlm.synth import make_corpus, make_task
 from anchorlm.train import TrainConfig, compare_from_scratch, train
-from conftest import random_segmented
+from conftest import anchor_rule, random_segmented
 from oracles import finite_difference_grads, naive_anchor_mask, naive_attention
 
 
@@ -55,7 +55,7 @@ def test_criterion_1_mask_oracle_equivalence():
     rng = np.random.default_rng(1001)
     for _ in range(1000):
         seg = random_segmented(rng, max_len=64)
-        produced = anchor_mask(seg)
+        produced = np.asarray(anchor_rule(seg))
         assert np.array_equal(produced, naive_anchor_mask(seg.is_anchor, seg.seq_index))
         flags = [TokenFlags(a, s) for a, s in zip(seg.is_anchor, seg.seq_index)]
         for i in range(len(seg)):
@@ -81,14 +81,14 @@ def test_criterion_2_attention_oracle_equivalence():
         weights = init_weights(config, seed=trial)
         seg = random_segmented(rng, max_len=8)
         ids = [int(i) % vocab_size for i in seg.ids]
-        mask = anchor_mask(seg)
-        got = forward(weights, ids, mask).logits
+        got = forward(weights, ids, anchor_rule(seg)).logits
         dims = {
             "n_layers": config.n_layers, "n_heads": config.n_heads,
             "d_model": config.d_model, "norm_eps": config.norm_eps,
             "rope_base": config.rope_base,
         }
-        want = naive_attention(dims, weights.arrays, ids, mask,
+        want = naive_attention(dims, weights.arrays, ids,
+                               naive_anchor_mask(seg.is_anchor, seg.seq_index),
                                list(range(len(ids))))
         np.testing.assert_allclose(got, want, rtol=1e-6)
     report_pass(2, started, "50 random models, rtol 1e-6")
@@ -107,7 +107,7 @@ def test_criterion_3_gradient_correctness():
         is_anchor=[False, True, False, False, True, False],
         seq_index=[0, 0, 1, 1, 1, 2],
     )
-    mask = anchor_mask(seg)
+    mask = anchor_rule(seg)
     _, grads = loss_and_grads(weights, seg, mask)
     analytic = grads
 

@@ -5,9 +5,9 @@ from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
 from anchorlm.infer import advance, attend
-from anchorlm.masks import TokenFlags, anchor_mask, mask_rows, segment_flags
+from anchorlm.masks import TokenFlags, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward
-from oracles import naive_reduction
+from oracles import naive_anchor_mask, naive_reduction
 
 ONE_HEAD = ModelConfig(1, 1, 1, 2)  # slots of one layer, one head, head_dim 2
 
@@ -235,7 +235,8 @@ def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
     # reduction drops only keys no later query sees, so every committed row
     # also matches one forward over the whole segment
     whole = AnchorKVCache().stacked(len(seg), tiny_weights.config)
-    forward(tiny_weights, seg.ids, anchor_mask(seg), whole, positions=np.arange(len(seg)))
+    mask = naive_anchor_mask(seg.is_anchor, seg.seq_index)
+    forward(tiny_weights, seg.ids, mask, whole, positions=np.arange(len(seg)))
     for layer, (keys, values) in enumerate(cache.stacked()):
         for slot, pos in enumerate(positions):
             k, v = outputs[pos][layer]
@@ -280,7 +281,8 @@ def test_committed_rows_match_a_forward_from_scratch(tiny_weights):
     for start, stop in ((0, 5), (5, 6), (6, 7), (7, 10)):
         advance(tiny_weights, cache, SEG.ids[start:stop], segment_flags(SEG)[start:stop])
     scratch = AnchorKVCache().stacked(len(SEG), tiny_weights.config)
-    forward(tiny_weights, SEG.ids, anchor_mask(SEG), scratch, positions=np.arange(len(SEG)))
+    mask = naive_anchor_mask(SEG.is_anchor, SEG.seq_index)
+    forward(tiny_weights, SEG.ids, mask, scratch, positions=np.arange(len(SEG)))
     assert cache.live_positions() == list(range(len(SEG)))
     for (k, v), (k0, v0) in zip(cache.stacked(), scratch):
         np.testing.assert_allclose(k, k0, rtol=1e-9)

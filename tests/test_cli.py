@@ -283,6 +283,8 @@ BAD_FLAGS = {
     "checkpoint-every-negative": (lambda ws: _train(
         ws, "--checkpoint-every", "-1"), "--checkpoint-every"),
     "learning-rate-nan": (lambda ws: _train(ws, "--learning-rate", "nan"), "learning_rate"),
+    "weight-decay-nan": (lambda ws: _train(ws, "--weight-decay", "nan"), "weight_decay"),
+    "grad-clip-negative": (lambda ws: _train(ws, "--grad-clip", "-1"), "grad_clip"),
 }
 
 
@@ -420,6 +422,14 @@ def test_negative_train_config_seed_is_config_error(workspace, tmp_path, capsys)
     assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "seed" in err and "Traceback" not in err
+
+
+def test_zero_train_config_adam_eps_is_config_error(workspace, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("steps = 1\nadam_eps = 0\n", encoding="utf-8")
+    assert train_with_config(workspace, tmp_path, config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "adam_eps" in err and "Traceback" not in err
 
 
 def broken_data_dir(workspace, tmp_path, name, content):

@@ -22,11 +22,11 @@ from anchorlm.evaluate import (
     save_mc_items,
 )
 from anchorlm.infer import advance, next_seq_index, score_continuation, score_trees
-from anchorlm.masks import TokenFlags, causal_mask, mask_rows, segment_flags
+from anchorlm.masks import TokenFlags, mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
 from conftest import SCORE_RTOL, tiny_config
-from oracles import naive_log_softmax
+from oracles import naive_anchor_mask, naive_causal_mask, naive_log_softmax
 
 AC = AnchorPolicy(mode="ac")
 EP = AnchorPolicy(mode="ep")
@@ -72,7 +72,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
 def test_single_window_matches_manual_sum(tiny_weights):
     seg = plain_seg([1, 5, 3, 7, 9])
     ppl = perplexity(tiny_weights, seg, "causal", 8)
-    out = forward(tiny_weights, seg.ids, causal_mask(5))
+    out = forward(tiny_weights, seg.ids, naive_causal_mask(5))
     nll = -sum(
         float(naive_log_softmax(out.logits[t])[seg.ids[t + 1]]) for t in range(4)
     )
@@ -86,7 +86,7 @@ def test_windows_are_non_overlapping(tiny_weights):
     total, count = 0.0, 0
     for lo in (0, 4):
         ids = seg.ids[lo : lo + 4]
-        out = forward(tiny_weights, ids, causal_mask(4))
+        out = forward(tiny_weights, ids, naive_causal_mask(4))
         for t in range(3):
             total -= float(naive_log_softmax(out.logits[t])[ids[t + 1]])
             count += 1
@@ -102,9 +102,7 @@ def test_inserted_anchor_targets_excluded(ac_vocab, ac_model):
     ppl_incl = perplexity(ac_model, seg, "ansan", 64)
     assert ppl_excl != ppl_incl  # the anchor target really was dropped
 
-    from anchorlm.masks import anchor_mask
-
-    out = forward(ac_model, seg.ids, anchor_mask(seg))
+    out = forward(ac_model, seg.ids, naive_anchor_mask(seg.is_anchor, seg.seq_index))
     nll, n = 0.0, 0
     for t in range(len(seg) - 1):
         if seg.ids[t + 1] == ac_vocab.anchor_id:

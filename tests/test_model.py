@@ -11,7 +11,7 @@ from anchorlm.cache import AnchorKVCache, kept_by_reduction
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
 from anchorlm.infer import advance, attend
-from anchorlm.masks import TokenFlags, anchor_mask, causal_mask, mask_rows, segment_flags
+from anchorlm.masks import TokenFlags, mask_rows, segment_flags
 from anchorlm.model import (
     ModelConfig,
     _forward_graph,
@@ -22,8 +22,12 @@ from anchorlm.model import (
     param_shapes,
     save_checkpoint,
 )
-from conftest import SCORE_RTOL, random_segmented, tiny_config, traced_peak
-from oracles import finite_difference_grads, naive_anchor_mask, naive_attention, naive_init
+from conftest import (
+    SCORE_RTOL, anchor_rule, causal_rule, random_segmented, tiny_config, traced_peak,
+)
+from oracles import (
+    finite_difference_grads, naive_anchor_mask, naive_attention, naive_causal_mask, naive_init,
+)
 
 
 def zeroed(config):
@@ -82,9 +86,9 @@ def test_forward_matches_naive_oracle():
         weights = init_weights(config, seed=trial)
         seg = random_segmented(rng, max_len=6)
         ids = [int(i) % 11 for i in seg.ids]
-        mask = anchor_mask(seg)
-        got = forward(weights, ids, mask).logits
+        got = forward(weights, ids, anchor_rule(seg)).logits
         dims, arrays = oracle_inputs(weights)
+        mask = naive_anchor_mask(seg.is_anchor, seg.seq_index)
         want = naive_attention(dims, arrays, ids, mask, list(range(len(ids))))
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
@@ -93,7 +97,7 @@ def test_attention_rows_sum_to_one(tiny_weights):
     rng = np.random.default_rng(5)
     seg = random_segmented(rng, max_len=12)
     ids = [int(i) % tiny_weights.config.vocab_size for i in seg.ids]
-    out = forward(tiny_weights, ids, anchor_mask(seg), collect_attn=True)
+    out = forward(tiny_weights, ids, anchor_rule(seg), collect_attn=True)
     for attn in out.attn:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -107,7 +111,7 @@ def test_dense_forward_peaks_below_two_score_buffers():
     )
     weights = init_weights(config, seed=0)
     ids = np.random.default_rng(2).integers(0, 50, tokens)
-    mask = causal_mask(tokens)
+    mask = causal_rule(tokens)
     peak = traced_peak(lambda: forward(weights, ids, mask))
     assert peak <= 2.0 * heads * tokens * tokens * 8
 
@@ -116,7 +120,7 @@ def test_collect_attn_keeps_what_an_uncollected_forward_releases(tiny_weights, m
     rng = np.random.default_rng(9)
     seg = random_segmented(rng, max_len=12)
     ids = [int(i) % tiny_weights.config.vocab_size for i in seg.ids]
-    mask = anchor_mask(seg)
+    mask = anchor_rule(seg)
     refs, copies, released = [], [], []
     attention = model.attention
 
@@ -143,7 +147,7 @@ def test_uniform_logits_loss_is_log_vocab():
     config = tiny_config()
     weights = zeroed(config)
     block = plain_seg([1, 2, 3, 4])
-    loss, _ = loss_and_grads(weights, block, causal_mask(4))
+    loss, _ = loss_and_grads(weights, block, causal_rule(4))
     assert abs(loss - np.log(config.vocab_size)) < 1e-12
 
 
@@ -155,7 +159,7 @@ def test_loss_nonnegative_under_anchor_mask():
         seg.ids = [i % 11 for i in seg.ids]
         if len(seg) < 2:
             continue
-        loss, _ = loss_and_grads(weights, seg, anchor_mask(seg))
+        loss, _ = loss_and_grads(weights, seg, anchor_rule(seg))
         assert loss >= 0.0
 
 
@@ -168,7 +172,7 @@ def test_gradients_match_finite_differences():
         ids=[1, 4, 2, 6, 3], is_anchor=[False, True, False, False, True],
         seq_index=[0, 0, 1, 1, 1],
     )
-    mask = anchor_mask(seg)
+    mask = anchor_rule(seg)
     _, grads = loss_and_grads(weights, seg, mask)
 
     def loss_value():
@@ -192,7 +196,7 @@ def test_tape_nodes_per_block(tiny_weights, monkeypatch):
 
     monkeypatch.setattr(Tensor, "_op", staticmethod(recording_op))
     seg = plain_seg([1, 5, 3, 7, 9, 2, 4, 8])
-    loss_and_grads(tiny_weights, seg, causal_mask(len(seg)))
+    loss_and_grads(tiny_weights, seg, causal_rule(len(seg)))
     nodes = sum(t.requires_grad for t in made)
     assert nodes == 4 + 22 * tiny_weights.config.n_layers == 48
 
@@ -231,7 +235,7 @@ def test_anchor_embedding_row_is_mean_of_others():
 
 def test_cache_equivalence_token_by_token(tiny_weights):
     ids = [1, 5, 3, 7, 9, 2]
-    block = forward(tiny_weights, ids, causal_mask(len(ids)))
+    block = forward(tiny_weights, ids, causal_rule(len(ids)))
     cache = AnchorKVCache()
     rows = []
     for t, tok in enumerate(ids):
@@ -253,7 +257,7 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
         is_anchor=[False, True, False, True, False, False],
         seq_index=[0, 0, 1, 1, 2, 2],
     )
-    mask = anchor_mask(seg)
+    mask = anchor_rule(seg)
     # a forward into an empty cache's free slots leaves every token's keys there
     cache = AnchorKVCache()
     full_kv = cache.stacked(len(seg), tiny_weights.config)
@@ -275,24 +279,24 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
 
 def test_mask_shape_mismatch_raises(tiny_weights):
     with pytest.raises(ContractError):
-        forward(tiny_weights, [1, 2], causal_mask(3))
+        forward(tiny_weights, [1, 2], causal_rule(3))
 
 
 def test_one_position_per_token(tiny_weights):
     # one position would otherwise broadcast over both tokens
     with pytest.raises(ContractError, match="positions"):
-        forward(tiny_weights, [1, 2], causal_mask(2), positions=np.array([0]))
+        forward(tiny_weights, [1, 2], causal_rule(2), positions=np.array([0]))
 
 
 def test_positions_must_increase(tiny_weights):
     with pytest.raises(ContractError):
-        forward(tiny_weights, [1, 2], causal_mask(2), positions=np.array([3, 3]))
+        forward(tiny_weights, [1, 2], causal_rule(2), positions=np.array([3, 3]))
 
 
 def test_visible_key_at_a_later_position_raises(tiny_weights):
     # the last row keeps key 1, whose position 2 is after its own 1
     with pytest.raises(ContractError, match="position"):
-        forward(tiny_weights, [1, 2, 3], causal_mask(3), positions=np.array([0, 2, 1]))
+        forward(tiny_weights, [1, 2, 3], causal_rule(3), positions=np.array([0, 2, 1]))
 
 
 def test_hidden_key_at_a_later_position_passes(tiny_weights):
@@ -305,7 +309,7 @@ def test_trunk_and_branches_with_repeated_positions_pass(tiny_weights):
     # a two-token trunk and three two-token branches that each continue it
     # at positions 2 and 3 and see the trunk and themselves only
     branch = np.array([-1, -1, 0, 0, 1, 1, 2, 2])
-    mask = causal_mask(8) & ((branch[:, None] == branch) | (branch == -1))
+    mask = naive_causal_mask(8) & ((branch[:, None] == branch) | (branch == -1))
     positions = np.array([0, 1, 2, 3, 2, 3, 2, 3])
     out = forward(tiny_weights, [1, 2, 3, 4, 5, 6, 3, 4], mask, positions=positions)
     # the first and last branches hold the same tokens, so the same logits
@@ -316,7 +320,7 @@ def test_non_finite_raises():
     weights = init_weights(tiny_config(), seed=0)
     weights.arrays["embedding"][1] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericError):
-        forward(weights, [1, 2, 3], causal_mask(3))
+        forward(weights, [1, 2, 3], causal_rule(3))
 
 
 def decode_cache(weights, n_cached=5):
@@ -358,7 +362,7 @@ def test_rotary_inverse_frequencies_are_read_only():
 
 def test_short_block_rejected(tiny_weights):
     with pytest.raises(ContractError):
-        loss_and_grads(tiny_weights, plain_seg([1]), causal_mask(1))
+        loss_and_grads(tiny_weights, plain_seg([1]), causal_rule(1))
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_weights):
@@ -437,7 +441,7 @@ def test_array_forward_matches_taped_path_bitwise(tiny_weights, n_cached):
         seq_index=[0, 0, 1, 1, 1, 2, 2, 2],
     )
     start = n_cached or 0
-    mask = anchor_mask(seg)[start:]
+    mask = anchor_rule(seg)[start:]
     positions = np.arange(start, len(ids))
     cache_kv = None
     if n_cached is not None:
@@ -465,9 +469,9 @@ def test_array_forward_matches_taped_path_bitwise(tiny_weights, n_cached):
 def test_ids_outside_vocab_rejected(tiny_weights, bad):
     # a negative id would otherwise wrap to a real embedding row
     with pytest.raises(ContractError, match="token ids"):
-        forward(tiny_weights, [1, bad, 2], causal_mask(3))
+        forward(tiny_weights, [1, bad, 2], causal_rule(3))
     with pytest.raises(ContractError, match="token ids"):
-        loss_and_grads(tiny_weights, plain_seg([1, bad, 2]), causal_mask(3))
+        loss_and_grads(tiny_weights, plain_seg([1, bad, 2]), causal_rule(3))
 
 
 def new_rows(rng, kind, n_cached, T):
@@ -645,7 +649,7 @@ def test_mask_rule_reads_as_its_dense_matrix(
     flags = chunk_flags(rng, layout, n, T)
     rule = mask_rows(flags[n:], flags[:n], ansan)
     dense = np.asarray(rule)
-    full = naive_anchor_mask(flags[:, 0], flags[:, 1]) if ansan else causal_mask(n + T)
+    full = naive_anchor_mask(flags[:, 0], flags[:, 1]) if ansan else naive_causal_mask(n + T)
     assert dense.dtype == np.uint8 and rule.shape == (T, n + T)
     assert np.array_equal(dense, full[n:])
     rows = data.draw(st.one_of(
@@ -685,6 +689,15 @@ def test_mask_rule_reads_as_its_dense_matrix(
     assert all(np.array_equal(a, b) for a, b in zip(rule_kv, dense_kv, strict=True))
     assert all(np.array_equal(a, b) for a, b in zip(by_rule.attn, by_dense.attn, strict=True))
 
+    if n == 0 and T > 1:
+        # training reads the rule whole: loss and gradients are bitwise the
+        # ones under the oracle's matrix
+        block = SegmentedText(ids.tolist(), flags[:, 0].astype(bool).tolist(), flags[:, 1].tolist())
+        loss, grads = loss_and_grads(tiny_weights, block, rule)
+        want_loss, want = loss_and_grads(tiny_weights, block, full)
+        assert loss == want_loss
+        assert all(np.array_equal(grads[name], want[name]) for name in want)
+
 
 def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer_queries):
     # under causal masks the next-token row keeps every key, so every row
@@ -701,4 +714,4 @@ def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer
                               "scalar", "nested"])
 def test_bad_logit_rows_rejected(tiny_weights, bad):
     with pytest.raises(ContractError, match="logit_rows"):
-        forward(tiny_weights, [1, 2, 3], causal_mask(3), logit_rows=bad)
+        forward(tiny_weights, [1, 2, 3], causal_rule(3), logit_rows=bad)

@@ -155,6 +155,7 @@ def test_config_validation():
         TrainConfig(steps=1, adam_beta1=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(steps=1, mask_mode="diagonal")
+    TrainConfig(steps=1, weight_decay=0.0, grad_clip=0.0)  # no decay, no clipping
 
 
 @pytest.mark.parametrize("name, value", [("steps", 0), ("steps", -2), ("epochs", 0)])
@@ -169,7 +170,10 @@ def test_nonpositive_budget_is_config_error(tmp_path, name, value):
 
 @pytest.mark.parametrize("name, value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("warmup_steps", -5),
-    ("checkpoint_every", -1),
+    ("checkpoint_every", -1), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("weight_decay", -0.1), ("grad_clip", float("nan")), ("grad_clip", float("inf")),
+    ("grad_clip", -1.0), ("adam_eps", float("nan")), ("adam_eps", float("inf")),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8),
 ])
 def test_out_of_range_config_is_config_error(tmp_path, name, value):
     with pytest.raises(ConfigError, match=name):

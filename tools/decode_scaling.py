@@ -35,12 +35,13 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+
+from gitinfo import git_commit
 
 LENGTHS = (128, 512, 1024, 2048, 4096)
 NEW_TOKENS = 128
@@ -50,16 +51,6 @@ SEED = 0
 ARMS = {"reduced": True, "full": False}  # arm -> GenerationConfig.reduction_enabled
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> None:

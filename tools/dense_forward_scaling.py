@@ -7,13 +7,14 @@ anchor mask, with no cache. Three curves are measured at each length:
 the forward that returns every row's logits (`eval ppl` and training
 run it), the one that returns the last row's only (`logit_rows=[-1]`,
 whose last layer runs one query row past its keys/values), which
-`generate`'s prefix runs, both given the prebuilt 0/1 matrix
-`anchor_mask`; and the non-cached scorer's forward (`logit_rows=[-1],
-kv_rows=[]`, as `infer.score_continuation` runs it, which keeps no
-keys/values, so each layer runs only the rows a later read needs), given
-the mask as that scorer passes it, `mask_rows(flags)`, built in the
-timed call: where `mask_rows` gives a rule read by rows, only the rows
-read are built. The model has the benchmark's sizes (d_model
+`generate`'s prefix runs, both given the whole mask prebuilt outside
+the timed call as a dense block, `mask_rows(flags)[:]`; and the
+non-cached scorer's forward (`logit_rows=[-1], kv_rows=[]`, as
+`infer.score_continuation` runs it, which keeps no keys/values, so each
+layer runs only the rows a later read needs), given the mask as that
+scorer passes it, `mask_rows(flags)`, built in the timed call: where
+`mask_rows` gives a rule read by rows, only the rows read are built.
+The model has the benchmark's sizes (d_model
 64, 2 layers, 4 heads, d_ff 256) with random weights from a fixed seed,
 and the prompt is random ids from a fixed seed with an anchor closing
 every 12th token. For each length and curve the file records the
@@ -33,18 +34,19 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import time
 import tracemalloc
 from pathlib import Path
+
+from gitinfo import git_commit
 
 LENGTHS = (256, 512, 1024, 2048, 4096)
 ANCHOR_EVERY = 12
 RUNS = 5
 # curve name -> what it times
 CURVES = {
-    "all_rows": "every row, the prebuilt anchor_mask",
-    "last_row": "logit_rows=[-1], the prebuilt anchor_mask",
+    "all_rows": "every row, the prebuilt dense block mask_rows(flags)[:]",
+    "last_row": "logit_rows=[-1], the prebuilt dense block mask_rows(flags)[:]",
     "scored_rows": "logit_rows=[-1], kv_rows=[], mask_rows(flags) built in the call",
 }
 SIZES = {"d_model": 64, "n_layers": 2, "n_heads": 4, "d_ff": 256}
@@ -52,16 +54,6 @@ VOCAB = 512
 SEED = 0
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> None:
@@ -73,7 +65,7 @@ def main() -> None:
     import numpy as np
 
     from anchorlm.corpus import SegmentedText
-    from anchorlm.masks import anchor_mask, mask_rows, segment_flags
+    from anchorlm.masks import mask_rows, segment_flags
     from anchorlm.model import ModelConfig, forward, init_weights
 
     config = ModelConfig(vocab_size=VOCAB, context_len=max(LENGTHS), **SIZES)
@@ -86,7 +78,8 @@ def main() -> None:
             is_anchor=[t % ANCHOR_EVERY == ANCHOR_EVERY - 1 for t in range(T)],
             seq_index=[t // ANCHOR_EVERY for t in range(T)],
         )
-        mask, flags = anchor_mask(seg), segment_flags(seg)
+        flags = segment_flags(seg)
+        mask = mask_rows(flags)[:]
         calls = {
             "all_rows": lambda: forward(weights, ids, mask),
             "last_row": lambda: forward(weights, ids, mask, logit_rows=[-1]),

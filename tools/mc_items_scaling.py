@@ -26,10 +26,11 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import tempfile
 import time
 from pathlib import Path
+
+from gitinfo import git_commit
 
 ITEM_COUNTS = (1, 8, 32, 128)
 BUDGETS = (1, 32, 64, 128, 256, "all")
@@ -39,16 +40,6 @@ DEMO_DOCS, DEMO_SENTENCES, SHOTS, CHOICES = 8, 20, 5, 3
 SEED = 11
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> None:
