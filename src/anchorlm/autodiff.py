@@ -189,10 +189,10 @@ def _swap_halves(a: Array) -> Array:
 
 def rotate(x: Tensor | Array, cos: Array, sin: Array) -> Tensor | Array:
     """Rotary encoding: turn each pair (x[..., i], x[..., half + i]) by its
-    angle. cos and sin are (..., head_dim) tables [cos, cos] and
-    [-sin, sin] of the angles (`model._rope_tables`), so the rotation is
-    swap(x) * sin + x * cos, where swap exchanges the two halves: per
-    element the same IEEE operations as x1 cos - x2 sin and
+    angle. cos and sin are (..., head_dim) rows [cos, cos] and [-sin, sin]
+    of the angles, gathered by position (`model._rope_tables`), so the
+    rotation is swap(x) * sin + x * cos, where swap exchanges the two
+    halves: per element the same IEEE operations as x1 cos - x2 sin and
     x1 sin + x2 cos. The backward is the inverse rotation,
     g * cos - swap(g) * sin."""
     xd = data_of(x)

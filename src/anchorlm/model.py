@@ -26,11 +26,13 @@ rows of the rows each layer runs and no others (`_layer_rows`), so a
 forward that runs a few query rows over many keys never builds the rest.
 When every row is needed nothing is gathered, so training, perplexity
 and one-token decode steps run every row as one block, built once.
+Rotary rows are gathered by position from one read-only cos/sin table
+per (head_dim, rope_base) that grows on demand (`_rope_tables`), so no
+forward computes a cos or sin.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,23 +124,32 @@ def init_weights(config: ModelConfig, seed: int, anchor_id: int | None = None) -
     return ModelWeights(config, arrays)
 
 
-@functools.cache
-def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
-    """Rotary inverse frequencies, each twice, (head_dim,): one per
-    element of the halves that `rotate` pairs. Computed once per
-    (head_dim, rope_base) and shared by every forward, so read-only."""
+_ROPE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rope_table(head_dim: int, rope_base: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (size, head_dim) tables [cos, cos] and [-sin, sin] of the
+    angles of positions 0..size-1, the layout `rotate` takes."""
     inv_freq = np.tile(rope_base ** (-np.arange(head_dim // 2) * 2.0 / head_dim), 2)
-    inv_freq.flags.writeable = False
-    return inv_freq
+    angles = np.arange(size)[:, None] * inv_freq
+    cos, sin = np.cos(angles), np.sin(angles)
+    sin[:, : head_dim // 2] *= -1.0
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _rope_tables(config: ModelConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, head_dim) tables [cos, cos] and [-sin, sin] of each position's
-    angles, the layout `rotate` takes."""
-    angles = positions[:, None] * _inv_freq(config.head_dim, config.rope_base)
-    cos, sin = np.cos(angles), np.sin(angles)
-    sin[:, : config.head_dim // 2] *= -1.0
-    return cos, sin
+    """The (T, head_dim) rows of the positions, gathered from the table of
+    (head_dim, rope_base) that every forward shares: bitwise the direct
+    formula's. It covers context_len positions when first built and at
+    least doubles when a position lies past it (a decode past context_len);
+    threads growing it at once build equal tables."""
+    key = (config.head_dim, config.rope_base)
+    cos, sin = _ROPE.get(key, ((), ()))
+    top = int(positions.max())
+    if top >= len(cos):
+        cos, sin = _ROPE[key] = _rope_table(*key, max(config.context_len, 2 * len(cos), top + 1))
+    return cos.take(positions, axis=0), sin.take(positions, axis=0)
 
 
 def _layer_rows(
@@ -220,6 +231,8 @@ def _forward_graph(
             raise ContractError("a row keeps a new key at or after its own position")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ContractError(f"token ids must lie in [0, {config.vocab_size})")
+    if positions.min() < 0:
+        raise ContractError("positions must be >= 0")
 
     H, hd = config.n_heads, config.head_dim
     cos_all, sin_all = _rope_tables(config, positions)
@@ -311,7 +324,7 @@ def forward(
     query itself, must lie at an earlier position: a chain's positions
     increase, and the branches of a tree may repeat positions where they
     cannot see each other. Ids outside [0, vocab_size) and positions
-    breaking that rule in a row read raise ContractError.
+    breaking that rule in a row read or lying below 0 raise ContractError.
 
     logit_rows (row indices, negative ones counting from the end, or a
     slice; None means every row) picks the rows whose logits are

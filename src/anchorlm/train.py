@@ -99,6 +99,8 @@ class TrainConfig:
 
 def _coerce(text: str, annotation: str):
     if text.lower() in ("none", ""):
+        if "None" not in annotation:  # only steps and epochs may be unset
+            raise ValueError(f"{text!r} is not a value")
         return None
     if "int" in annotation:
         return int(text)

@@ -407,7 +407,8 @@ def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("content, message", [
     ("steps = 1\nseed 3\n", "bad config line"), ("steps = 1\nsteep = 3\n", "steep"),
-], ids=["no-equals", "unknown-key"])
+    ("steps = 1\nlearning_rate = none\n", "learning_rate"),
+], ids=["no-equals", "unknown-key", "learning-rate-none"])
 def test_malformed_train_config_is_config_error(workspace, tmp_path, capsys, content, message):
     config = tmp_path / "train.cfg"
     config.write_text(content, encoding="utf-8")

@@ -10,7 +10,7 @@ from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache, kept_by_reduction
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
-from anchorlm.infer import advance, attend
+from anchorlm.infer import GenerationConfig, advance, attend, generate
 from anchorlm.masks import TokenFlags, mask_rows, segment_flags
 from anchorlm.model import (
     ModelConfig,
@@ -353,11 +353,75 @@ def test_one_token_step_names_the_first_non_finite_layer(tiny_weights):
             attend(weights, cache, [1], [TokenFlags(False, 0)])
 
 
-def test_rotary_inverse_frequencies_are_read_only():
-    inv_freq = model._inv_freq(8, 10000.0)
-    assert inv_freq is model._inv_freq(8, 10000.0)  # computed once, shared
-    with pytest.raises(ValueError):
-        inv_freq[0] = 2.0
+def direct_rope_rows(config, positions):
+    """The rotary rows [cos, cos] and [-sin, sin] computed from the
+    positions directly, as every forward once did."""
+    half = config.head_dim // 2
+    inv_freq = np.tile(config.rope_base ** (-np.arange(half) * 2.0 / config.head_dim), 2)
+    angles = positions[:, None] * inv_freq
+    cos, sin = np.cos(angles), np.sin(angles)
+    sin[:, :half] *= -1.0
+    return cos, sin
+
+
+@pytest.fixture
+def rope_builds(monkeypatch):
+    """An empty rotary table store; the list holds each table build's size."""
+    monkeypatch.setattr(model, "_ROPE", {})
+    sizes = []
+    build = model._rope_table
+
+    def spy(head_dim, rope_base, size):
+        sizes.append(size)
+        return build(head_dim, rope_base, size)
+
+    monkeypatch.setattr(model, "_rope_table", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("positions", [
+    np.arange(64), np.array([0, 1, 2, 3, 2, 3, 2, 3, 4]),
+    np.arange(60, 5000, 37), np.random.default_rng(3).integers(0, 4096, 500),
+], ids=["chain", "tree", "past-context", "random"])
+def test_rotary_rows_equal_the_direct_formula(rope_builds, positions):
+    config = tiny_config()  # context_len 64
+    for got, want in zip(model._rope_tables(config, positions), direct_rope_rows(config, positions)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # bitwise
+
+
+def test_rotary_table_is_built_once_and_read_only(rope_builds, tiny_weights):
+    ids = [1, 2, 3, 4]
+    forward(tiny_weights, ids, causal_rule(4))
+    forward(tiny_weights, ids, causal_rule(4), positions=np.arange(60, 64))
+    assert rope_builds == [64]  # context_len; the second forward builds nothing
+    cos, sin = model._ROPE[(8, 10000.0)]
+    for table in (cos, sin):
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    forward(tiny_weights, ids, causal_rule(4), positions=np.arange(64, 68))
+    assert rope_builds == [64, 128]  # a position past the table doubles it
+
+
+def test_negative_positions_are_rejected(tiny_weights):
+    with pytest.raises(ContractError, match="positions"):
+        forward(tiny_weights, [1, 2], causal_rule(2), positions=np.array([-2, -1]))
+
+
+def test_decode_past_context_len_is_lossless(rope_builds):
+    weights = init_weights(tiny_config(context_len=8), seed=7)
+    prefix = SegmentedText(
+        ids=[5, 6, 4, 7, 8, 4, 9], is_anchor=[False, False, True, False, False, True, False],
+        seq_index=[0, 0, 0, 1, 1, 1, 2],
+    )
+    on, off = (
+        generate(weights, prefix, GenerationConfig(
+            max_new_tokens=20, anchor_token_id=4, eos_id=None, reduction_enabled=reduce,
+        ))
+        for reduce in (True, False)
+    )
+    assert on.ids == off.ids and len(on.ids) == 20
+    assert on.stats.total_discards > 0
+    assert rope_builds == [8, 16, 32]  # positions past 15 read grown tables
 
 
 def test_short_block_rejected(tiny_weights):
