@@ -275,6 +275,14 @@ def cmd_train(args) -> int:
         initial, start_step, ckpt_vocab_sha, opt_state = load_checkpoint(args.resume)
         if ckpt_vocab_sha != vocab_sha:
             raise ConfigError("checkpoint was trained with a different vocab")
+        differ = [
+            f"{f.name} {getattr(initial.config, f.name)} (flags and data.cfg: "
+            f"{getattr(model_config, f.name)})"
+            for f in dc_fields(ModelConfig)
+            if getattr(initial.config, f.name) != getattr(model_config, f.name)
+        ]
+        if differ:
+            raise ConfigError(f"checkpoint {args.resume} has another model: {', '.join(differ)}")
         manifest.add_input(args.resume)
 
     report = train(

@@ -5,25 +5,22 @@ Multiple-choice scoring follows the continuation log-likelihood recipe:
 each choice is appended to the prompt and the summed log-probability of
 its tokens decides the prediction (ties go to the lowest choice index).
 With demonstration caching, the demonstrations are processed once and
-their cache is reused across items and choices. Under anchor masks the
-demonstration part is prefilled one anchor-closed sequence per forward,
-with a reduction to the anchors after each, so no forward attends to
-keys its mask blocks and the live cache never holds more than the
-anchors so far plus one sequence (a chunked prefill, as in SARATHI,
-Agrawal et al., 2023, with the chunks cut where the mask already cuts
-attention). Such a forward reads no logits and keeps only its anchor's
-keys/values, so its last layer runs no row past its keys/values and the
-layer below runs the anchor alone. The demonstration part does not
-depend on the item, so it is built once per task under every policy, and
-each prompt is checked to start with it when the prompt is built. The
-items are then scored in packed forwards, each over a clone of that
-cache: an item's context is the trunk of a tree, each choice but its last
-token is a branch that sees the trunk and itself, never another choice,
-and consecutive items share
-one forward as a forest whose trees never see each other
-(`infer.score_trees`, tree attention across prompts that share a cached
-prefix, as in Hydragen, Juravsky et al., 2024). Nothing an item adds is
-committed, so the cache statistics are the demonstration cache's.
+their cache is reused across items and choices. The demonstration part
+is prefilled in one `advance` that reads no logits, as `infer.generate`
+prefills its prompt: under anchor masks the cache is reduced after it,
+and the forward computes keys/values only for the rows the reduction
+keeps, so a closed sequence's other tokens run only as far as their
+anchor reads them. The demonstration part does not depend on the item,
+so it is built once per task under every policy, and each prompt is
+checked to start with it when the prompt is built. The items are then
+scored in packed forwards, each over a clone of that cache: an item's
+context is the trunk of a tree, each choice but its last token is a
+branch that sees the trunk and itself, never another choice, and
+consecutive items share one forward as a forest whose trees never see
+each other (`infer.score_trees`, tree attention across prompts that
+share a cached prefix, as in Hydragen, Juravsky et al., 2024). Nothing
+an item adds is committed, so the cache statistics are the
+demonstration cache's.
 """
 
 from __future__ import annotations
@@ -310,18 +307,12 @@ def _score_cached(
     items; score packed groups of items, contexts and choices, in one
     forward each.
 
-    Under anchor masks (the only masks that make reduction lossless) the
-    demonstration part is prefilled one anchor-closed sequence per
-    forward, and the cache is reduced to its anchors after each one: a
-    sequence then attends to itself plus the earlier anchors, exactly the
-    keys its mask rows allow, instead of a dense L x L block. Each is an
-    `advance` that reduces and reads no logits: it keeps only the
-    anchor's keys/values, so its last layer runs no row past its
-    keys/values and the layer below runs the anchor alone; the sequence's
-    other tokens only feed the keys/values the anchor reads. A tail after
-    the last anchor is the last forward, and keeps every row. Under causal
-    masks the demonstration part is one forward and is not reduced. Every
-    prompt starts with `demo`; `_prompt` checked that when it built them.
+    The demonstration part is one `advance` that reads no logits. Under
+    anchor masks (the only masks that make reduction lossless) it reduces
+    the cache after the forward, and keeps only the rows the reduction
+    keeps: the anchors and any tail after the last one. Under causal masks
+    it keeps every row and is not reduced. Every prompt starts with
+    `demo`; `_prompt` checked that when it built them.
 
     Consecutive items are then packed greedily into groups of at most
     ITEM_TOKEN_BUDGET new tokens (contexts plus branch tokens); an item
@@ -333,14 +324,10 @@ def _score_cached(
 
     demo_cache = AnchorKVCache()
     if len(demo) > 0:
-        flags = segment_flags(demo)
-        # cut after every anchor but a final one
-        ends = np.flatnonzero(flags[:-1, 0]) + 1 if use_ansan else []
-        for lo, hi in zip([0, *ends], [*ends, len(demo)]):
-            advance(
-                weights, demo_cache, demo.ids[lo:hi], flags[lo:hi], use_ansan,
-                reduce=use_ansan, logits=False,
-            )
+        advance(
+            weights, demo_cache, demo.ids, segment_flags(demo), use_ansan,
+            reduce=use_ansan, logits=False,
+        )
 
     groups: list[list[_PreparedItem]] = []
     size = 0

@@ -436,9 +436,10 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelWeights, int, str, dict[str, np.ndarray]]:
-    """Inverse of save_checkpoint. A malformed header, a payload whose
-    length differs from the declared tensors, or a tensor whose shape
-    does not fit the declared config raises InputError."""
+    """Inverse of save_checkpoint. A malformed header, a tensor declared
+    twice, a payload whose length differs from the declared tensors, or a
+    tensor whose shape does not fit the declared config raises
+    InputError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -475,6 +476,8 @@ def load_checkpoint(
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for (name, shape), n in zip(tensor_decls, sizes):
+        if name in arrays:
+            raise InputError(f"checkpoint {path} declares tensor {name} twice")
         arrays[name] = np.frombuffer(
             payload, dtype="<f8", count=n, offset=offset
         ).reshape(shape).copy()

@@ -285,6 +285,12 @@ BAD_FLAGS = {
     "learning-rate-nan": (lambda ws: _train(ws, "--learning-rate", "nan"), "learning_rate"),
     "weight-decay-nan": (lambda ws: _train(ws, "--weight-decay", "nan"), "weight_decay"),
     "grad-clip-negative": (lambda ws: _train(ws, "--grad-clip", "-1"), "grad_clip"),
+    # the workspace checkpoint is 1 layer of width 16 with d_ff 64
+    "resume-without-model-flags": (lambda ws: _train(
+        ws, "--resume", str(ws / "train" / "ckpt.bin")), "d_model 16"),
+    "resume-other-d-ff": (lambda ws: _train(
+        ws, "--n-layers", "1", "--n-heads", "2", "--d-model", "16", "--d-ff", "32",
+        "--resume", str(ws / "train" / "ckpt.bin")), "d_ff 64"),
 }
 
 

@@ -233,7 +233,7 @@ def item_tokens(prep, demo):
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
-def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
+def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case, layer_queries):
     policy, demos = CHUNK_CASES[case]
     items, _ = make_task(4, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
@@ -247,13 +247,14 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
 
     calls, forwards = record_calls(monkeypatch)
     cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
-    # one forward per anchor-closed sequence, the tail as the last one,
-    # then one for every item, which fit the budget together
-    ends = [*(anchors + 1), demo_len] if tail else list(anchors + 1)
-    assert calls == [("advance", n) for n in np.diff([0, *ends])] + [
-        ("score_trees", len(prepared))
-    ]
-    assert len(forwards) == len(ends) + 1
+    # one prefill of the whole demonstration part, then one forward for
+    # every item, which fit the budget together
+    assert calls == [("advance", demo_len), ("score_trees", len(prepared))]
+    assert len(forwards) == 2
+    # the prefill reads no logits, and layer 0 runs only the rows the
+    # reduction keeps: every anchor and the tail after the last one
+    kept = len(anchors) + tail
+    assert layer_queries()[0] == [kept, 0]
 
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
@@ -261,13 +262,9 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case):
         assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
         assert int(np.argmax(a)) == int(np.argmax(b))
 
-    whole = AnchorKVCache()
-    advance(ac_model, whole, demo.ids, flags)
-    whole.reduction()
-    assert acct.total_discards == whole.stats.total_discards > 0
+    assert acct.total_discards == demo_len - kept > 0
     # item contexts are scored in scratch slots and never become live
-    assert acct.total_appends == demo_len
-    assert acct.peak_live_count < demo_len
+    assert acct.total_appends == acct.peak_live_count == demo_len
 
 
 # 3, 5, 10, 3 and 3 new tokens: a 3-token context with 1-token choices,
@@ -295,9 +292,9 @@ def test_items_pack_greedily_under_the_budget(ac_vocab, ac_model, monkeypatch, c
     monkeypatch.setattr(evaluate, "ITEM_TOKEN_BUDGET", budget)
     calls, forwards = record_calls(monkeypatch)
     cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
-    assert [n for name, n in calls if name == "score_trees"] == groups
-    assert len(forwards) == len(DEMOS) + len(groups)
-    assert acct.total_appends == len(demo)
+    assert calls == [("advance", len(demo))] + [("score_trees", n) for n in groups]
+    assert len(forwards) == 1 + len(groups)
+    assert acct.total_appends == acct.peak_live_count == len(demo)
     plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
     for a, b in zip(cached, plain):
         a, b = np.asarray(a), np.asarray(b)
@@ -394,22 +391,22 @@ def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
 @pytest.mark.parametrize("use_ansan", [True, False], ids=["ansan", "causal"])
 def test_last_layer_runs_only_the_rows_scoring_reads(ac_vocab, ac_model, use_ansan,
                                                     layer_queries):
-    # a demonstration chunk's logits are never read, so its last layer runs
-    # no row. Under anchor masks the reduction after it keeps only its
-    # anchor, so the layer below runs that one row, and computes keys/values
-    # for the chunk the anchor reads; under causal masks every demonstration
-    # row is kept. Each packed group runs every new row below its last
-    # layer, where its trees' trunk-last and branch rows run
+    # the demonstration prefill reads no logits, so its last layer runs no
+    # row. Under anchor masks the reduction after it keeps only the
+    # anchors (the demonstration part here ends in one), so the layer
+    # below runs those rows, and computes keys/values for the tokens they
+    # read; under causal masks every demonstration row is kept. Each
+    # packed group runs every new row below its last layer, where its
+    # trees' trunk-last and branch rows run
     items, _ = make_task(4, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
     evaluate._score_cached(ac_model, demo, prepared, use_ansan)
-    chunks = int(segment_flags(demo)[:, 0].sum()) if use_ansan else 1
-    demo_rows = [1, 0] if use_ansan else [len(demo), 0]
+    demo_rows = [int(segment_flags(demo)[:, 0].sum()) if use_ansan else len(demo), 0]
     tokens = sum(len(p.prompt) - len(demo) + sum(len(c) - 1 for c in p.choice_ids)
                  for p in prepared)
     read = sum(1 + sum(len(c) - 1 for c in p.choice_ids) for p in prepared)
     assert ac_model.config.n_layers == 2
-    assert layer_queries() == [demo_rows] * chunks + [[tokens, read]]
+    assert layer_queries() == [demo_rows, [tokens, read]]
 
 
 def test_item_skipped_when_choice_overflows(ac_vocab):
@@ -550,9 +547,10 @@ def item_forest(vocab, weights, policy, use_ansan, demos, items):
     )
     cache = AnchorKVCache()
     if len(demo):
-        advance(weights, cache, demo.ids, segment_flags(demo), use_ansan)
-        if use_ansan:
-            cache.reduction()
+        advance(
+            weights, cache, demo.ids, segment_flags(demo), use_ansan,
+            reduce=use_ansan, logits=False,
+        )
     trees = [
         (p.prompt.ids[len(demo) :], segment_flags(p.prompt, len(demo)), p.choice_ids)
         for p in prepared

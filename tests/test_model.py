@@ -477,9 +477,15 @@ def _rename_tensor(blob):
     return blob.replace(b"tensor final_gain 16", b"tensor final_gainx 16")
 
 
+def _declare_tensor_twice(blob):
+    # a second final_gain, with payload bytes for it: the sizes still fit
+    return blob.replace(b"\nend\n", b"\ntensor final_gain 16\nend\n", 1) + b"\x00" * 128
+
+
 @pytest.mark.parametrize("case, message", [
     ("directory", "cannot read checkpoint"), ("missing", "cannot read checkpoint"),
     ("text", "not a checkpoint"), ("missing-tensor", "missing tensor final_gain"),
+    ("tensor-twice", "declares tensor final_gain twice"),
 ])
 def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, message):
     path = tmp_path / "ckpt.bin"
@@ -490,6 +496,9 @@ def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, mess
     elif case == "missing-tensor":
         save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
         path.write_bytes(_rename_tensor(path.read_bytes()))
+    elif case == "tensor-twice":
+        save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
+        path.write_bytes(_declare_tensor_twice(path.read_bytes()))
     with pytest.raises(InputError, match=message):
         load_checkpoint(path)
 
