@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
-from .masks import TokenFlags
 from .model import ModelConfig
 
 _MIN_CAPACITY = 16
@@ -45,7 +44,7 @@ class CacheStats:
     total_discards: int = 0
 
 
-def kept_by_reduction(flags: Sequence[TokenFlags] | np.ndarray) -> np.ndarray | None:
+def kept_by_reduction(flags: np.ndarray) -> np.ndarray | None:
     """The reduction rule over entries in position order, given as
     (is_anchor, seq_index) rows: the indices of every anchor and of every
     entry from the last anchor on, increasing; None when no entry is an
@@ -94,9 +93,9 @@ class AnchorKVCache:
             flags[:n] = self._flags[:n]
         self._keys, self._values, self._positions, self._flags = keys, values, positions, flags
 
-    def extend_from_forward(self, flags: Sequence[TokenFlags] | np.ndarray) -> None:
-        """Make live the free slots after the live ones, one per flag
-        (TokenFlags or (is_anchor, seq_index) rows), whose keys and values
+    def extend_from_forward(self, flags: np.ndarray) -> None:
+        """Make live the free slots after the live ones, one per
+        (is_anchor, seq_index) row of flags, whose keys and values
         a forward over `stacked(len(flags))` wrote. They take the next
         positions; nothing is copied but the positions and flags."""
         n, end = self._live, self._live + len(flags)

@@ -447,6 +447,8 @@ def cmd_eval(args) -> int:
             if "@" not in arm_text:
                 raise UsageError(f"--arm must look like policy@ckpt, got {arm_text!r}")
             policy_name, ckpt_path = arm_text.split("@", 1)
+            if policy_name in arms:
+                raise UsageError(f"--arm policy {policy_name!r} is given twice")
             arm_policy = AnchorPolicy.parse(policy_name, seed=args.policy_seed)
             arm_weights, _ = _load_weights_checked(ckpt_path, args.vocab, manifest)
             arms[policy_name] = (arm_weights, arm_policy)

@@ -194,18 +194,6 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def build_mc_prompt(
-    demo_texts: list[str],
-    context_text: str,
-    vocab: Vocab,
-    policy: AnchorPolicy,
-) -> tuple[SegmentedText, int]:
-    """Assemble the demonstrations + item context into one segment;
-    returns the segment and the token length of the demonstration part."""
-    demo = _demo_part(demo_texts, vocab, policy)
-    return _prompt(demo, demo_texts, context_text, vocab, policy), len(demo)
-
-
 def _demo_part(demo_texts: list[str], vocab: Vocab, policy: AnchorPolicy) -> SegmentedText:
     """The demonstration part, which does not depend on the item. Under
     the ac policy each demonstration is one sequence closed by one

@@ -1,11 +1,11 @@
 """Anchor-based autoregressive generation and continuation scoring, both
-built on one cached step (`attend`, and `advance`, which also caches;
-`score_trees` scores several contexts and their continuations as a
-forest of trees in one forward over the cache, committing nothing).
-Both scorers, `score_trees` and the non-cached `score_continuation`,
-read their scores with one routine, `_logprob_sums`: one row-wise
-log-softmax over the forward's logit rows, one gather of every scored
-id, and a left-to-right sum per continuation.
+built on one cached step (`advance`, one forward over the cache that
+commits the new tokens; `score_trees` scores several contexts and their
+continuations as a forest of trees in one forward over the cache,
+committing nothing). Both scorers, `score_trees` and the non-cached
+`score_continuation`, read their scores with one routine,
+`_logprob_sums`: one row-wise log-softmax over the forward's logit rows,
+one gather of every scored id, and a left-to-right sum per continuation.
 
 Generation processes the prefix under anchor masks in one `advance`,
 which reduces the cache after it, then decodes token by token; the
@@ -31,8 +31,8 @@ import numpy as np
 from .cache import AnchorKVCache, CacheStats, kept_by_reduction
 from .corpus import SegmentedText
 from .errors import ContractError, NumericError
-from .masks import TokenFlags, mask_rows, segment_flags
-from .model import ForwardOutput, ModelWeights, forward
+from .masks import mask_rows, segment_flags
+from .model import ModelWeights, forward
 
 
 @dataclass(frozen=True)
@@ -98,45 +98,23 @@ def next_seq_index(seg: SegmentedText) -> int:
     return seg.seq_index[-1] + (1 if seg.is_anchor[-1] else 0)
 
 
-def attend(
-    weights: ModelWeights,
-    cache: AnchorKVCache,
-    ids: Sequence[int],
-    flags: Sequence[TokenFlags] | np.ndarray,
-    ansan: bool = True,
-    logit_rows: Sequence[int] | np.ndarray | slice | None = None,
-    kv_rows: Sequence[int] | np.ndarray | slice | None = None,
-) -> ForwardOutput:
-    """Run new tokens against the live cache and each other under the
-    anchor rule (causal when ansan is False), which `forward` gets as a
-    `MaskRule` over the cache's live flags and reads only for the rows
-    it runs. Their keys/values land in the cache's free slots, so the
-    live entries and len(cache) are not changed. Positions continue from
-    the newest entry, which reduction never drops. logit_rows picks the
-    rows whose logits `forward` computes, kv_rows the rows whose
-    keys/values it writes (None: every row)."""
-    rows = mask_rows(flags, cache.flag_array(), ansan)
-    kv = cache.stacked(len(ids), weights.config)
-    return forward(
-        weights, ids, rows, kv, positions=cache.next_positions(len(ids)),
-        logit_rows=logit_rows, kv_rows=kv_rows,
-    )
-
-
 def advance(
     weights: ModelWeights,
     cache: AnchorKVCache,
     ids: Sequence[int],
-    flags: Sequence[TokenFlags] | np.ndarray,
+    flags: np.ndarray,
     ansan: bool = True,
     reduce: bool = False,
     logits: bool = True,
 ) -> np.ndarray | None:
-    """`attend`, then commit the tokens' keys/values, then, with reduce,
-    reduce the cache (`AnchorKVCache.reduction`); one `forward` call.
-    Returns the logits of the last token, the next token's distribution,
-    or None when logits is False, and the forward computes no logits.
-    The last layer runs only the rows whose logits are read. With reduce,
+    """One `forward` of new tokens, with these (is_anchor, seq_index)
+    flags, over the live cache and each other under the anchor rule
+    (causal when ansan is False); then commit the keys/values it wrote
+    into the free slots, at the positions after the newest entry, and,
+    with reduce, reduce the cache (`AnchorKVCache.reduction`). Returns
+    the logits of the last token, the next token's distribution, or None
+    when logits is False, and the forward computes no logits. The last
+    layer runs only the rows whose logits are read. With reduce,
     keys/values are computed only for the rows the reduction keeps
     (`kept_by_reduction`: the new anchors and the rows from the last new
     anchor on, or every row without a new anchor), so a closed sequence's
@@ -144,8 +122,9 @@ def advance(
     the rows left out are committed unwritten and discarded by the
     reduction right after."""
     kv_rows = kept_by_reduction(flags) if reduce and len(ids) > 1 else None
-    out = attend(
-        weights, cache, ids, flags, ansan,
+    out = forward(
+        weights, ids, mask_rows(flags, cache.flag_array(), ansan),
+        cache.stacked(len(ids), weights.config), cache.next_positions(len(ids)),
         logit_rows=slice(-1, None) if logits else [], kv_rows=kv_rows,
     )
     cache.extend_from_forward(flags)
@@ -155,7 +134,7 @@ def advance(
 
 
 # (context ids, context flags, continuations), as `score_trees` takes them
-Tree = tuple[Sequence[int], Sequence[TokenFlags] | np.ndarray, Sequence[Sequence[int]]]
+Tree = tuple[Sequence[int], np.ndarray, Sequence[Sequence[int]]]
 
 
 def score_trees(

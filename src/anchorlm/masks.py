@@ -10,17 +10,16 @@ sequence k and key j (j <= i):
     (an anchor aggregates its own sequence only);
   * allowed otherwise.
 
-One vectorized rule, `mask_rows`, gives every mask, for training,
-perplexity and inference alike; with ansan False it is plain causal. It
-is read by rows, as FlexAttention's `mask_mod` (Dong et al., 2024) is
-evaluated only where attention is computed: `mask_rows(...)[rows]`
-builds the bool rows of those queries from the flags alone, so a forward
-that runs a few query rows over many keys never builds the rest.
+Flags are (is_anchor, seq_index) rows in position order. One vectorized
+rule, `mask_rows`, gives every mask, for training, perplexity and
+inference alike; with ansan False it is plain causal. It is read by
+rows, as FlexAttention's `mask_mod` (Dong et al., 2024) is evaluated
+only where attention is computed: `mask_rows(...)[rows]` builds the bool
+rows of those queries from the flags alone, so a forward that runs a few
+query rows over many keys never builds the rest.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,18 +28,7 @@ from .corpus import SegmentedText
 MASK_MODES = ("causal", "ansan")
 
 
-class TokenFlags(NamedTuple):
-    """Anchor flag and sequence index of one token, as masking sees it.
-
-    A sequence of TokenFlags converts to an (N, 2) integer array of
-    (is_anchor, seq_index) rows, the layout the cache stores flags in.
-    """
-
-    is_anchor: bool
-    seq_index: int
-
-
-def _flag_rows(flags: Sequence[TokenFlags] | np.ndarray) -> np.ndarray:
+def _flag_rows(flags: np.ndarray) -> np.ndarray:
     return np.asarray(flags, dtype=np.int64).reshape(-1, 2)
 
 
@@ -57,7 +45,7 @@ class MaskRule:
 
     `rule[rows]` gives the bool rows of any query indices (an int, an
     index array or a slice), as indexing the dense matrix would; and
-    `np.asarray(rule)` gives that 0/1 matrix. The earlier keys precede
+    `np.asarray(rule)` builds that whole matrix. The earlier keys precede
     every new token, so only the anchor rule (module docstring) can block
     them and their columns need no causal compare; the new-token block is
     also causal. With ansan False the rows are plain causal. The flags
@@ -84,11 +72,7 @@ class MaskRule:
         return self[:].astype(np.uint8 if dtype is None else dtype)
 
 
-def mask_rows(
-    new_flags: Sequence[TokenFlags] | np.ndarray,
-    key_flags: Sequence[TokenFlags] | np.ndarray = (),
-    ansan: bool = True,
-) -> MaskRule:
+def mask_rows(new_flags: np.ndarray, key_flags: np.ndarray = (), ansan: bool = True) -> MaskRule:
     """The mask rule for new tokens with these flags over earlier keys
     with these, as (is_anchor, seq_index) rows in position order."""
     return MaskRule(_flag_rows(new_flags), _flag_rows(key_flags), ansan)

@@ -20,10 +20,9 @@ the last layer runs the logit rows, and each layer below runs the rows
 whose keys/values the layer above computes. A token that anchor masks
 hide from every later read, such as a non-anchor token of a sequence
 that a reduction will discard, stops at the keys/values its own
-sequence's rows read. The mask is read the same way: every caller
-passes the mask rule (`masks.mask_rows`), and a forward builds the mask
-rows of the rows each layer runs and no others (`_layer_rows`), so a
-forward that runs a few query rows over many keys never builds the rest.
+sequence's rows read. The mask is read the same way, only as bool
+`mask[rows]` for the rows each layer runs (`_layer_rows`), so the rule
+that callers pass (`masks.mask_rows`) never builds the other rows.
 When every row is needed nothing is gathered, so training, perplexity
 and one-token decode steps run every row as one block, built once.
 Rotary rows are gathered by position from one read-only cos/sin table
@@ -180,7 +179,7 @@ def _layer_rows(
         kept = np.zeros(mask.shape[0], dtype=bool)
         kept[slice(None) if kv_rows is None else kv_rows] = True
     while run is not None and len(plan) < n_layers:
-        keep = np.asarray(mask[run], dtype=bool)  # a 0/1 array's rows too
+        keep = mask[run]
         written = kept | keep[:, n_cached:].any(axis=0)
         written[run] = True
         kv = None if written.all() else np.flatnonzero(written)
@@ -190,7 +189,7 @@ def _layer_rows(
             plan.append((kv, run if kv is None else np.searchsorted(kv, run), keep))
         run = kv
     if len(plan) < n_layers:
-        plan += [(None, None, np.asarray(mask[:], dtype=bool))] * (n_layers - len(plan))
+        plan += [(None, None, mask[:])] * (n_layers - len(plan))
     return plan[::-1]
 
 
@@ -302,7 +301,7 @@ def _row_indices(n: int, selection, name: str) -> np.ndarray:
 def forward(
     weights: ModelWeights,
     ids: list[int] | np.ndarray,
-    mask_bits: np.ndarray,
+    mask_bits: MaskRule | np.ndarray,
     cache_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
     positions: np.ndarray | None = None,
     collect_attn: bool = False,
@@ -316,15 +315,16 @@ def forward(
     tokens' keys (rotary applied) and values, and attention reads the
     cached slots and the written ones in place; a cache is
     inference-only, and no gradient flows into it. mask_bits, of shape
-    (T, cached + T), is a 0/1 matrix or a `masks.MaskRule`, which builds
-    only the rows the layers read: each layer reads the mask rows of the
-    rows it runs, and the position rule below is checked for those rows.
-    Positions are absolute and are never renumbered
-    after cache reduction. Every new key a row keeps, other than the
-    query itself, must lie at an earlier position: a chain's positions
-    increase, and the branches of a tree may repeat positions where they
-    cannot see each other. Ids outside [0, vocab_size) and positions
-    breaking that rule in a row read or lying below 0 raise ContractError.
+    (T, cached + T), is read only as `mask_bits.shape` and bool
+    `mask_bits[rows]`, as a `masks.MaskRule` or a bool array gives them:
+    each layer reads the rows it runs, and the position rule below is
+    checked for those rows. Positions are absolute and are never
+    renumbered after cache reduction. Every new key a row keeps, other
+    than the query itself, must lie at an earlier position: a chain's
+    positions increase, and the branches of a tree may repeat positions
+    where they cannot see each other. Ids outside [0, vocab_size) and
+    positions breaking that rule in a row read or lying below 0 raise
+    ContractError.
 
     logit_rows (row indices, negative ones counting from the end, or a
     slice; None means every row) picks the rows whose logits are
@@ -360,8 +360,6 @@ def forward(
             )
         if logit_rows.size == ids.size and logit_rows.tolist() == list(range(ids.size)):
             logit_rows = None  # every row, in order: nothing to gather
-    if not isinstance(mask_bits, MaskRule):
-        mask_bits = np.atleast_2d(np.asarray(mask_bits))
     if positions is None:
         if cache_kv:
             raise ContractError("positions are required when a cache is supplied")
@@ -379,9 +377,9 @@ def loss_and_grads(
     weights: ModelWeights, block: SegmentedText, mask_bits: MaskRule | np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean next-token cross-entropy over the block and its exact gradient,
-    one array per parameter name. mask_bits is the block's (L, L) mask, a
-    `masks.MaskRule` as training passes it or a 0/1 matrix; every row
-    runs, so it is read once, whole."""
+    one array per parameter name. mask_bits is the block's (L, L) mask,
+    read as `forward` reads it (`mask_bits.shape` and bool rows); every
+    row runs, so it is read once, whole."""
     L = len(block)
     if L < 2:
         raise ContractError("training block must contain at least 2 tokens")

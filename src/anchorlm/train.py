@@ -83,6 +83,8 @@ class TrainConfig:
             if "=" not in line:
                 raise ConfigError(f"bad config line in {path}: {raw!r}")
             key, text = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ConfigError(f"train config key {key} is given twice in {path}")
             values[key] = text
         known = {f.name: f for f in fields(cls)}
         parsed: dict = {}

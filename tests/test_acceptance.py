@@ -20,11 +20,12 @@ from anchorlm.corpus import (
 from anchorlm.evaluate import (
     MCItem,
     REFERENCE_FULL_SCALE,
-    build_mc_prompt,
+    _demo_part,
+    _prompt,
     run_mc_task,
 )
 from anchorlm.infer import GenerationConfig, advance, generate
-from anchorlm.masks import TokenFlags, mask_rows
+from anchorlm.masks import mask_rows
 from anchorlm.model import ModelConfig, forward, init_weights, loss_and_grads
 from anchorlm.synth import make_corpus, make_task
 from anchorlm.train import TrainConfig, compare_from_scratch, train
@@ -57,7 +58,7 @@ def test_criterion_1_mask_oracle_equivalence():
         seg = random_segmented(rng, max_len=64)
         produced = np.asarray(anchor_rule(seg))
         assert np.array_equal(produced, naive_anchor_mask(seg.is_anchor, seg.seq_index))
-        flags = [TokenFlags(a, s) for a, s in zip(seg.is_anchor, seg.seq_index)]
+        flags = list(zip(seg.is_anchor, seg.seq_index))
         for i in range(len(seg)):
             row = mask_rows([flags[i]], flags[:i])[0]
             assert np.array_equal(row, produced[i, : i + 1])
@@ -165,12 +166,10 @@ def test_criterion_5_cache_reduction_metric(tmp_path):
     )
 
     demos = make_corpus(5, sentences_per_doc=3, seed=6)
-    prompt, demo_len = build_mc_prompt(demos, "every cedar path leads to", vocab, policy)
+    demo = _demo_part(demos, vocab, policy)
+    prompt = _prompt(demo, demos, "every cedar path leads to", vocab, policy)
     cache = AnchorKVCache()
-    advance(
-        weights, cache, prompt.ids,
-        [TokenFlags(a, s) for a, s in zip(prompt.is_anchor, prompt.seq_index)],
-    )
+    advance(weights, cache, prompt.ids, list(zip(prompt.is_anchor, prompt.seq_index)))
     cache.reduction()
 
     n_total = len(prompt)
@@ -198,11 +197,10 @@ def test_criterion_6_acceleration(tmp_path):
     demo_pool = [MCItem(doc, ("grain",), 0) for doc in long_docs[:6]]
     items, _ = make_task(5, n_choices=2, seed=8)
 
-    prompt, demo_len = build_mc_prompt(
-        [p.context + " " + p.choices[0] for p in demo_pool[:5]],
-        items[0].context, vocab, policy,
-    )
-    assert demo_len >= 512  # the reuse prefix really is long
+    demo_texts = [p.context + " " + p.choices[0] for p in demo_pool[:5]]
+    demo = _demo_part(demo_texts, vocab, policy)
+    _prompt(demo, demo_texts, items[0].context, vocab, policy)
+    assert len(demo) >= 512  # the reuse prefix really is long
 
     report = run_mc_task(
         weights, vocab, items, shots=5, policy=policy, use_ansan=True,

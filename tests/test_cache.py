@@ -4,8 +4,8 @@ import pytest
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, UndefinedMetricError
-from anchorlm.infer import advance, attend
-from anchorlm.masks import TokenFlags, mask_rows, segment_flags
+from anchorlm.infer import advance
+from anchorlm.masks import mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward
 from oracles import naive_anchor_mask, naive_reduction
 
@@ -235,7 +235,7 @@ def test_extend_after_reduction_keeps_rows_aligned(tiny_weights):
     # reduction drops only keys no later query sees, so every committed row
     # also matches one forward over the whole segment
     whole = AnchorKVCache().stacked(len(seg), tiny_weights.config)
-    mask = naive_anchor_mask(seg.is_anchor, seg.seq_index)
+    mask = naive_anchor_mask(seg.is_anchor, seg.seq_index).astype(bool)
     forward(tiny_weights, seg.ids, mask, whole, positions=np.arange(len(seg)))
     for layer, (keys, values) in enumerate(cache.stacked()):
         for slot, pos in enumerate(positions):
@@ -268,7 +268,9 @@ def test_attend_leaves_the_live_cache_unchanged(tiny_weights):
     appends = cache.stats.total_appends
     # enough new tokens that the free slots must grow past the capacity
     ids = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4]
-    attend(tiny_weights, cache, ids, [TokenFlags(False, 3)] * len(ids))
+    rule = mask_rows([(False, 3)] * len(ids), cache.flag_array())
+    kv = cache.stacked(len(ids), tiny_weights.config)
+    forward(tiny_weights, ids, rule, kv, positions=cache.next_positions(len(ids)))
     assert len(cache) == len(before[0][0][0]) and cache.stats.total_appends == appends
     assert cache.live_positions() == positions
     assert np.array_equal(cache.flag_array(), flags)
@@ -281,7 +283,7 @@ def test_committed_rows_match_a_forward_from_scratch(tiny_weights):
     for start, stop in ((0, 5), (5, 6), (6, 7), (7, 10)):
         advance(tiny_weights, cache, SEG.ids[start:stop], segment_flags(SEG)[start:stop])
     scratch = AnchorKVCache().stacked(len(SEG), tiny_weights.config)
-    mask = naive_anchor_mask(SEG.is_anchor, SEG.seq_index)
+    mask = naive_anchor_mask(SEG.is_anchor, SEG.seq_index).astype(bool)
     forward(tiny_weights, SEG.ids, mask, scratch, positions=np.arange(len(SEG)))
     assert cache.live_positions() == list(range(len(SEG)))
     for (k, v), (k0, v0) in zip(cache.stacked(), scratch):
@@ -301,7 +303,7 @@ def test_growing_stacked_keeps_rows_aligned():
     assert keys[0, : len(live), 0].tolist() == live
     assert (-values[0, : len(live), 1]).tolist() == live
     keys[0, len(live) :] = np.arange(16, 36)[:, None]
-    cache.extend_from_forward([TokenFlags(False, 1)] * 20)
+    cache.extend_from_forward([(False, 1)] * 20)
     (keys, _), = cache.stacked()
     assert keys[0, :, 0].tolist() == cache.live_positions() == live + list(range(16, 36))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from anchorlm.cache import AnchorKVCache
 from anchorlm.corpus import SegmentedText
 from anchorlm.infer import GenerationConfig, generate
-from anchorlm.masks import TokenFlags, mask_rows
+from anchorlm.masks import mask_rows
 from anchorlm.model import ModelConfig
 from oracles import naive_anchor_mask, naive_reduction
 
@@ -22,7 +22,7 @@ runs = st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_siz
 def schedules(draw):
     """A flag layout cut into chunks, each followed by a reduction or not."""
     flags = [
-        TokenFlags(anchored and i == length - 1, seq)
+        (anchored and i == length - 1, seq)
         for seq, (length, anchored) in enumerate(draw(runs))
         for i in range(length)
     ]
@@ -36,7 +36,7 @@ def schedules(draw):
 @given(schedules())
 def test_rule_and_reduction_match_oracles(schedule):
     flags, chunks = schedule
-    oracle = naive_anchor_mask([f.is_anchor for f in flags], [f.seq_index for f in flags])
+    oracle = naive_anchor_mask([a for a, _ in flags], [s for _, s in flags])
     cache = AnchorKVCache()
     for start, stop, reduce_now in chunks:
         live = cache.live_positions()
@@ -53,7 +53,7 @@ def test_rule_and_reduction_match_oracles(schedule):
         cache.extend_from_forward(flags[start:stop])
         if reduce_now:
             cache.reduction()
-            seen = [(p, flags[p].is_anchor) for p in range(stop)]
+            seen = [(p, flags[p][0]) for p in range(stop)]
             assert set(cache.live_positions()) == naive_reduction(seen)
         (stored, _), = cache.stacked()
         assert stored[0, :, 0].tolist() == cache.live_positions()

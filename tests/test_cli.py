@@ -247,6 +247,10 @@ BAD_FLAGS = {
         ws, "ablation", "--arm", f"ac@{ws / 'train' / 'ckpt.bin'}"), "--items"),
     "arm-without-at": (lambda ws: _eval_without_ckpt(
         ws, "ablation", "--items", str(ws / "synth" / "task.jsonl"), "--arm", "ac"), "--arm"),
+    "arm-policy-twice": (lambda ws: _eval_without_ckpt(
+        ws, "ablation", "--items", str(ws / "synth" / "task.jsonl"),
+        "--arm", f"ac@{ws / 'train' / 'ckpt.bin'}", "--arm", f"ac@{ws / 'train' / 'ckpt.bin'}"),
+        "'ac' is given twice"),
     "shots-over-demo-pool": (lambda ws: _eval_mc(ws, "--shots", "1000"), "--shots"),
     "eval-context-len-over-checkpoint": (lambda ws: _eval(
         ws, "ppl", "--text", str(ws / "synth" / "corpus.txt"), "--eval-context-len", "49"),
@@ -414,7 +418,8 @@ def test_bad_train_config_value_is_config_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     ("steps = 1\nseed 3\n", "bad config line"), ("steps = 1\nsteep = 3\n", "steep"),
     ("steps = 1\nlearning_rate = none\n", "learning_rate"),
-], ids=["no-equals", "unknown-key", "learning-rate-none"])
+    ("steps = 1\nlearning_rate = 0.1\nlearning_rate = 0.001\n", "learning_rate is given twice"),
+], ids=["no-equals", "unknown-key", "learning-rate-none", "key-twice"])
 def test_malformed_train_config_is_config_error(workspace, tmp_path, capsys, content, message):
     config = tmp_path / "train.cfg"
     config.write_text(content, encoding="utf-8")

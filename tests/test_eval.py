@@ -13,8 +13,9 @@ from anchorlm.errors import ContractError, InputError, UndefinedMetricError
 from anchorlm.evaluate import (
     MCItem,
     MetricsReport,
+    _demo_part,
+    _prompt,
     ablation_anchor_positions,
-    build_mc_prompt,
     item_order_digest,
     load_mc_items,
     perplexity,
@@ -22,7 +23,7 @@ from anchorlm.evaluate import (
     save_mc_items,
 )
 from anchorlm.infer import advance, next_seq_index, score_continuation, score_trees
-from anchorlm.masks import TokenFlags, mask_rows, segment_flags
+from anchorlm.masks import mask_rows, segment_flags
 from anchorlm.model import ModelConfig, forward, init_weights
 from anchorlm.synth import make_corpus, make_task, partner
 from conftest import SCORE_RTOL, tiny_config
@@ -72,7 +73,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
 def test_single_window_matches_manual_sum(tiny_weights):
     seg = plain_seg([1, 5, 3, 7, 9])
     ppl = perplexity(tiny_weights, seg, "causal", 8)
-    out = forward(tiny_weights, seg.ids, naive_causal_mask(5))
+    out = forward(tiny_weights, seg.ids, naive_causal_mask(5).astype(bool))
     nll = -sum(
         float(naive_log_softmax(out.logits[t])[seg.ids[t + 1]]) for t in range(4)
     )
@@ -86,7 +87,7 @@ def test_windows_are_non_overlapping(tiny_weights):
     total, count = 0.0, 0
     for lo in (0, 4):
         ids = seg.ids[lo : lo + 4]
-        out = forward(tiny_weights, ids, naive_causal_mask(4))
+        out = forward(tiny_weights, ids, naive_causal_mask(4).astype(bool))
         for t in range(3):
             total -= float(naive_log_softmax(out.logits[t])[ids[t + 1]])
             count += 1
@@ -102,7 +103,8 @@ def test_inserted_anchor_targets_excluded(ac_vocab, ac_model):
     ppl_incl = perplexity(ac_model, seg, "ansan", 64)
     assert ppl_excl != ppl_incl  # the anchor target really was dropped
 
-    out = forward(ac_model, seg.ids, naive_anchor_mask(seg.is_anchor, seg.seq_index))
+    mask = naive_anchor_mask(seg.is_anchor, seg.seq_index).astype(bool)
+    out = forward(ac_model, seg.ids, mask)
     nll, n = 0.0, 0
     for t in range(len(seg) - 1):
         if seg.ids[t + 1] == ac_vocab.anchor_id:
@@ -318,9 +320,10 @@ def test_demo_part_built_once_matches_build_mc_prompt(ac_vocab, case):
     items, _ = make_task(5, seed=9)
     demo, prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, policy, 256)
     assert skipped == 0
+    fresh = _demo_part(demos, ac_vocab, policy)
+    assert demo == fresh
     for item, prep in zip(items, prepared):
-        prompt, demo_len = build_mc_prompt(demos, item.context, ac_vocab, policy)
-        assert prep.prompt == prompt and len(demo) == demo_len
+        assert prep.prompt == _prompt(fresh, demos, item.context, ac_vocab, policy)
 
 
 @pytest.mark.parametrize("field", ["ids", "is_anchor", "seq_index"])
@@ -349,10 +352,11 @@ def test_items_that_do_not_fit_are_skipped(ac_vocab, ac_model, unfit):
     items = [BUDGET_ITEMS[0], unfit, BUDGET_ITEMS[3]]
     demo, prepared, skipped = evaluate._prepare_items(items, demos, ac_vocab, AC, 256)
     assert skipped == 1
+    part = _demo_part(demos, ac_vocab, AC)
     alone = [
         [
             score_continuation(
-                ac_model, build_mc_prompt(demos, item.context, ac_vocab, AC)[0],
+                ac_model, _prompt(part, demos, item.context, ac_vocab, AC),
                 ac_vocab.encode_text(choice), True,
             )
             for choice in item.choices
@@ -458,7 +462,8 @@ def test_timing_produces_positive_ratio(ac_vocab, ac_model):
 
 def test_build_mc_prompt_ac_layout(ac_vocab):
     demos = ["the amber lamp holds the stone .", "a birch sign marks the river ."]
-    seg, demo_len = build_mc_prompt(demos, "every cedar path leads to", ac_vocab, AC)
+    demo = _demo_part(demos, ac_vocab, AC)
+    seg, demo_len = _prompt(demo, demos, "every cedar path leads to", ac_vocab, AC), len(demo)
     # one anchor per demonstration, none in the context part
     anchors = [i for i, a in enumerate(seg.is_anchor) if a]
     assert len(anchors) == 2
@@ -472,7 +477,9 @@ def test_build_mc_prompt_ep_layout(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("one two . three four . five six", encoding="utf-8")
     vocab = build_vocab([path], EP, 32)
-    seg, demo_len = build_mc_prompt(["one two .", "three four ."], "five six", vocab, EP)
+    demos = ["one two .", "three four ."]
+    demo = _demo_part(demos, vocab, EP)
+    seg, demo_len = _prompt(demo, demos, "five six", vocab, EP), len(demo)
     assert demo_len == 6
     assert seg.is_anchor[2] and seg.is_anchor[5]
     assert not any(seg.is_anchor[6:])
@@ -480,9 +487,9 @@ def test_build_mc_prompt_ep_layout(tmp_path):
 
 def test_build_mc_prompt_every_n(ac_vocab):
     policy = AnchorPolicy(mode="every_n", n=3)
-    seg, demo_len = build_mc_prompt(
-        ["amber lamp holds stone"], "birch sign marks", ac_vocab, policy
-    )
+    demos = ["amber lamp holds stone"]
+    demo = _demo_part(demos, ac_vocab, policy)
+    seg, demo_len = _prompt(demo, demos, "birch sign marks", ac_vocab, policy), len(demo)
     inserted = [i for i, a in enumerate(seg.is_anchor) if a]
     assert all(seg.ids[i] == ac_vocab.anchor_id for i in inserted)
     # the demo part ends on its content plus a directly trailing anchor
@@ -509,7 +516,8 @@ def texts(min_size):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(NON_AC_POLICIES), st.lists(texts(1), max_size=3), texts(1))
 def test_demo_part_is_the_demos_annotated_alone(ac_vocab, policy, demos, context):
-    seg, demo_len = build_mc_prompt(demos, context, ac_vocab, policy)
+    part = _demo_part(demos, ac_vocab, policy)
+    seg, demo_len = _prompt(part, demos, context, ac_vocab, policy), len(part)
     demo = annotate(" ".join(demos), ac_vocab, policy)
     assert seg.ids[:demo_len] == demo.ids
     assert seg.is_anchor[:demo_len] == demo.is_anchor
@@ -586,7 +594,7 @@ def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, d
     for prep, (ids, flags, choice_ids) in zip(prepared, trees):
         # this tree's rows, branch by branch, against the chain each makes
         # alone: zero on the columns of every other branch and tree
-        cont = TokenFlags(False, next_seq_index(prep.prompt))
+        cont = (False, next_seq_index(prep.prompt))
         n = len(ids)
         lo = offset + n + np.cumsum([0] + [len(c) - 1 for c in choice_ids])
         for cids, b_lo, b_hi in zip(choice_ids, lo, lo[1:]):

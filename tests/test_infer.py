@@ -18,7 +18,7 @@ from anchorlm.infer import (
     score_continuation,
     score_trees,
 )
-from anchorlm.masks import MaskRule, TokenFlags, mask_rows, segment_flags
+from anchorlm.masks import MaskRule, mask_rows, segment_flags
 from anchorlm.model import forward, init_weights
 from conftest import random_segmented, tiny_config
 from oracles import naive_log_softmax
@@ -326,14 +326,14 @@ def test_decode_step_reads_one_mask_row(tiny_weights, mask_reads):
 
 
 def test_continuation_rows_causal_and_ansan():
-    live = [TokenFlags(True, 0), TokenFlags(False, 1)]
-    new = [TokenFlags(False, 1), TokenFlags(False, 1)]
+    live = [(True, 0), (False, 1)]
+    new = [(False, 1), (False, 1)]
     ansan = np.asarray(mask_rows(new, live, ansan=True))
     causal = np.asarray(mask_rows(new, live, ansan=False))
     assert ansan.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     assert causal.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     # a later-sequence query blocks the live non-anchor under ansan
-    new2 = [TokenFlags(False, 2)]
+    new2 = [(False, 2)]
     assert np.asarray(mask_rows(new2, live, ansan=True)).tolist() == [[1, 0, 1]]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from anchorlm.corpus import SegmentedText
-from anchorlm.masks import TokenFlags, mask_rows, segment_flags
+from anchorlm.masks import mask_rows, segment_flags
 from conftest import causal_rule, random_segmented
 from oracles import naive_anchor_mask, naive_causal_mask
 
@@ -41,21 +41,17 @@ def test_anchor_mask_no_anchors_equals_causal():
 
 
 def test_decode_row_non_anchor_sees_previous_anchors():
-    row = mask_rows(
-        [TokenFlags(False, 2)], [TokenFlags(True, 0), TokenFlags(True, 1)]
-    )[0]
+    row = mask_rows([(False, 2)], [(True, 0), (True, 1)])[0]
     assert row.tolist() == [1, 1, 1]
 
 
 def test_decode_row_anchor_blocks_previous_sequences():
-    row = mask_rows(
-        [TokenFlags(True, 2)], [TokenFlags(True, 0), TokenFlags(False, 2)]
-    )[0]
+    row = mask_rows([(True, 2)], [(True, 0), (False, 2)])[0]
     assert row.tolist() == [0, 1, 1]
 
 
 def test_decode_row_empty_cache():
-    assert mask_rows([TokenFlags(False, 0)], [])[0].tolist() == [1]
+    assert mask_rows([(False, 0)], [])[0].tolist() == [1]
 
 
 def test_anchor_mask_matches_oracle_randomized():
@@ -72,7 +68,7 @@ def test_row_by_row_reconstruction_matches_matrix():
     for _ in range(50):
         s = random_segmented(rng, max_len=32)
         full = naive_anchor_mask(s.is_anchor, s.seq_index)
-        flags = [TokenFlags(a, q) for a, q in zip(s.is_anchor, s.seq_index)]
+        flags = list(zip(s.is_anchor, s.seq_index))
         for i in range(len(s)):
             row = mask_rows([flags[i]], flags[:i])[0]
             assert np.array_equal(row, full[i, : i + 1])

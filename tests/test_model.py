@@ -10,8 +10,8 @@ from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache, kept_by_reduction
 from anchorlm.corpus import SegmentedText
 from anchorlm.errors import ContractError, InputError, NumericError
-from anchorlm.infer import GenerationConfig, advance, attend, generate
-from anchorlm.masks import TokenFlags, mask_rows, segment_flags
+from anchorlm.infer import GenerationConfig, advance, generate
+from anchorlm.masks import mask_rows, segment_flags
 from anchorlm.model import (
     ModelConfig,
     _forward_graph,
@@ -63,7 +63,7 @@ def test_config_validation():
 
 
 def test_single_token_softmax_is_one(tiny_weights):
-    out = forward(tiny_weights, [3], np.array([[1]]), collect_attn=True)
+    out = forward(tiny_weights, [3], np.array([[True]]), collect_attn=True)
     for attn in out.attn:
         np.testing.assert_allclose(attn, 1.0)
     assert out.logits.shape == (1, tiny_weights.config.vocab_size)
@@ -71,9 +71,9 @@ def test_single_token_softmax_is_one(tiny_weights):
 
 def test_masked_except_self_equals_single_token(tiny_weights):
     ids = [4, 7, 2]
-    mask = np.eye(3, dtype=np.uint8)  # every token sees only itself
+    mask = np.eye(3, dtype=bool)  # every token sees only itself
     full = forward(tiny_weights, ids, mask)
-    solo = forward(tiny_weights, [ids[2]], np.array([[1]]), positions=np.array([2]))
+    solo = forward(tiny_weights, [ids[2]], np.array([[True]]), positions=np.array([2]))
     np.testing.assert_allclose(full.logits[2], solo.logits[0], rtol=1e-12)
 
 
@@ -240,11 +240,11 @@ def test_cache_equivalence_token_by_token(tiny_weights):
     rows = []
     for t, tok in enumerate(ids):
         out = forward(
-            tiny_weights, [tok], np.ones(t + 1, dtype=np.uint8),
+            tiny_weights, [tok], np.ones((1, t + 1), dtype=bool),
             cache.stacked(1, tiny_weights.config), positions=[t],
         )
         rows.append(out.logits[0])
-        cache.extend_from_forward([TokenFlags(False, 0)])
+        cache.extend_from_forward([(False, 0)])
     scale = np.abs(block.logits).max()
     assert np.max(np.abs(np.array(rows) - block.logits)) / scale < 1e-5
 
@@ -271,7 +271,7 @@ def test_position_stability_after_dropping_masked_entries(tiny_weights):
     cache.entries = visible
     assert cache.live_positions() == visible
     out = forward(
-        tiny_weights, [seg.ids[last]], np.ones(len(visible) + 1, dtype=np.uint8),
+        tiny_weights, [seg.ids[last]], np.ones((1, len(visible) + 1), dtype=bool),
         cache.stacked(1), positions=[last],
     )
     np.testing.assert_allclose(out.logits[0], full.logits[last], rtol=1e-9)
@@ -300,7 +300,7 @@ def test_visible_key_at_a_later_position_raises(tiny_weights):
 
 
 def test_hidden_key_at_a_later_position_passes(tiny_weights):
-    mask = np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=np.uint8)
+    mask = np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
     out = forward(tiny_weights, [1, 2, 3], mask, positions=np.array([0, 2, 1]))
     assert out.logits.shape == (3, tiny_weights.config.vocab_size)
 
@@ -309,7 +309,7 @@ def test_trunk_and_branches_with_repeated_positions_pass(tiny_weights):
     # a two-token trunk and three two-token branches that each continue it
     # at positions 2 and 3 and see the trunk and themselves only
     branch = np.array([-1, -1, 0, 0, 1, 1, 2, 2])
-    mask = naive_causal_mask(8) & ((branch[:, None] == branch) | (branch == -1))
+    mask = naive_causal_mask(8).astype(bool) & ((branch[:, None] == branch) | (branch == -1))
     positions = np.array([0, 1, 2, 3, 2, 3, 2, 3])
     out = forward(tiny_weights, [1, 2, 3, 4, 5, 6, 3, 4], mask, positions=positions)
     # the first and last branches hold the same tokens, so the same logits
@@ -326,14 +326,14 @@ def test_non_finite_raises():
 def decode_cache(weights, n_cached=5):
     """A cache holding n_cached tokens of one sequence, for one-token steps."""
     cache = AnchorKVCache()
-    advance(weights, cache, list(range(1, n_cached + 1)), [TokenFlags(False, 0)] * n_cached)
+    advance(weights, cache, list(range(1, n_cached + 1)), [(False, 0)] * n_cached)
     return cache
 
 
 @pytest.mark.parametrize("bad", [-1, 11])
 def test_one_token_step_rejects_ids_outside_vocab(tiny_weights, bad):
     with pytest.raises(ContractError, match="token ids"):
-        attend(tiny_weights, decode_cache(tiny_weights), [bad], [TokenFlags(False, 0)])
+        advance(tiny_weights, decode_cache(tiny_weights), [bad], [(False, 0)])
 
 
 @pytest.mark.parametrize("width", [5, 7])
@@ -341,7 +341,7 @@ def test_one_token_step_rejects_a_mask_of_the_wrong_shape(tiny_weights, width):
     cache = decode_cache(tiny_weights)  # the right width is 6
     kv, positions = cache.stacked(1, tiny_weights.config), cache.next_positions(1)
     with pytest.raises(ContractError, match="mask shape"):
-        forward(tiny_weights, [1], np.ones((1, width), dtype=np.uint8), kv, positions)
+        forward(tiny_weights, [1], np.ones((1, width), dtype=bool), kv, positions)
 
 
 def test_one_token_step_names_the_first_non_finite_layer(tiny_weights):
@@ -350,7 +350,7 @@ def test_one_token_step_names_the_first_non_finite_layer(tiny_weights):
         cache = decode_cache(weights)
         weights.arrays[f"layer{li}.w2"][0, 0] = np.nan
         with pytest.raises(NumericError, match=f"after layer {li}"):
-            attend(weights, cache, [1], [TokenFlags(False, 0)])
+            advance(weights, cache, [1], [(False, 0)])
 
 
 def direct_rope_rows(config, positions):
@@ -757,7 +757,7 @@ def test_mask_rule_reads_as_its_dense_matrix(
         rows_kept = slice(None) if kept is None else kept
         return out, [a[:, n:][:, rows_kept].copy() for layer in kv or () for a in layer]
 
-    (by_rule, rule_kv), (by_dense, dense_kv) = run(rule), run(dense)
+    (by_rule, rule_kv), (by_dense, dense_kv) = run(rule), run(dense.astype(bool))
     assert np.array_equal(by_rule.logits, by_dense.logits)
     assert all(np.array_equal(a, b) for a, b in zip(rule_kv, dense_kv, strict=True))
     assert all(np.array_equal(a, b) for a, b in zip(by_rule.attn, by_dense.attn, strict=True))
@@ -767,7 +767,7 @@ def test_mask_rule_reads_as_its_dense_matrix(
         # ones under the oracle's matrix
         block = SegmentedText(ids.tolist(), flags[:, 0].astype(bool).tolist(), flags[:, 1].tolist())
         loss, grads = loss_and_grads(tiny_weights, block, rule)
-        want_loss, want = loss_and_grads(tiny_weights, block, full)
+        want_loss, want = loss_and_grads(tiny_weights, block, full.astype(bool))
         assert loss == want_loss
         assert all(np.array_equal(grads[name], want[name]) for name in want)
 

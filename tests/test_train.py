@@ -188,7 +188,8 @@ def test_out_of_range_config_is_config_error(tmp_path, name, value):
     ("steps = 1\nseed 3\n", "bad config line"), ("steps = 1\nsteep = 3\n", "unknown"),
     ("steps = 1\nlearning_rate = none\n", "learning_rate"),
     ("steps = 1\nbatch_size =\n", "batch_size"), ("steps = 1\npolicy = None\n", "policy"),
-], ids=["no-equals", "unknown-key", "float-none", "int-empty", "str-none"])
+    ("learning_rate = 0.1\nsteps = 1\nlearning_rate = 0.001\n", "learning_rate is given twice"),
+], ids=["no-equals", "unknown-key", "float-none", "int-empty", "str-none", "key-twice"])
 def test_malformed_config_file_is_config_error(tmp_path, content, message):
     path = tmp_path / "train.cfg"
     path.write_text(content, encoding="utf-8")
