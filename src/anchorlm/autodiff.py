@@ -9,8 +9,9 @@ weighted sum of values) and `cross_entropy` (the training loss). Like
 Tensor, computing the value with the same numpy ops either way, so one
 forward source runs on Tensors (training) or on arrays (inference, no
 Tensor built) and both agree bitwise. The model joins the fused ops
-with the only Tensor operators: `+` (broadcasting), `@`, `reshape` and
-`swapaxes`. Gradient correctness is pinned down by the finite-difference
+with the only Tensor operators: `+` (equal shapes), `@` (equal leading
+axes), `reshape` and `swapaxes`; neither broadcasts, since no forward
+needs it. Gradient correctness is pinned down by the finite-difference
 tests, not by construction.
 """
 
@@ -24,16 +25,6 @@ import numpy as np
 Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum grad over axes that were broadcast to reach grad's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -96,21 +87,18 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = ensure_tensor(other)
-        data = self.data + other.data
-
-        def bwd(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
-
-        return Tensor._op(data, (self, other), bwd)
+        if self.shape != other.shape:
+            raise ValueError(f"Tensor + needs equal shapes: {self.shape}, {other.shape}")
+        return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __matmul__(self, other) -> "Tensor":
         other = ensure_tensor(other)
+        if self.shape[:-2] != other.shape[:-2]:
+            raise ValueError(f"Tensor @ needs equal leading axes: {self.shape}, {other.shape}")
         data = self.data @ other.data
 
         def bwd(g):
-            ga = _unbroadcast(g @ other.data.swapaxes(-1, -2), self.shape)
-            gb = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape)
-            return ga, gb
+            return g @ other.data.swapaxes(-1, -2), self.data.swapaxes(-1, -2) @ g
 
         return Tensor._op(data, (self, other), bwd)
 
@@ -150,7 +138,8 @@ def take(tensor: Tensor | Array, indices: np.ndarray) -> Tensor | Array:
 
 
 def rmsnorm(x: Tensor | Array, gain: Tensor | Array, eps: float) -> Tensor | Array:
-    """x / sqrt(mean(x * x) + eps) * gain over the last axis."""
+    """x / sqrt(mean(x * x) + eps) * gain over the last axis, for x of
+    shape (rows, d) and gain of shape (d,)."""
     xd = data_of(x)
     scale = ((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + eps) ** -0.5
     normed = xd * scale
@@ -162,7 +151,7 @@ def rmsnorm(x: Tensor | Array, gain: Tensor | Array, eps: float) -> Tensor | Arr
     def bwd(g):
         u = g * gain.data
         centred = u - normed * ((u * normed).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]))
-        return scale * centred, _unbroadcast(g * normed, gain.shape)
+        return scale * centred, (g * normed).sum(axis=0)
 
     return Tensor._op(data, (x, gain), bwd)
 

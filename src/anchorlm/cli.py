@@ -193,18 +193,18 @@ def _read_data_cfg(data_dir: Path) -> dict[str, str]:
         raise InputError(f"cannot read {cfg_path}: {exc}") from exc
     out = {}
     for line in text.splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise InputError(f"bad line in {cfg_path}: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise InputError(f"{cfg_path} gives {key} twice")
+        out[key] = value
     return out
 
 
 # -- train ---------------------------------------------------------------------
-
-_TRAIN_FLAG_FIELDS = (
-    "mask_mode", "batch_size", "steps", "epochs", "learning_rate",
-    "warmup_steps", "weight_decay", "grad_clip", "seed", "checkpoint_every",
-)
 
 
 def cmd_train(args) -> int:
@@ -227,11 +227,12 @@ def cmd_train(args) -> int:
             f"context_len {context_len} in {data_dir / 'data.cfg'}"
         )
 
-    # precedence: flags > config file > defaults
+    # precedence: flags > config file > defaults; a flag is a TrainConfig
+    # field the train parser defines
     overrides = {
-        name: getattr(args, name)
-        for name in _TRAIN_FLAG_FIELDS
-        if getattr(args, name) is not None
+        f.name: getattr(args, f.name)
+        for f in dc_fields(TrainConfig)
+        if getattr(args, f.name, None) is not None
     }
     overrides.setdefault("policy", data_cfg.get("policy", "ep"))
     # a steps/epochs flag replaces (not joins) the config file's budget
@@ -293,7 +294,7 @@ def cmd_train(args) -> int:
         opt_state=opt_state,
         start_step=start_step,
         anchor_id=vocab.anchor_id,
-        checkpoint_dir=out if cfg.checkpoint_every else None,
+        checkpoint_dir=out,
         vocab_sha256=vocab_sha,
     )
     save_checkpoint(
@@ -303,9 +304,7 @@ def cmd_train(args) -> int:
         vocab_sha,
         report.opt_state,
     )
-    (out / "losses.log").write_text(
-        "\n".join(report.to_lines(include_wall=False)) + "\n", encoding="utf-8"
-    )
+    (out / "losses.log").write_text("\n".join(report.to_lines()) + "\n", encoding="utf-8")
     (out / "timings.log").write_text(
         "\n".join(f"{r.step} {r.wall_ms:.3f}" for r in report.records) + "\n",
         encoding="utf-8",
@@ -411,7 +410,7 @@ def cmd_eval(args) -> int:
             task="ppl", policy=policy.describe(), mask_mode=args.mask_mode,
             shots=0, perplexity=ppl,
         )
-        (out / "metrics.txt").write_text(report.to_text(include_timing=False), encoding="utf-8")
+        (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
         print(f"perplexity = {ppl!r}")
 
     elif args.task == "mc":
@@ -429,9 +428,7 @@ def cmd_eval(args) -> int:
             demo_pool=demo_pool, seed=args.seed,
             measure_timing=args.timing, accel_baseline=args.baseline,
         )
-        (out / "metrics.txt").write_text(
-            report.to_text(include_timing=args.timing), encoding="utf-8"
-        )
+        (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
         print(f"accuracy = {report.accuracy!r}  cache_reduction = {report.cache_reduction!r}")
 
     elif args.task == "ablation":

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,22 +175,16 @@ class MetricsReport:
         if self.acceleration_ratio is not None and self.acceleration_ratio <= 0:
             raise ContractError("acceleration_ratio must be positive")
 
-    _STABLE_FIELDS = (
-        "task", "policy", "mask_mode", "shots", "n_items", "n_skipped",
-        "accuracy", "perplexity", "cache_reduction", "acceleration_ratio",
-        "accel_baseline", "peak_cache", "reference_note",
-    )
-    _TIMING_FIELDS = ("wall_seconds_primary", "wall_seconds_baseline")
-
-    def to_text(self, include_timing: bool = True) -> str:
+    def to_text(self) -> str:
+        """Every field that is set, in order; only a timed run sets the wall times."""
         self.validate()
-        names = self._STABLE_FIELDS + (self._TIMING_FIELDS if include_timing else ())
         lines = []
-        for name in names:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is None:
                 continue
-            lines.append(f"{name} = {value!r}" if isinstance(value, float) else f"{name} = {value}")
+            text = repr(value) if isinstance(value, float) else value
+            lines.append(f"{f.name} = {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -349,7 +343,6 @@ def run_mc_task(
     seed: int = 0,
     measure_timing: bool = False,
     accel_baseline: str = "noncache",
-    task_name: str = "mc",
 ) -> MetricsReport:
     """Score every item, pick argmax choices, and report accuracy plus
     cache and (optionally) acceleration metrics."""
@@ -381,7 +374,7 @@ def run_mc_task(
     correct = sum(int(np.argmax(s)) == p.gold for p, s in zip(prepared, scores))
 
     report = MetricsReport(
-        task=task_name,
+        task="mc",
         policy=policy.describe(),
         mask_mode="ansan" if use_ansan else "causal",
         shots=shots,
@@ -462,6 +455,6 @@ def ablation_anchor_positions(
     for name, (weights, policy) in arms.items():
         rows[name] = run_mc_task(
             weights, vocab, items, shots, policy, use_ansan=True, reuse_demo_cache=True,
-            demo_pool=demo_pool, seed=seed, task_name=f"ablation:{name}",
+            demo_pool=demo_pool, seed=seed,
         )
     return AblationReport(rows=rows, item_order_digest=item_order_digest(items))

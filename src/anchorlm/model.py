@@ -33,7 +33,7 @@ forward computes a cos or sin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -190,6 +190,8 @@ def _layer_rows(
         run = kv
     if len(plan) < n_layers:
         plan += [(None, None, mask[:])] * (n_layers - len(plan))
+    if plan[-1][2].dtype != bool:  # every row comes from the one mask
+        raise ContractError(f"mask rows must be bool, got {plan[-1][2].dtype}")
     return plan[::-1]
 
 
@@ -322,9 +324,9 @@ def forward(
     renumbered after cache reduction. Every new key a row keeps, other
     than the query itself, must lie at an earlier position: a chain's
     positions increase, and the branches of a tree may repeat positions
-    where they cannot see each other. Ids outside [0, vocab_size) and
-    positions breaking that rule in a row read or lying below 0 raise
-    ContractError.
+    where they cannot see each other. Ids outside [0, vocab_size), mask
+    rows that are not bool, and positions breaking that rule in a row
+    read or lying below 0 raise ContractError.
 
     logit_rows (row indices, negative ones counting from the end, or a
     slice; None means every row) picks the rows whose logits are
@@ -399,10 +401,6 @@ def loss_and_grads(
 # -- checkpoint io -----------------------------------------------------------
 
 _CKPT_MAGIC = "anchorlm-checkpoint-v1"
-_CONFIG_FIELDS = (
-    "vocab_size", "n_layers", "n_heads", "d_model", "d_ff",
-    "context_len", "rope_base", "norm_eps",
-)
 
 
 def save_checkpoint(
@@ -420,8 +418,8 @@ def save_checkpoint(
     if opt_state:
         tensors += sorted(opt_state.items())
     lines = [_CKPT_MAGIC]
-    for f in _CONFIG_FIELDS:
-        lines.append(f"{f} = {getattr(cfg, f)!r}")
+    for f in fields(cfg):
+        lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
     lines.append(f"vocab_sha256 = {vocab_sha256}")
     lines.append(f"step = {step}")
     for name, arr in tensors:
@@ -434,10 +432,10 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelWeights, int, str, dict[str, np.ndarray]]:
-    """Inverse of save_checkpoint. A malformed header, a tensor declared
-    twice, a payload whose length differs from the declared tensors, or a
-    tensor whose shape does not fit the declared config raises
-    InputError."""
+    """Inverse of save_checkpoint. A malformed header, a key or tensor
+    declared twice, a payload whose length differs from the declared
+    tensors, or a tensor whose shape does not fit the declared config
+    raises InputError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -448,7 +446,7 @@ def load_checkpoint(
     payload = blob[header_end + 5 :]
     try:
         header = blob[: header_end + 5].decode("utf-8").splitlines()
-        fields: dict[str, str] = {}
+        values: dict[str, str] = {}
         tensor_decls: list[tuple[str, tuple[int, ...]]] = []
         for line in header[1:-1]:
             if line.startswith("tensor "):
@@ -456,12 +454,14 @@ def load_checkpoint(
                 tensor_decls.append((name, tuple(int(d) for d in dims)))
             else:
                 key, value = line.split(" = ", 1)
-                fields[key] = value
+                if key in values:
+                    raise InputError(f"checkpoint {path} gives {key} twice")
+                values[key] = value
         config = ModelConfig(**{
-            f: (float(fields[f]) if f in ("rope_base", "norm_eps") else int(fields[f]))
-            for f in _CONFIG_FIELDS
+            f.name: (float if f.type == "float" else int)(values[f.name])
+            for f in fields(ModelConfig)
         })
-        step, vocab_sha256 = int(fields["step"]), fields["vocab_sha256"]
+        step, vocab_sha256 = int(values["step"]), values["vocab_sha256"]
     except (UnicodeDecodeError, ValueError, KeyError, ContractError) as exc:
         raise InputError(f"malformed checkpoint header in {path}: {exc!r}") from exc
 

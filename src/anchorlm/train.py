@@ -39,7 +39,9 @@ class TrainConfig:
     weight_decay: float = 0.1
     grad_clip: float = 1.0
     seed: int = 0
-    checkpoint_every: int = 0  # 0 = final checkpoint only
+    # ckpt-<step>.bin every this many steps (0: none); the final weights go
+    # to ckpt.bin, so a last step off this cadence has no ckpt-<step>.bin
+    checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         if self.mask_mode not in MASK_MODES:
@@ -130,25 +132,21 @@ class TrainReport:
     def losses(self) -> list[float]:
         return [r.loss for r in self.records]
 
-    def to_lines(self, include_wall: bool = True) -> list[str]:
+    def to_lines(self) -> list[str]:
+        """The byte-stable loss log; the wall times are kept apart."""
         lines = [f"# {k} = {v}" for k, v in self.header.items()]
-        cols = "step loss lr" + (" wall_ms" if include_wall else "")
-        lines.append(f"# {cols}")
-        for r in self.records:
-            row = f"{r.step} {r.loss!r} {r.lr!r}"
-            if include_wall:
-                row += f" {r.wall_ms:.3f}"
-            lines.append(row)
+        lines.append("# step loss lr")
+        lines += [f"{r.step} {r.loss!r} {r.lr!r}" for r in self.records]
         return lines
 
 
 class AdamW:
     """Adam with decoupled weight decay over a named parameter set."""
 
-    def __init__(self, names: list[str], cfg: TrainConfig):
+    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
         self.cfg = cfg
-        self.m: dict[str, np.ndarray | None] = {n: None for n in names}
-        self.v: dict[str, np.ndarray | None] = {n: None for n in names}
+        self.m = {name: np.zeros_like(w) for name, w in params.items()}
+        self.v = {name: np.zeros_like(w) for name, w in params.items()}
 
     def lr_at(self, step: int) -> float:
         base = self.cfg.learning_rate
@@ -164,11 +162,7 @@ class AdamW:
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         for name, w in params.items():
             g = grads[name]
-            if self.m[name] is None:
-                self.m[name] = np.zeros_like(w)
-                self.v[name] = np.zeros_like(w)
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
             m *= b1
             m += (1 - b1) * g
             v *= b2
@@ -179,10 +173,9 @@ class AdamW:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
-        for name, arr in self.m.items():
-            if arr is not None:
-                out[f"opt.m.{name}"] = arr
-                out[f"opt.v.{name}"] = self.v[name]
+        for name in self.m:
+            out[f"opt.m.{name}"] = self.m[name]
+            out[f"opt.v.{name}"] = self.v[name]
         return out
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
@@ -250,6 +243,8 @@ def train(
 
     The loss sequence is a deterministic function of (config, model
     config, blocks, initial weights); two identical runs agree bitwise.
+    With a checkpoint_dir, every cfg.checkpoint_every-th step writes
+    ckpt-<step>.bin there; the final weights are the caller's to save.
     """
     if not blocks:
         raise ContractError("training needs a nonempty block list")
@@ -262,7 +257,7 @@ def train(
     weights = initial.copy() if initial is not None else init_weights(
         model_config, cfg.seed, anchor_id=anchor_id
     )
-    optimizer = AdamW(list(weights.arrays), cfg)
+    optimizer = AdamW(weights.arrays, cfg)
     if opt_state:
         optimizer.load_state_arrays(opt_state)
 
@@ -312,11 +307,6 @@ def train(
 
     report.final_weights = weights
     report.opt_state = optimizer.state_arrays()
-    if checkpoint_dir:
-        ckpt_path = Path(checkpoint_dir) / f"ckpt-{start_step + total_steps:06d}.bin"
-        save_checkpoint(
-            ckpt_path, weights, start_step + total_steps, vocab_sha256, optimizer.state_arrays()
-        )
     return report
 
 

@@ -44,11 +44,14 @@ def rng():
 
 
 def test_add_broadcast(rng):
-    w = rng.normal(size=(3, 4))
-    check_op(
-        lambda t: weighted(t["a"] + t["b"], w),
-        {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4,))},
-    )
+    # no Tensor operator broadcasts: a broadcast would otherwise get a
+    # gradient of the wrong shape. test_rmsnorm_grad covers the gain's row sum
+    a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4,)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        a + b
+    a, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 5)))
+    with pytest.raises(ValueError, match="equal leading axes"):
+        a @ b
 
 
 def test_matmul_2d(rng):

@@ -538,8 +538,10 @@ def test_non_utf8_input_file_is_input_error(workspace, tmp_path, capsys, command
 @pytest.mark.parametrize("content", [
     "policy = ac\ncontext_len = abc\n", "policy = ac\n", b"context_len = 64\npolicy = \xff\n",
     "policy = ac\ncontext_len = 0\n", "policy = ac\ncontext_len = 8\n",
+    "policy = ac\ncontext_len = 8\ncontext_len = 48\n",
+    "policy = ac\ncontext_len 48\ncontext_len = 48\n",
 ], ids=["context-len-not-int", "context-len-missing", "not-utf8", "context-len-0",
-        "context-len-below-blocks"])
+        "context-len-below-blocks", "key-twice", "line-without-equals"])
 def test_bad_data_config_is_input_error(workspace, tmp_path, capsys, content):
     data = broken_data_dir(workspace, tmp_path, "data.cfg", content)
     assert train_on(data, tmp_path) == EXIT_INPUT

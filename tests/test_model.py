@@ -344,6 +344,14 @@ def test_one_token_step_rejects_a_mask_of_the_wrong_shape(tiny_weights, width):
         forward(tiny_weights, [1], np.ones((1, width), dtype=bool), kv, positions)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+def test_non_bool_mask_is_contract_error(tiny_weights, dtype):
+    # np.asarray of a rule is uint8; forward reads bool rows and converts nothing
+    mask = np.asarray(mask_rows([(0, 0), (1, 0), (0, 1)]), dtype=dtype)
+    with pytest.raises(ContractError, match="bool"):
+        forward(tiny_weights, [1, 2, 3], mask)
+
+
 def test_one_token_step_names_the_first_non_finite_layer(tiny_weights):
     for li in range(tiny_weights.config.n_layers):
         weights = tiny_weights.copy()
@@ -485,7 +493,7 @@ def _declare_tensor_twice(blob):
 @pytest.mark.parametrize("case, message", [
     ("directory", "cannot read checkpoint"), ("missing", "cannot read checkpoint"),
     ("text", "not a checkpoint"), ("missing-tensor", "missing tensor final_gain"),
-    ("tensor-twice", "declares tensor final_gain twice"),
+    ("tensor-twice", "declares tensor final_gain twice"), ("key-twice", "gives step twice"),
 ])
 def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, message):
     path = tmp_path / "ckpt.bin"
@@ -499,6 +507,9 @@ def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, mess
     elif case == "tensor-twice":
         save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
         path.write_bytes(_declare_tensor_twice(path.read_bytes()))
+    elif case == "key-twice":
+        save_checkpoint(path, tiny_weights, step=5, vocab_sha256="ab" * 32)
+        path.write_bytes(path.read_bytes().replace(b"step = 5\n", b"step = 5\nstep = 9\n", 1))
     with pytest.raises(InputError, match=message):
         load_checkpoint(path)
 

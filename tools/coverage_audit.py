@@ -15,8 +15,10 @@ A line tracer (`sys.settrace`, standard library only) limited to
 src/anchorlm records each function entered and each line run. Per file
 it prints every function never entered, with its first line, and a count
 of the other lines never run, then the run time. The commands' own
-output goes to stderr. It reports and does not gate: the exit code is 0
-when every command succeeds.
+output goes to stderr. It gates on `KEPT`, the functions kept although
+no entry point enters them, each with its reason: it exits 1 naming
+every function never entered that `KEPT` does not list, and every `KEPT`
+entry that is now entered or gone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,25 @@ from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "anchorlm"
+
+TESTS_ONLY = "only tests call it; inlining it there would move code, not delete it"
+# module.qualified name -> why it stays although no entry point enters it
+KEPT = {
+    "cache.AnchorKVCache.live_positions": "the tests read cache positions through it",
+    "cache.AnchorKVCache.reduction_metric": "acceptance criterion 5 reads it",
+    "cache.AnchorKVCache.entries": "perfbench/test_smoke.py patches it to inject a lossy cache",
+    "corpus.Vocab.endpoint_id": "the ep policy, which the audited inputs do not use",
+    "corpus.SegmentedText.strip_inserted": TESTS_ONLY,
+    "corpus._SegBuilder.end_sequence": "unanchored sentence ends, which the audited inputs lack",
+    "model.ModelWeights.n_params": TESTS_ONLY,
+    "train.TrainConfig.from_file": "train --config, which the audited commands do not pass",
+    "train._coerce": "train --config, which the audited commands do not pass",
+    "train.TrainReport.losses": TESTS_ONLY,
+    "train.schedule_digest": "compare_from_scratch's shared-schedule check (ROADMAP item 3)",
+    "train.weights_digest": "compare_from_scratch's shared-init check (ROADMAP item 3)",
+    "train.FromScratchReport.to_text": "compare_from_scratch's report (ROADMAP item 3)",
+    "train.compare_from_scratch": "the from-scratch comparison, no command yet (ROADMAP item 3)",
+}
 
 
 def extra_commands(root: Path) -> list[list[str]]:
@@ -82,10 +103,15 @@ def lines_of(code: CodeType, nested: bool = False) -> set[int]:
     return lines
 
 
-def report(entered: set[tuple[str, str, int]], ran: set[tuple[str, int]]) -> list[str]:
-    """entered holds (file, qualified name, first line) per code object
-    that ran, which matches it to the one compiled here."""
+def report(
+    entered: set[tuple[str, str, int]], ran: set[tuple[str, int]]
+) -> tuple[list[str], set[str]]:
+    """The report lines, and the never-entered functions as
+    module.qualified names. entered holds (file, qualified name, first
+    line) per code object that ran, which matches it to the one compiled
+    here."""
     out = []
+    never_names: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         filename = str(path)
         never: list[CodeType] = []
@@ -111,7 +137,17 @@ def report(entered: set[tuple[str, str, int]], ran: set[tuple[str, int]]) -> lis
                    f"{len(missed)} other lines never run")
         never.sort(key=lambda c: c.co_firstlineno)
         out += [f"  {c.co_qualname} (line {c.co_firstlineno})" for c in never]
-    return out
+        never_names |= {f"{path.stem}.{c.co_qualname}" for c in never}
+    return out, never_names
+
+
+def gate(never: set[str]) -> list[str]:
+    """One line per function never entered that KEPT does not list, and
+    per KEPT entry that is now entered or gone."""
+    missing, stale = sorted(never - KEPT.keys()), sorted(KEPT.keys() - never)
+    return [f"never entered and not in KEPT: {name}" for name in missing] + [
+        f"in KEPT but entered or gone: {name}" for name in stale
+    ]
 
 
 def main() -> None:
@@ -137,9 +173,15 @@ def main() -> None:
         run_entry_points()
     finally:
         sys.settrace(None)
-    for line in report(entered, ran):
+    lines, never = report(entered, ran)
+    for line in lines:
         print(line)
     print(f"run time: {time.perf_counter() - started:.1f} s")
+    problems = gate(never)
+    for line in problems:
+        print(line)
+    if problems:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
