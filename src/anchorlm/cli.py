@@ -32,6 +32,7 @@ from .errors import (
     ContractError,
     InputError,
     NumericError,
+    UndefinedMetricError,
     UsageError,
 )
 from .evaluate import (
@@ -218,9 +219,9 @@ def cmd_train(args) -> int:
         raise InputError(f"{data_dir / 'data.cfg'} needs context_len >= 2, got {context_len}")
     vocab = Vocab.load(data_dir / "vocab.txt")
     blocks = load_blocks(data_dir / "blocks.jsonl")
-    if any(max(b.ids, default=0) >= len(vocab) for b in blocks):
+    if any(max(b.ids) >= len(vocab) for b in blocks):
         raise InputError(f"blocks.jsonl holds token ids >= the vocab size {len(vocab)}")
-    longest = max((len(b) for b in blocks), default=0)
+    longest = max(len(b) for b in blocks)
     if longest > context_len:
         raise InputError(
             f"blocks.jsonl holds a {longest}-token block, longer than the "
@@ -402,10 +403,13 @@ def cmd_eval(args) -> int:
                 f"--eval-context-len {ecl} exceeds the checkpoint's "
                 f"context_len {weights.config.context_len}"
             )
-        ppl = perplexity(
-            weights, seg, args.mask_mode, ecl,
-            inserted_anchor_id=vocab.anchor_id if policy.inserts_anchor_token else None,
-        )
+        try:
+            ppl = perplexity(
+                weights, seg, args.mask_mode, ecl,
+                inserted_anchor_id=vocab.anchor_id if policy.inserts_anchor_token else None,
+            )
+        except UndefinedMetricError as exc:
+            raise InputError(f"text file {args.text} has no token to score: {exc}") from exc
         report = MetricsReport(
             task="ppl", policy=policy.describe(), mask_mode=args.mask_mode,
             shots=0, perplexity=ppl,

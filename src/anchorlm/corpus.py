@@ -358,7 +358,9 @@ def _is_int(value) -> bool:
 
 def load_blocks(path: str | Path) -> list[SegmentedText]:
     """Inverse of save_blocks. Ids must be ints >= 0, anchors 0 or 1 and
-    seqs ints in a valid layout; anything else raises InputError."""
+    seqs ints in a valid layout, every block needs at least 2 tokens (one
+    next-token target) and the file at least one block; anything else
+    raises InputError."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -378,7 +380,11 @@ def load_blocks(path: str | Path) -> list[SegmentedText]:
                 raise InputError("seq indices must be integers")
             seg = SegmentedText(ids=ids, is_anchor=[bool(a) for a in anchors], seq_index=seqs)
             seg.validate()
+            if len(seg) < 2:
+                raise InputError("a block needs at least 2 tokens")
         except (json.JSONDecodeError, KeyError, TypeError, InputError, ContractError) as exc:
             raise InputError(f"bad block record at {path}:{ln}: {exc}") from exc
         blocks.append(seg)
+    if not blocks:
+        raise InputError(f"block file {path} holds no block")
     return blocks

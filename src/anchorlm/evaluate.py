@@ -43,7 +43,7 @@ from .model import ModelWeights, forward
 # New tokens (item contexts plus choice branches) per packed scoring
 # forward. A dense forest's attention grows with its square, so one forest
 # of every item is slower than a few of this size; BENCH_mc_items.json
-# (tools/mc_items_scaling.py) records the items-phase time per budget.
+# (`tools/curves.py mc-items`) records the items-phase time per budget.
 ITEM_TOKEN_BUDGET = 128
 
 REFERENCE_FULL_SCALE = (

@@ -149,13 +149,15 @@ def score_trees(
     positions. Each continuation but its last token is a branch: non-anchor
     members of the sequence after the trunk (as in `score_continuation`)
     that continue the trunk's positions and see the cache, the trunk and
-    their own branch under the one mask rule: every row of a forest runs
-    below the last layer, so the rule's whole block is read once and the
-    tree and branch restriction applied to it. No token sees another tree
-    or another branch. Keys/values stay in the cache's scratch slots, so
-    the cache is not changed. Only the rows whose logits are read, each
-    trunk's last and the branches, run the last layer past its
-    keys/values. The forest is laid out in one pass over plain lists and
+    their own branch under the one mask rule, whose whole block is built
+    once and the tree and branch restriction applied to it. No token sees
+    another tree or another branch. The forward keeps no keys/values
+    (`kv_rows=[]`, as in `score_continuation`) and commits nothing, so the
+    cache is not changed. Only the rows whose logits are read, each
+    trunk's last and the branches, run the last layer, and each layer
+    below runs only the rows a later read needs: under anchor masks a
+    sequence the trunk closes runs only as far as its anchor is read.
+    The forest is laid out in one pass over plain lists and
     scored in one `_logprob_sums` call over every logit row. Returns per
     tree the summed log-probability of each continuation. An empty trunk
     or continuation raises ContractError."""
@@ -202,7 +204,9 @@ def score_trees(
     )
     kv = cache.stacked(len(tokens), weights.config)
     positions = cache.next_positions(1)[0] + np.array(depth)
-    logits = forward(weights, tokens, rows, kv, positions, logit_rows=np.array(read)).logits
+    logits = forward(
+        weights, tokens, rows, kv, positions, logit_rows=np.array(read), kv_rows=[]
+    ).logits
     sums = iter(_logprob_sums(logits, scored, targets, ends))
     return [[next(sums) for _ in continuations] for _, _, continuations in trees]
 

@@ -469,12 +469,21 @@ def train_on(data, tmp_path):
     '{"ids": [5, 6, 7], "anchor": [0, 2, 0], "seq": [0, 0, 0]}',
     '{"ids": [5, 6, 7], "anchor": [0, 0, 0], "seq": [0, 0, 0.5]}',
     '{"ids": [5, 6, 7], "anchor": [0, 0, 0], "seq": [0, 0, 3]}',
-], ids=["negative-id", "string-id", "bool-id", "anchor-not-0-1", "float-seq", "bad-seq-layout"])
+    '{"ids": [5], "anchor": [0], "seq": [0]}',
+], ids=["negative-id", "string-id", "bool-id", "anchor-not-0-1", "float-seq", "bad-seq-layout",
+        "one-token"])
 def test_malformed_block_record_is_input_error(workspace, tmp_path, capsys, record):
     data = broken_data_dir(workspace, tmp_path, "blocks.jsonl", record + "\n")
     assert train_on(data, tmp_path) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "blocks.jsonl:1" in err and "Traceback" not in err
+
+
+def test_empty_block_file_is_input_error(workspace, tmp_path, capsys):
+    data = broken_data_dir(workspace, tmp_path, "blocks.jsonl", "")
+    assert train_on(data, tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "blocks.jsonl" in err and "Traceback" not in err
 
 
 def test_unreadable_block_file_is_input_error(workspace, tmp_path, capsys):
@@ -533,6 +542,16 @@ def test_non_utf8_input_file_is_input_error(workspace, tmp_path, capsys, command
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "not-utf8.txt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["", "lamp\n"], ids=["empty", "one-word"])
+def test_ppl_text_with_nothing_to_score_is_input_error(workspace, tmp_path, capsys, text):
+    # one word under ac is the word and its inserted anchor, which is not scored
+    path = tmp_path / "short.txt"
+    path.write_text(text, encoding="utf-8")
+    assert eval_on(workspace, tmp_path, "ppl", "--text", str(path)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "short.txt" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [

@@ -399,9 +399,9 @@ def test_last_layer_runs_only_the_rows_scoring_reads(ac_vocab, ac_model, use_ans
     # row. Under anchor masks the reduction after it keeps only the
     # anchors (the demonstration part here ends in one), so the layer
     # below runs those rows, and computes keys/values for the tokens they
-    # read; under causal masks every demonstration row is kept. Each
-    # packed group runs every new row below its last layer, where its
-    # trees' trunk-last and branch rows run
+    # read; under causal masks every demonstration row is kept. No item
+    # context closes a sequence, so each packed group runs every new row
+    # below its last layer, where its trees' trunk-last and branch rows run
     items, _ = make_task(4, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
     evaluate._score_cached(ac_model, demo, prepared, use_ansan)

@@ -286,6 +286,16 @@ def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, layer_queries
     assert [rows[-1] for rows in layer_queries()] == [3, 1 + 3 + 1 + 1]
 
 
+def test_scoring_skips_the_rows_a_closed_sequence_hides(tiny_weights, layer_queries):
+    # the trunk closes two sequences, so the last layer's rows (the
+    # trunk's last and one branch token) read only the anchors and the
+    # open sequence: layer 0 runs 4 of the 8 new rows
+    prefix = anchored_prefix()
+    trees = [(prefix.ids, segment_flags(prefix), [[1], [2, 3]])]
+    score_trees(tiny_weights, AnchorKVCache(), trees, ansan=True)
+    assert layer_queries() == [[4, 2]]
+
+
 @pytest.fixture
 def mask_reads(monkeypatch):
     """Per read of a `MaskRule`, in call order, the number of rows built."""

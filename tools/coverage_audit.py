@@ -23,7 +23,6 @@ entry that is now entered or gone.
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import tempfile
 import time
@@ -76,16 +75,11 @@ def run_entry_points() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "perfbench")]
     import run as bench
     import seeded_pipeline
-    from anchorlm.cli import main as cli_main
     from workloads import TINY, WORKLOADS
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for argv in seeded_pipeline.commands(root) + extra_commands(root):
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli_main(argv)
-            if code != 0:
-                raise SystemExit(f"`anchorlm {' '.join(argv[:3])}` exited {code}")
+        seeded_pipeline.run_commands(seeded_pipeline.commands(root) + extra_commands(root))
     for name in WORKLOADS:
         for trace in (False, True):
             result, lines = bench.run(name, seed=3, seconds=0.1, trace=trace, sizes=TINY)

@@ -56,14 +56,14 @@ def commands(root: Path) -> list[list[str]]:
     ]
 
 
-def run(root: Path) -> dict[str, str]:
-    """Run every command under root; artifact path -> sha256."""
-    for argv in commands(root):
+def run_commands(argvs: list[list[str]]) -> None:
+    """Run each command through `anchorlm.cli.main` with its stdout sent to
+    stderr; exit naming the first command that fails."""
+    for argv in argvs:
         with contextlib.redirect_stdout(sys.stderr):
             code = cli_main(argv)
         if code != 0:
-            raise SystemExit(f"`anchorlm {argv[0]}` exited {code}")
-    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+            raise SystemExit(f"`anchorlm {' '.join(argv[:3])}` exited {code}")
 
 
 def main() -> None:
@@ -73,7 +73,9 @@ def main() -> None:
     args = parser.parse_args()
     with contextlib.ExitStack() as stack:
         root = Path(args.out or stack.enter_context(tempfile.TemporaryDirectory()))
-        digests = run(root)
+        run_commands(commands(root))
+        digests = {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                   for name in ARTIFACTS}
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     if args.check:
