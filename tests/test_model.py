@@ -1,3 +1,4 @@
+import platform
 import weakref
 
 import numpy as np
@@ -114,6 +115,13 @@ def test_dense_forward_peaks_below_two_score_buffers():
     mask = causal_rule(tokens)
     peak = traced_peak(lambda: forward(weights, ids, mask))
     assert peak <= 2.0 * heads * tokens * tokens * 8
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_malloc_thresholds_pinned_unless_the_environment_sets_them(monkeypatch):
+    assert model.pin_malloc_thresholds()
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", str(model.TRIM_THRESHOLD))
+    assert not model.pin_malloc_thresholds()
 
 
 def test_collect_attn_keeps_what_an_uncollected_forward_releases(tiny_weights, monkeypatch):
