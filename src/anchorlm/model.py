@@ -25,6 +25,12 @@ sequence's rows read. The mask is read the same way, only as bool
 that callers pass (`masks.mask_rows`) never builds the other rows.
 When every row is needed nothing is gathered, so training, perplexity
 and one-token decode steps run every row as one block, built once.
+A layer's attention is one (H, rows, keys) buffer while its mask block
+holds fewer than `autodiff.TILE_MIN_PAIRS` (row, key) pairs. From there
+on it runs in tiles of `autodiff.TILE_ROWS` query rows, each over only
+the key columns its rows keep, so a long prompt under anchor masks
+skips almost every masked key; such a forward agrees with the one-buffer
+call to rounding, not bitwise.
 Rotary rows are gathered by position from one read-only cos/sin table
 per (head_dim, rope_base) that grows on demand (`_rope_tables`), so no
 forward computes a cos or sin.
@@ -138,7 +144,8 @@ class ModelWeights:
 class ForwardOutput:
     logits: np.ndarray  # (R, vocab_size): the logit rows, in the order asked for
     # per layer that runs rows, (H, rows run, keys read) probabilities,
-    # kept only with collect_attn; (H, T, S) when every row runs
+    # kept only with collect_attn; (H, T, S) when every row runs. A tiled
+    # layer's are built for this list, zero at the keys no tile reads
     attn: list[np.ndarray] = field(default_factory=list)
 
 
@@ -307,7 +314,7 @@ def _forward_graph(
         q = rotate(q, cos, sin)
         ctx, probs = attention(q, k_all, v_all, keep)
         if collect_attn:
-            out.attn.append(probs)
+            out.attn.append(np.asarray(probs))
         del probs  # (H, n, S): not held through the next layer unless collected
         h = h + ctx.swapaxes(0, 1).reshape(n, config.d_model) @ p("wo")
         f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
@@ -382,7 +389,9 @@ def forward(
     Each layer's (n_heads, rows run, keys read) attention probabilities
     are returned in `attn` only with collect_attn, one array per layer
     that runs a row; otherwise they are released before the next layer
-    runs, so one layer's are alive at a time."""
+    runs, so one layer's are alive at a time, and a layer whose
+    attention runs in tiles (`autodiff.attention`) never holds them
+    whole."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")

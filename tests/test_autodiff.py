@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorlm import autodiff
 from anchorlm.autodiff import (
-    Tensor, attention, cross_entropy, gelu, rmsnorm, rotate, take,
+    Tensor, attention, cross_entropy, gelu, rmsnorm, rotate, take, tiles,
 )
 from conftest import traced_peak
 from oracles import finite_difference_grads
@@ -199,6 +202,49 @@ def test_attention_holds_one_score_buffer(rng):
     keep = np.tril(np.ones((tokens, tokens), dtype=bool))
     peak = traced_peak(lambda: attention(q, k, v, keep))
     assert peak <= 1.25 * heads * tokens * tokens * 8
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 30), st.integers(1, 9), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_tiles_read_exactly_the_columns_their_rows_keep(tokens, cached, tile_rows, density, seed):
+    # the tiles cover the rows in order, TILE_ROWS at a time; a tile reads
+    # every key column when its rows keep at least half of them, and
+    # otherwise exactly the columns they keep
+    keep = np.random.default_rng(seed).random((tokens, cached + tokens)) < density
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autodiff, "TILE_ROWS", tile_rows)
+        plan = tiles(keep)
+    assert [r.start for r, _ in plan] == list(range(0, tokens, tile_rows))
+    assert all(r.stop == r.start + tile_rows for r, _ in plan)
+    for rows, cols in plan:
+        union = np.flatnonzero(keep[rows].any(axis=0))
+        if isinstance(cols, slice):
+            assert cols == slice(None) and 2 * len(union) >= keep.shape[1]
+        else:
+            assert np.array_equal(cols, union) and 2 * len(union) < keep.shape[1]
+
+
+@pytest.mark.parametrize("tile_rows", [1, 3, 4])
+def test_tiled_attention_grad(rng, monkeypatch, tile_rows):
+    # from TILE_MIN_PAIRS (row, key) pairs on, attention and its backward
+    # run per tile of query rows, over the key columns each tile keeps
+    monkeypatch.setattr(autodiff, "TILE_MIN_PAIRS", 0)
+    monkeypatch.setattr(autodiff, "TILE_ROWS", tile_rows)
+    # causal rows over 6 cached keys; rows 0 and 2 keep only the self bit,
+    # rows from 5 on only the new keys from 4 on, so every tile size both
+    # gathers columns and reads them all
+    keep = np.tril(np.ones((10, 16), dtype=bool), k=6)
+    keep[[0, 2]] = False
+    keep[5:, :10] = False
+    keep[np.arange(10), 6 + np.arange(10)] = True
+    assert {isinstance(cols, slice) for _, cols in tiles(keep)} == {False, True}
+    w = rng.normal(size=(2, 10, 4))
+    check_op(
+        lambda t: weighted(attention(t["q"], t["k"], t["v"], keep)[0], w),
+        {"q": rng.normal(size=(2, 10, 4)), "k": rng.normal(size=(2, 16, 4)),
+         "v": rng.normal(size=(2, 16, 4))},
+    )
 
 
 def test_cross_entropy_grad_leaves_unscored_rows_at_zero(rng):

@@ -1,3 +1,4 @@
+import contextlib
 import platform
 import weakref
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlm import model
+from anchorlm import autodiff, model
 from anchorlm.autodiff import Tensor
 from anchorlm.cache import AnchorKVCache, kept_by_reduction
 from anchorlm.corpus import SegmentedText
@@ -105,7 +106,7 @@ def test_attention_rows_sum_to_one(tiny_weights):
 
 def test_dense_forward_peaks_below_two_score_buffers():
     # one layer's (H, T, T) probabilities live at a time, and attention
-    # builds them in a single buffer
+    # below autodiff.TILE_MIN_PAIRS builds them in a single buffer
     heads, tokens = 4, 256
     config = ModelConfig(
         vocab_size=50, n_layers=2, n_heads=heads, d_model=64, d_ff=256, context_len=tokens
@@ -115,6 +116,25 @@ def test_dense_forward_peaks_below_two_score_buffers():
     mask = causal_rule(tokens)
     peak = traced_peak(lambda: forward(weights, ids, mask))
     assert peak <= 2.0 * heads * tokens * tokens * 8
+
+
+def test_tiled_forward_peaks_below_a_fraction_of_one_score_buffer():
+    # from autodiff.TILE_MIN_PAIRS on, attention runs per tile of query rows
+    # over the keys they keep and holds no (H, T, T) buffer; under an anchor
+    # every 12 tokens a tile keeps a few hundred of 1024 keys
+    heads, tokens = 4, 1024
+    config = ModelConfig(
+        vocab_size=50, n_layers=2, n_heads=heads, d_model=64, d_ff=256, context_len=tokens
+    )
+    weights = init_weights(config, seed=0)
+    ids = np.random.default_rng(2).integers(0, 50, tokens)
+    seg = SegmentedText(
+        ids=ids.tolist(), is_anchor=[t % 12 == 11 for t in range(tokens)],
+        seq_index=[t // 12 for t in range(tokens)],
+    )
+    mask = anchor_rule(seg)
+    peak = traced_peak(lambda: forward(weights, ids, mask))
+    assert peak < 0.6 * heads * tokens * tokens * 8
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
@@ -789,6 +809,96 @@ def test_mask_rule_reads_as_its_dense_matrix(
         want_loss, want = loss_and_grads(tiny_weights, block, full.astype(bool))
         assert loss == want_loss
         assert all(np.array_equal(grads[name], want[name]) for name in want)
+
+
+TILE_RTOL = 1e-12
+
+
+def tile_close(a, b):
+    """Equal shapes, and equal to TILE_RTOL of b's largest magnitude."""
+    return a.shape == b.shape and (
+        a.size == 0 or np.abs(a - b).max() <= TILE_RTOL * np.abs(b).max()
+    )
+
+
+@contextlib.contextmanager
+def tiling(tile_rows, min_pairs):
+    """attention's tile size (None: the module's) and threshold (None:
+    no call reaches it) set for the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        if tile_rows is not None:
+            mp.setattr(autodiff, "TILE_ROWS", tile_rows)
+        mp.setattr(autodiff, "TILE_MIN_PAIRS", 2**62 if min_pairs is None else min_pairs)
+        yield
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["no-anchor", "anchor-last", "anchors-mid"]),
+    st.sampled_from([None, 0, 1, 7]), st.integers(1, 24), st.booleans(),
+    st.sampled_from([1, 2, 3, 5, 64]), st.integers(0, 2**32 - 1), st.data(),
+)
+def test_tiled_forward_matches_one_tile(
+    tiny_weights, layout, n_cached, T, ansan, tile_rows, seed, data
+):
+    # a forward whose attention runs in tiles of query rows, each over only
+    # the key columns its rows keep, returns and keeps what the forward
+    # whose attention is one tile over every key does, to rounding: the
+    # keys a tile skips only add exact zeros to the one tile's sums
+    config = tiny_weights.config
+    rng = np.random.default_rng(seed)
+    n = n_cached or 0
+    flags = chunk_flags(rng, layout, n, T)
+    ids = rng.integers(0, config.vocab_size, n + T)
+    rows = mask_rows(flags[n:], flags[:n], ansan)
+    every_row = st.none()
+    kept = data.draw(every_row | st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    picked = data.draw(every_row | st.lists(
+        st.integers(-T, T - 1), min_size=0 if n_cached is not None and kept != [] else 1,
+        max_size=T, unique=True,
+    ))
+    cache = None
+    if n_cached is not None:
+        cache = AnchorKVCache()
+        if n:
+            advance(tiny_weights, cache, ids[:n], flags[:n], ansan)
+
+    def run(min_pairs):
+        kv = None if cache is None else cache.stacked(T, config)
+        for layer in kv or ():
+            for a in layer:
+                a[:, n:] = np.nan  # a slot a forward does not write stays NaN
+        with tiling(tile_rows, min_pairs):
+            out = forward(tiny_weights, ids[n:], rows, kv, np.arange(n, n + T), True,
+                          logit_rows=picked, kv_rows=kept)
+        rows_kept = slice(None) if kept is None else kept
+        return out, [a[:, n:][:, rows_kept].copy() for layer in kv or () for a in layer]
+
+    (by_tile, by_tile_kv), (one, one_kv) = run(0), run(None)
+    assert tile_close(by_tile.logits, one.logits)
+    assert all(tile_close(a, b) for a, b in zip(by_tile_kv, one_kv, strict=True))
+    # the collected probabilities hold zeros at the keys a tile skips
+    assert all(tile_close(a, b) for a, b in zip(by_tile.attn, one.attn, strict=True))
+
+
+@pytest.mark.parametrize("tile_rows", [None, 96])
+def test_tiled_training_gradients_match_one_tile(tiny_weights, tile_rows):
+    # a 320-token block crosses TILE_MIN_PAIRS, so its attention and the
+    # backward run per tile; every gradient is the one-tile call's to rounding
+    rng = np.random.default_rng(4)
+    is_anchor = rng.random(320) < 0.12
+    block = SegmentedText(
+        ids=rng.integers(0, tiny_weights.config.vocab_size, 320).tolist(),
+        is_anchor=is_anchor.tolist(), seq_index=np.r_[0, np.cumsum(is_anchor[:-1])].tolist(),
+    )
+    mask = anchor_rule(block)
+    assert 320 * 320 >= autodiff.TILE_MIN_PAIRS
+    with tiling(tile_rows, 0):
+        loss, grads = loss_and_grads(tiny_weights, block, mask)
+    with tiling(tile_rows, None):
+        want_loss, want = loss_and_grads(tiny_weights, block, mask)
+    assert abs(loss - want_loss) <= TILE_RTOL * abs(want_loss)
+    assert all(tile_close(grads[name], want[name]) for name in want)
 
 
 def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer_queries):

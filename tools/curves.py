@@ -4,15 +4,17 @@
 
 Each curve writes its committed file unless --out names another:
 `decode` BENCH_decode_scaling.json, `dense` BENCH_dense_forward.json and
-`mc-items` BENCH_mc_items.json. The curves share one protocol. BLAS is
-pinned to one thread before numpy is imported. At each point the calls
-being compared each run once to warm up, then take turns for the
-curve's number of runs, in reversed order every other run, so they
-share the machine's noise (`turns`). A traced peak is the tracemalloc
-peak of one more call (`traced_peak_mb`). Every file records the
-environment it was measured in, with the checkout's commit. Each
-curve's docstring says what it measures and from which inputs. On 2
-vCPU, decode takes about 25 s, dense about 30 s and mc-items about
+`mc-items` BENCH_mc_items.json. A committed file is written only from a
+clean checkout, since the commit it records must hold the code it
+measured; --out elsewhere takes any tree. The curves share one
+protocol. BLAS is pinned to one thread before numpy is imported. At
+each point the calls being compared each run once to warm up, then
+take turns for the curve's number of runs, in reversed order every
+other run, so they share the machine's noise (`turns`). A traced peak
+is the tracemalloc peak of one more call (`traced_peak_mb`). Every file
+records the environment it was measured in, with the checkout's commit.
+Each curve's docstring says what it measures and from which inputs. On
+2 vCPU, decode takes about 25 s, dense about 30 s and mc-items about
 10 s. The curves are not part of the test suite.
 """
 
@@ -234,9 +236,13 @@ def dense() -> dict:
     each length and curve the file records the median seconds of
     DENSE_RUNS forwards (the curves take turns) and the traced peak; per
     length also the attention keys the mask rows keep, and one
-    (heads, T, T) float64 score buffer in MB for scale."""
+    (heads, T, T) float64 score buffer in MB for scale. It also records
+    attention's tile size and threshold (`autodiff.TILE_ROWS` and
+    `TILE_MIN_PAIRS`): from the threshold on, a layer's attention runs
+    per tile of query rows over only the keys those rows keep."""
     import numpy as np
 
+    from anchorlm import autodiff
     from anchorlm.corpus import SegmentedText
     from anchorlm.masks import mask_rows, segment_flags
     from anchorlm.model import ModelConfig, forward, init_weights
@@ -292,6 +298,7 @@ def dense() -> dict:
         "environment": environment(),
         "model": {**shape(sizes), "vocab_size": DENSE_VOCAB, "seed": seed},
         "anchor_every": ANCHOR_EVERY,
+        "attention_tile": {"rows": autodiff.TILE_ROWS, "min_pairs": autodiff.TILE_MIN_PAIRS},
         "runs_per_point": DENSE_RUNS,
         "points": points,
     }
@@ -423,8 +430,14 @@ def main() -> None:
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "perfbench"))
     measure, committed = CURVES[args.curve]
+    out = Path(args.out or ROOT / committed).resolve()
+    commit = git_commit()
+    if out in {ROOT / name for _, name in CURVES.values()} and (
+        commit.endswith("-dirty") or commit == "unknown"
+    ):
+        raise SystemExit(f"{out.name} is committed, but the checkout is at {commit}: "
+                         "commit the code first, or write elsewhere with --out")
     report = measure()
-    out = Path(args.out or ROOT / committed)
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
