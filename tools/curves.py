@@ -14,8 +14,8 @@ other run, so they share the machine's noise (`turns`). A traced peak
 is the tracemalloc peak of one more call (`traced_peak_mb`). Every file
 records the environment it was measured in, with the checkout's commit.
 Each curve's docstring says what it measures and from which inputs. On
-2 vCPU, decode takes about 25 s, dense about 30 s and mc-items about
-10 s. The curves are not part of the test suite.
+2 vCPU, decode takes about 11 s, dense about 3 s and mc-items about
+4 s. The curves are not part of the test suite.
 """
 
 from __future__ import annotations
