@@ -44,6 +44,7 @@ from .evaluate import (
     save_mc_items,
 )
 from .infer import GenerationConfig, generate
+from .masks import MASK_MODES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import MAX_CHOICES, make_corpus, make_task
 from .train import TrainConfig, train
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a prepared data directory")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="TrainConfig file (key = value)")
-    p.add_argument("--mask-mode", choices=["causal", "ansan"], default=None)
+    p.add_argument("--mask-mode", choices=MASK_MODES, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -562,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--policy-seed", type=_int_in_range(0), default=0)
     p.add_argument("--text", help="plain-text file for --task ppl")
-    p.add_argument("--mask-mode", choices=["causal", "ansan"], default="causal",
+    p.add_argument("--mask-mode", choices=MASK_MODES, default="causal",
                    help="attention masks for --task ppl and mc")
     p.add_argument("--eval-context-len", type=_int_in_range(2), default=None,
                    help="window length for --task ppl (default: the checkpoint's context_len)")

@@ -28,7 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .cache import AnchorKVCache, CacheStats
 from .corpus import AnchorPolicy, SegmentedText, Vocab, annotate, tokenize
 from .errors import ContractError, InputError, UndefinedMetricError
 from .infer import advance, log_softmax, next_seq_index, score_continuation, score_trees
-from .masks import MASK_MODES, mask_rows, segment_flags
+from .masks import MASK_MODES, mask_rows, no_anchor, segment_flags
 from .model import ModelWeights, forward
 
 # New tokens (item contexts plus choice branches) per packed scoring
@@ -68,8 +69,8 @@ def perplexity(
     inserted_anchor_id: int | None = None,
 ) -> float:
     """exp(mean next-token NLL) over non-overlapping windows, each one
-    forward under the mask rule over the window's own flags
-    (`masks.mask_rows`, anchor-based or causal by mask_mode).
+    forward under the mask rule (`masks.mask_rows`) over the window's own
+    flags for anchor masks, or over flags with no anchor for causal ones.
 
     Inserted anchor tokens stay in the stream as inputs but are excluded
     from the loss average; pass their id via inserted_anchor_id.
@@ -89,8 +90,8 @@ def perplexity(
         window = text.slice(start, min(start + eval_context_len, len(text)))
         if len(window) < 2:
             continue
-        mask = mask_rows(segment_flags(window), ansan=mask_mode == "ansan")
-        out = forward(weights, window.ids, mask, None, positions=np.arange(len(window)))
+        flags = segment_flags(window if mask_mode == "ansan" else no_anchor(window))
+        out = forward(weights, window.ids, mask_rows(flags), None, np.arange(len(window)))
         targets = np.asarray(window.ids[1:])
         keep = ~(np.asarray(window.is_anchor[1:], dtype=bool) & (targets == inserted_anchor_id))
         logp = log_softmax(out.logits[:-1])[keep, targets[keep]]
@@ -274,32 +275,32 @@ def _prepare_items(
     return demo, prepared, len(items) - len(prepared)
 
 
-def _score_noncache(
-    weights: ModelWeights, prepared: list[_PreparedItem], use_ansan: bool
-) -> list[list[float]]:
+def _without_anchors(demo: SegmentedText, prepared: list[_PreparedItem]) -> tuple:
+    """The demonstration part and the items with no anchor, for causal masks."""
+    return no_anchor(demo), [replace(p, prompt=no_anchor(p.prompt)) for p in prepared]
+
+
+def _score_noncache(weights: ModelWeights, prepared: list[_PreparedItem]) -> list[list[float]]:
     """Recompute the full prompt for every choice; no cache reuse."""
     return [
-        [score_continuation(weights, prep.prompt, cids, use_ansan) for cids in prep.choice_ids]
+        [score_continuation(weights, prep.prompt, cids) for cids in prep.choice_ids]
         for prep in prepared
     ]
 
 
 def _score_cached(
-    weights: ModelWeights,
-    demo: SegmentedText,
-    prepared: list[_PreparedItem],
-    use_ansan: bool,
+    weights: ModelWeights, demo: SegmentedText, prepared: list[_PreparedItem]
 ) -> tuple[list[list[float]], CacheStats]:
     """Process the demonstration part once and reuse its cache across
     items; score packed groups of items, contexts and choices, in one
     forward each.
 
-    The demonstration part is one `advance` that reads no logits. Under
-    anchor masks (the only masks that make reduction lossless) it reduces
-    the cache after the forward, and keeps only the rows the reduction
-    keeps: the anchors and any tail after the last one. Under causal masks
-    it keeps every row and is not reduced. Every prompt starts with
-    `demo`; `_prompt` checked that when it built them.
+    The demonstration part is one `advance` that reads no logits. It
+    reduces the cache after the forward, and keeps only the rows the
+    reduction keeps: the anchors and any tail after the last one. With no
+    anchor (causal masks) that is every row, and the reduction discards
+    nothing. Every prompt starts with `demo`; `_prompt` checked that when
+    it built them.
 
     Consecutive items are then packed greedily into groups of at most
     ITEM_TOKEN_BUDGET new tokens (contexts plus branch tokens); an item
@@ -311,10 +312,7 @@ def _score_cached(
 
     demo_cache = AnchorKVCache()
     if len(demo) > 0:
-        advance(
-            weights, demo_cache, demo.ids, segment_flags(demo), use_ansan,
-            reduce=use_ansan, logits=False,
-        )
+        advance(weights, demo_cache, demo.ids, segment_flags(demo), reduce=True, logits=False)
 
     groups: list[list[_PreparedItem]] = []
     size = 0
@@ -332,7 +330,7 @@ def _score_cached(
             (p.prompt.ids[len(demo) :], segment_flags(p.prompt, len(demo)), p.choice_ids)
             for p in group
         ]
-        scores += score_trees(weights, demo_cache.clone(), trees, use_ansan)
+        scores += score_trees(weights, demo_cache.clone(), trees)
     return scores, demo_cache.stats
 
 
@@ -350,7 +348,8 @@ def run_mc_task(
     accel_baseline: str = "noncache",
 ) -> MetricsReport:
     """Score every item, pick argmax choices, and report accuracy plus
-    cache and (optionally) acceleration metrics."""
+    cache and (optionally) acceleration metrics. Causal masks score the
+    items with no anchor, as the fullcache timing baseline does."""
     if not items:
         raise InputError("multiple-choice task needs at least one item")
     if accel_baseline not in ("noncache", "fullcache"):
@@ -370,11 +369,12 @@ def run_mc_task(
     demo, prepared, skipped = _prepare_items(
         items, demo_texts, vocab, policy, weights.config.context_len
     )
+    scored = (demo, prepared) if use_ansan else _without_anchors(demo, prepared)
 
     if reuse_demo_cache:
-        scores, stats = _score_cached(weights, demo, prepared, use_ansan)
+        scores, stats = _score_cached(weights, *scored)
     else:
-        scores = _score_noncache(weights, prepared, use_ansan)
+        scores = _score_noncache(weights, scored[1])
         stats = CacheStats()
     correct = sum(int(np.argmax(s)) == p.gold for p, s in zip(prepared, scores))
 
@@ -394,14 +394,11 @@ def run_mc_task(
     )
 
     if measure_timing:
-        def run_anchor() -> None:
-            _score_cached(weights, demo, prepared, use_ansan=True)
-
-        def run_baseline() -> None:
-            if accel_baseline == "noncache":
-                _score_noncache(weights, prepared, use_ansan=True)
-            else:
-                _score_cached(weights, demo, prepared, use_ansan=False)
+        run_anchor = partial(_score_cached, weights, demo, prepared)
+        if accel_baseline == "noncache":
+            run_baseline = partial(_score_noncache, weights, prepared)
+        else:
+            run_baseline = partial(_score_cached, weights, *_without_anchors(demo, prepared))
 
         anchor_time = min(_timed(run_anchor) for _ in range(3))
         baseline_time = min(_timed(run_baseline) for _ in range(3))

@@ -103,15 +103,14 @@ def advance(
     cache: AnchorKVCache,
     ids: Sequence[int],
     flags: np.ndarray,
-    ansan: bool = True,
     reduce: bool = False,
     logits: bool = True,
 ) -> np.ndarray | None:
     """One `forward` of new tokens, with these (is_anchor, seq_index)
     flags, over the live cache and each other under the anchor rule
-    (causal when ansan is False); then commit the keys/values it wrote
-    into the free slots, at the positions after the newest entry, and,
-    with reduce, reduce the cache (`AnchorKVCache.reduction`). Returns
+    (causal over flags with no anchor); then commit the keys/values it
+    wrote into the free slots, at the positions after the newest entry,
+    and, with reduce, reduce the cache (`AnchorKVCache.reduction`). Returns
     the logits of the last token, the next token's distribution, or None
     when logits is False, and the forward computes no logits. The last
     layer runs only the rows whose logits are read. With reduce,
@@ -123,7 +122,7 @@ def advance(
     reduction right after."""
     kv_rows = kept_by_reduction(flags) if reduce and len(ids) > 1 else None
     out = forward(
-        weights, ids, mask_rows(flags, cache.flag_array(), ansan),
+        weights, ids, mask_rows(flags, cache.flag_array()),
         cache.stacked(len(ids), weights.config), cache.next_positions(len(ids)),
         logit_rows=slice(-1, None) if logits else [], kv_rows=kv_rows,
     )
@@ -138,7 +137,7 @@ Tree = tuple[Sequence[int], np.ndarray, Sequence[Sequence[int]]]
 
 
 def score_trees(
-    weights: ModelWeights, cache: AnchorKVCache, trees: Sequence[Tree], ansan: bool = True
+    weights: ModelWeights, cache: AnchorKVCache, trees: Sequence[Tree]
 ) -> list[list[float]]:
     """Score several continuations of several contexts after the cache in
     one forward, laid out as a forest (tree attention, as in SpecInfer,
@@ -198,7 +197,7 @@ def score_trees(
             targets += c
             ends.append(len(targets))
     tree, branch = np.array(tree_of), np.array(branch_of)
-    rows = mask_rows(np.array(flags, dtype=np.int64), cache.flag_array(), ansan)[:]
+    rows = mask_rows(np.array(flags, dtype=np.int64), cache.flag_array())[:]
     rows[:, len(cache) :] &= (tree[:, None] == tree) & (
         (branch[:, None] == branch) | (branch == -1)
     )
@@ -283,13 +282,11 @@ def generate(
 
 
 def score_continuation(
-    weights: ModelWeights,
-    context: SegmentedText,
-    continuation: list[int],
-    use_ansan: bool,
+    weights: ModelWeights, context: SegmentedText, continuation: list[int]
 ) -> float:
     """Sum of log-probabilities of the continuation tokens given the
-    context, under anchor masks or plain causal masks.
+    context, under the mask rule over the context's flags (causal masks
+    when the context has no anchor, `masks.no_anchor`).
 
     Continuation tokens are scored as non-anchor members of the sequence
     that follows the context (a new sequence when the context ends in an
@@ -318,7 +315,7 @@ def score_continuation(
     rest_flags = np.repeat([[0, next_seq_index(context)]], len(rest), axis=0)
     flags = np.concatenate([segment_flags(context), rest_flags])
     out = forward(
-        weights, list(context.ids) + rest, mask_rows(flags, (), use_ansan),
+        weights, list(context.ids) + rest, mask_rows(flags),
         logit_rows=slice(len(context) - 1, None), kv_rows=[],
     )
     n = len(continuation)

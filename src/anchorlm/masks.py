@@ -1,4 +1,4 @@
-"""The attention mask rule, causal or anchor-based.
+"""The attention mask rule: anchor-based, and causal over flags with no anchor.
 
 Anchor-based masking keeps causal attention inside the current sequence
 but, across sequences, routes everything through anchors. For query i in
@@ -12,7 +12,8 @@ sequence k and key j (j <= i):
 
 Flags are (is_anchor, seq_index) rows in position order. One vectorized
 rule, `mask_rows`, gives every mask, for training, perplexity and
-inference alike; with ansan False it is plain causal. It is read by
+inference alike. Over one sequence with no anchor (`no_anchor`) it is
+the causal rule, so causal masks are flags, not a mode. It is read by
 rows, as FlexAttention's `mask_mod` (Dong et al., 2024) is evaluated
 only where attention is computed: `mask_rows(...)[rows]` builds the bool
 rows of those queries from the flags alone, so a forward that runs a few
@@ -39,6 +40,11 @@ def segment_flags(seg: SegmentedText, start: int = 0) -> np.ndarray:
     return _flag_rows(np.column_stack((seg.is_anchor[start:], seg.seq_index[start:])))
 
 
+def no_anchor(seg: SegmentedText) -> SegmentedText:
+    """The same ids as one sequence with no anchor, whose flags give causal masks."""
+    return SegmentedText(ids=seg.ids, is_anchor=[False] * len(seg), seq_index=[0] * len(seg))
+
+
 class MaskRule:
     """Mask rows for T new tokens over K earlier keys followed by the new
     tokens themselves, shape (T, K + T), built only when read.
@@ -48,20 +54,16 @@ class MaskRule:
     `np.asarray(rule)` builds that whole matrix. The earlier keys precede
     every new token, so only the anchor rule (module docstring) can block
     them and their columns need no causal compare; the new-token block is
-    also causal. With ansan False the rows are plain causal. The flags
-    are held as given, not copied: a rule over a cache's live flags reads
-    them until the cache next changes."""
+    also causal. The flags are held as given, not copied: a rule over a
+    cache's live flags reads them until the cache next changes."""
 
-    def __init__(self, new: np.ndarray, keys: np.ndarray, ansan: bool) -> None:
-        self.new, self.keys, self.ansan = new, keys, ansan
+    def __init__(self, new: np.ndarray, keys: np.ndarray) -> None:
+        self.new, self.keys = new, keys
         self.shape = (len(new), len(keys) + len(new))
 
     def __getitem__(self, rows) -> np.ndarray:
         q, i = self.new[rows], np.arange(len(self.new))
         causal = i <= i[rows][..., None]
-        if not self.ansan:
-            cached = np.ones(q.shape[:-1] + (len(self.keys),), dtype=bool)
-            return np.concatenate((cached, causal), axis=-1)
         # visible: a key not in an earlier sequence, or an anchor key seen
         # by a non-anchor query
         seq, plain = q[..., 1, None], q[..., 0, None] == 0
@@ -72,7 +74,7 @@ class MaskRule:
         return self[:].astype(np.uint8 if dtype is None else dtype)
 
 
-def mask_rows(new_flags: np.ndarray, key_flags: np.ndarray = (), ansan: bool = True) -> MaskRule:
+def mask_rows(new_flags: np.ndarray, key_flags: np.ndarray = ()) -> MaskRule:
     """The mask rule for new tokens with these flags over earlier keys
     with these, as (is_anchor, seq_index) rows in position order."""
-    return MaskRule(_flag_rows(new_flags), _flag_rows(key_flags), ansan)
+    return MaskRule(_flag_rows(new_flags), _flag_rows(key_flags))

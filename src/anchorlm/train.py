@@ -1,7 +1,7 @@
 """Next-token training under causal or anchor masks.
 
-Each block's mask is `masks.mask_rows` over the block's flags, causal or
-anchor-based by the config's mask mode.
+Each block's mask is `masks.mask_rows` over the block's own flags, or,
+under causal masks, over flags with no anchor (`masks.no_anchor`).
 
 Decoupled-weight-decay Adam with linear warmup then a constant rate,
 gradient-norm clipping, and a stateless batch schedule (a fresh seeded
@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import SegmentedText
 from .errors import ConfigError, ContractError, InputError, NumericError
-from .masks import MASK_MODES, mask_rows, segment_flags
+from .masks import MASK_MODES, mask_rows, no_anchor, segment_flags
 from .model import ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint
 
 
@@ -282,8 +282,8 @@ def train(
         grad_sum: dict[str, np.ndarray] | None = None
         for bi in batch:
             block = blocks[bi]
-            mask = mask_rows(segment_flags(block), ansan=cfg.mask_mode == "ansan")
-            loss, grads = loss_and_grads(weights, block, mask)
+            flags = segment_flags(block if cfg.mask_mode == "ansan" else no_anchor(block))
+            loss, grads = loss_and_grads(weights, block, mask_rows(flags))
             loss_sum += loss
             if grad_sum is None:
                 grad_sum = grads

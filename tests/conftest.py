@@ -49,8 +49,8 @@ def anchor_rule(seg: SegmentedText) -> MaskRule:
 
 def causal_rule(n: int) -> MaskRule:
     """The causal mask rule over n tokens, as causal training builds it;
-    the flags do not matter."""
-    return mask_rows(np.zeros((n, 2), dtype=np.int64), ansan=False)
+    the flags have no anchor."""
+    return mask_rows(np.zeros((n, 2), dtype=np.int64))
 
 
 def traced_peak(fn) -> int:

@@ -174,7 +174,7 @@ def forwarded(weights, seg, start, stop, cache):
     """Run tokens [start, stop) of seg against the cache and commit them;
     returns the per-layer (K, V) the forward wrote for them."""
     new_flags = segment_flags(seg)[start:stop]
-    rows = mask_rows(new_flags, cache.flag_array(), ansan=True)
+    rows = mask_rows(new_flags, cache.flag_array())
     kv = cache.stacked(stop - start, weights.config)
     forward(weights, seg.ids[start:stop], rows, kv, positions=np.arange(start, stop))
     written = [(k[:, len(cache):].copy(), v[:, len(cache):].copy()) for k, v in kv]

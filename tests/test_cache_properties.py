@@ -41,7 +41,7 @@ def test_rule_and_reduction_match_oracles(schedule):
     for start, stop, reduce_now in chunks:
         live = cache.live_positions()
         new = list(range(start, stop))
-        rows = mask_rows(flags[start:stop], cache.flag_array(), ansan=True)
+        rows = mask_rows(flags[start:stop], cache.flag_array())
         assert np.array_equal(rows, oracle[start:stop][:, live + new])
         # what reduction discarded is blocked for every later query
         dropped = sorted(set(range(start)) - set(live))

@@ -181,8 +181,8 @@ def test_per_item_argmax_consistency(ac_vocab, ac_model):
     items, pool = make_task(5, seed=3)
     demo_texts = [p.context + " " + p.choices[p.gold] for p in pool[:2]]
     demo, prepared, _ = _prepare_items(items, demo_texts, ac_vocab, AC, 256)
-    cached, _ = _score_cached(ac_model, demo, prepared, use_ansan=True)
-    plain = _score_noncache(ac_model, prepared, use_ansan=True)
+    cached, _ = _score_cached(ac_model, demo, prepared)
+    plain = _score_noncache(ac_model, prepared)
     for a, b in zip(cached, plain):
         if a:
             assert int(np.argmax(a)) == int(np.argmax(b))
@@ -248,7 +248,7 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case, layer_queri
     assert sum(item_tokens(p, demo) for p in prepared) <= evaluate.ITEM_TOKEN_BUDGET
 
     calls, forwards = record_calls(monkeypatch)
-    cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
+    cached, acct = evaluate._score_cached(ac_model, demo, prepared)
     # one prefill of the whole demonstration part, then one forward for
     # every item, which fit the budget together
     assert calls == [("advance", demo_len), ("score_trees", len(prepared))]
@@ -258,7 +258,7 @@ def test_chunked_demo_prefill(ac_vocab, ac_model, monkeypatch, case, layer_queri
     kept = len(anchors) + tail
     assert layer_queries()[0] == [kept, 0]
 
-    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    plain = evaluate._score_noncache(ac_model, prepared)
     for a, b in zip(cached, plain):
         a, b = np.asarray(a), np.asarray(b)
         assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
@@ -293,11 +293,11 @@ def test_items_pack_greedily_under_the_budget(ac_vocab, ac_model, monkeypatch, c
     assert [item_tokens(p, demo) for p in prepared] == [3, 5, 10, 3, 3]
     monkeypatch.setattr(evaluate, "ITEM_TOKEN_BUDGET", budget)
     calls, forwards = record_calls(monkeypatch)
-    cached, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
+    cached, acct = evaluate._score_cached(ac_model, demo, prepared)
     assert calls == [("advance", len(demo))] + [("score_trees", n) for n in groups]
     assert len(forwards) == 1 + len(groups)
     assert acct.total_appends == acct.peak_live_count == len(demo)
-    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    plain = evaluate._score_noncache(ac_model, prepared)
     for a, b in zip(cached, plain):
         a, b = np.asarray(a), np.asarray(b)
         assert np.all(np.abs(a - b) <= SCORE_RTOL * np.maximum(1.0, np.abs(b)))
@@ -357,14 +357,14 @@ def test_items_that_do_not_fit_are_skipped(ac_vocab, ac_model, unfit):
         [
             score_continuation(
                 ac_model, _prompt(part, demos, item.context, ac_vocab, AC),
-                ac_vocab.encode_text(choice), True,
+                ac_vocab.encode_text(choice),
             )
             for choice in item.choices
         ]
         for item in (items[0], items[2])
     ]
-    cached, _ = evaluate._score_cached(ac_model, demo, prepared, use_ansan=True)
-    plain = evaluate._score_noncache(ac_model, prepared, use_ansan=True)
+    cached, _ = evaluate._score_cached(ac_model, demo, prepared)
+    plain = evaluate._score_noncache(ac_model, prepared)
     assert len(cached) == len(plain) == 2
     for a, b in zip(cached + plain, alone + alone):
         a, b = np.asarray(a), np.asarray(b)
@@ -385,8 +385,9 @@ def test_items_that_do_not_fit_are_skipped(ac_vocab, ac_model, unfit):
 def test_causal_demo_part_is_one_forward(ac_vocab, ac_model, monkeypatch):
     items, _ = make_task(2, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
+    demo, prepared = evaluate._without_anchors(demo, prepared)
     calls, forwards = record_calls(monkeypatch)
-    _, acct = evaluate._score_cached(ac_model, demo, prepared, use_ansan=False)
+    _, acct = evaluate._score_cached(ac_model, demo, prepared)
     assert calls == [("advance", len(demo)), ("score_trees", len(items))]
     assert len(forwards) == 2
     assert acct.total_discards == 0 and acct.total_appends == len(demo)
@@ -404,7 +405,9 @@ def test_last_layer_runs_only_the_rows_scoring_reads(ac_vocab, ac_model, use_ans
     # below its last layer, where its trees' trunk-last and branch rows run
     items, _ = make_task(4, seed=8)
     demo, prepared, _ = evaluate._prepare_items(items, DEMOS, ac_vocab, AC, 256)
-    evaluate._score_cached(ac_model, demo, prepared, use_ansan)
+    if not use_ansan:
+        demo, prepared = evaluate._without_anchors(demo, prepared)
+    evaluate._score_cached(ac_model, demo, prepared)
     demo_rows = [int(segment_flags(demo)[:, 0].sum()) if use_ansan else len(demo), 0]
     tokens = sum(len(p.prompt) - len(demo) + sum(len(c) - 1 for c in p.choice_ids)
                  for p in prepared)
@@ -548,17 +551,17 @@ forest_items = (
 
 def item_forest(vocab, weights, policy, use_ansan, demos, items):
     """Items as `_score_cached` scores them: the prepared items, the
-    demonstration cache, and one tree per item."""
+    demonstration cache, and one tree per item; with no anchor unless
+    use_ansan."""
     demo, prepared, _ = evaluate._prepare_items(
         [MCItem(context, tuple(choices), 0) for context, choices in items],
         demos, vocab, policy, 256,
     )
+    if not use_ansan:
+        demo, prepared = evaluate._without_anchors(demo, prepared)
     cache = AnchorKVCache()
     if len(demo):
-        advance(
-            weights, cache, demo.ids, segment_flags(demo), use_ansan,
-            reduce=use_ansan, logits=False,
-        )
+        advance(weights, cache, demo.ids, segment_flags(demo), reduce=True, logits=False)
     trees = [
         (p.prompt.ids[len(demo) :], segment_flags(p.prompt, len(demo)), p.choice_ids)
         for p in prepared
@@ -572,8 +575,8 @@ def item_forest(vocab, weights, policy, use_ansan, demos, items):
 def test_tree_scores_match_noncache(ac_vocab, ac_model, policy, use_ansan, demos, items):
     prepared, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
     assert len(prepared) == len(items)
-    scores = score_trees(ac_model, cache, trees, use_ansan)
-    plain = evaluate._score_noncache(ac_model, prepared, use_ansan)
+    scores = score_trees(ac_model, cache, trees)
+    plain = evaluate._score_noncache(ac_model, prepared)
     assert len(scores) == len(items)
     for a, b in zip(scores, plain):
         a, b = np.asarray(a), np.asarray(b)
@@ -588,7 +591,7 @@ def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, d
     prepared, cache, trees = item_forest(ac_vocab, ac_model, policy, use_ansan, demos, items)
     key_flags, start = cache.flag_array().copy(), cache.next_positions(1)[0]
     with mock.patch.object(infer, "forward", wraps=infer.forward) as spy:
-        score_trees(ac_model, cache, trees, use_ansan)
+        score_trees(ac_model, cache, trees)
     (_, tokens, rows, _, positions), _ = spy.call_args
     n_keys, offset = len(key_flags), 0
     for prep, (ids, flags, choice_ids) in zip(prepared, trees):
@@ -599,7 +602,7 @@ def test_tree_mask_is_each_branch_alone(ac_vocab, ac_model, policy, use_ansan, d
         lo = offset + n + np.cumsum([0] + [len(c) - 1 for c in choice_ids])
         for cids, b_lo, b_hi in zip(choice_ids, lo, lo[1:]):
             own = np.r_[offset : offset + n, b_lo:b_hi]
-            alone = mask_rows([*flags, *[cont] * (b_hi - b_lo)], key_flags, use_ansan)
+            alone = mask_rows([*flags, *[cont] * (b_hi - b_lo)], key_flags)
             expected = np.zeros_like(rows[own])
             expected[:, np.r_[:n_keys, n_keys + own]] = alone
             assert np.array_equal(rows[own], expected)
@@ -616,7 +619,7 @@ def test_tree_scoring_commits_nothing(ac_vocab, ac_model, policy, use_ansan, dem
     n, positions, flags = len(cache), cache.live_positions(), cache.flag_array().copy()
     stats = dataclasses.replace(cache.stats)
     kv = [(k.copy(), v.copy()) for k, v in cache.stacked()]  # none before a first write
-    score_trees(ac_model, cache, trees, use_ansan)
+    score_trees(ac_model, cache, trees)
     assert len(cache) == n and cache.live_positions() == positions
     assert np.array_equal(cache.flag_array(), flags)
     assert cache.stats == stats

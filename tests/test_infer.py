@@ -18,10 +18,10 @@ from anchorlm.infer import (
     score_continuation,
     score_trees,
 )
-from anchorlm.masks import MaskRule, mask_rows, segment_flags
+from anchorlm.masks import MaskRule, mask_rows, no_anchor, segment_flags
 from anchorlm.model import forward, init_weights
 from conftest import random_segmented, tiny_config
-from oracles import naive_log_softmax
+from oracles import naive_causal_mask, naive_log_softmax
 
 
 def anchored_prefix(anchor_id=4):
@@ -164,7 +164,7 @@ def ctx(ids):
 def test_empty_continuation_rejected(tiny_weights):
     # a 0.0 score would beat every real choice's negative log-probability
     with pytest.raises(ContractError, match="continuation needs"):
-        score_continuation(tiny_weights, ctx([1, 2]), [], use_ansan=True)
+        score_continuation(tiny_weights, ctx([1, 2]), [])
     with pytest.raises(ContractError, match="continuation needs"):
         score_trees(tiny_weights, AnchorKVCache(), [([1, 2], [(0, 0), (0, 0)], [[]])])
 
@@ -174,7 +174,7 @@ def test_uniform_model_continuation_score():
     weights = init_weights(config, seed=0)
     for arr in weights.arrays.values():
         arr[:] = 0.0
-    got = score_continuation(weights, ctx([1, 2]), [3, 4, 5], use_ansan=False)
+    got = score_continuation(weights, ctx([1, 2]), [3, 4, 5])
     assert abs(got - (-3 * np.log(config.vocab_size))) < 1e-9
 
 
@@ -188,9 +188,7 @@ def test_rigged_model_picks_favored_choice():
     weights.arrays["final_gain"][:] = 1.0
     weights.arrays["head"][:, favored] = 5.0  # constant hidden state -> logits favor one id
     choices = [[2], [favored], [3]]
-    scores = [
-        score_continuation(weights, ctx([1, 2, 3]), c, use_ansan=False) for c in choices
-    ]
+    scores = [score_continuation(weights, ctx([1, 2, 3]), c) for c in choices]
     assert int(np.argmax(scores)) == 1
 
 
@@ -198,7 +196,7 @@ def test_overflow_rejected():
     config = tiny_config(context_len=5)
     weights = init_weights(config, seed=0)
     with pytest.raises(ContractError):
-        score_continuation(weights, ctx([1, 2, 3]), [4, 5, 6], use_ansan=False)
+        score_continuation(weights, ctx([1, 2, 3]), [4, 5, 6])
 
 
 def test_score_matches_generate_path(tiny_weights):
@@ -207,9 +205,9 @@ def test_score_matches_generate_path(tiny_weights):
     prefix = anchored_prefix()
     res = generate(tiny_weights, prefix, gen_cfg(max_new_tokens=1))
     best = res.ids[0]
-    s_best = score_continuation(tiny_weights, prefix, [best], use_ansan=True)
+    s_best = score_continuation(tiny_weights, prefix, [best])
     for other in range(tiny_weights.config.vocab_size):
-        s = score_continuation(tiny_weights, prefix, [other], use_ansan=True)
+        s = score_continuation(tiny_weights, prefix, [other])
         assert s <= s_best + 1e-12
 
 
@@ -218,7 +216,7 @@ def test_continuation_ids_outside_vocab_rejected(tiny_weights, bad):
     # the final id is never fed to the model, so only scoring can check it
     prefix = anchored_prefix()
     with pytest.raises(ContractError, match="continuation ids"):
-        score_continuation(tiny_weights, prefix, [4, bad], use_ansan=True)
+        score_continuation(tiny_weights, prefix, [4, bad])
     # the forest is checked as a whole: the bad id may sit in any tree
     good = (prefix.ids, segment_flags(prefix), [[1], [2, 3]])
     tree = (prefix.ids, segment_flags(prefix), [[1], [4, bad]])
@@ -275,14 +273,14 @@ def test_generate_runs_one_last_layer_row_per_forward(tiny_weights, layer_querie
 
 @pytest.mark.parametrize("use_ansan", [True, False])
 def test_scoring_runs_the_last_layer_for_scored_rows(tiny_weights, layer_queries, use_ansan):
-    prefix = anchored_prefix()
-    score_continuation(tiny_weights, prefix, [1, 2, 3], use_ansan)
+    prefix = anchored_prefix() if use_ansan else no_anchor(anchored_prefix())
+    score_continuation(tiny_weights, prefix, [1, 2, 3])
     # per tree its trunk's last row, then every continuation token but the last
     trees = [
         (prefix.ids[:3], segment_flags(prefix)[:3], [[1], [2, 3], [5, 6, 7]]),
         (prefix.ids[3:], segment_flags(prefix)[3:], [[8, 9]]),
     ]
-    score_trees(tiny_weights, AnchorKVCache(), trees, use_ansan)
+    score_trees(tiny_weights, AnchorKVCache(), trees)
     assert [rows[-1] for rows in layer_queries()] == [3, 1 + 3 + 1 + 1]
 
 
@@ -292,7 +290,7 @@ def test_scoring_skips_the_rows_a_closed_sequence_hides(tiny_weights, layer_quer
     # open sequence: layer 0 runs 4 of the 8 new rows
     prefix = anchored_prefix()
     trees = [(prefix.ids, segment_flags(prefix), [[1], [2, 3]])]
-    score_trees(tiny_weights, AnchorKVCache(), trees, ansan=True)
+    score_trees(tiny_weights, AnchorKVCache(), trees)
     assert layer_queries() == [[4, 2]]
 
 
@@ -323,7 +321,7 @@ def test_noncached_scoring_reads_only_the_rows_it_runs(mask_reads):
         ids=[1 + i % 10 for i in range(n)], is_anchor=[i % 8 == 7 for i in range(n)],
         seq_index=[i // 8 for i in range(n)],
     )
-    score_continuation(weights, context, [1, 2, 3, 4], use_ansan=True)
+    score_continuation(weights, context, [1, 2, 3, 4])
     assert mask_reads == [4, 92 + 7 + 3]
 
 
@@ -338,24 +336,27 @@ def test_decode_step_reads_one_mask_row(tiny_weights, mask_reads):
 def test_continuation_rows_causal_and_ansan():
     live = [(True, 0), (False, 1)]
     new = [(False, 1), (False, 1)]
-    ansan = np.asarray(mask_rows(new, live, ansan=True))
-    causal = np.asarray(mask_rows(new, live, ansan=False))
+    ansan = np.asarray(mask_rows(new, live))
+    causal = np.asarray(mask_rows(np.zeros((2, 2)), np.zeros((2, 2))))  # no anchor
     assert ansan.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     assert causal.tolist() == [[1, 1, 1, 0], [1, 1, 1, 1]]
     # a later-sequence query blocks the live non-anchor under ansan
     new2 = [(False, 2)]
-    assert np.asarray(mask_rows(new2, live, ansan=True)).tolist() == [[1, 0, 1]]
+    assert np.asarray(mask_rows(new2, live)).tolist() == [[1, 0, 1]]
+    assert np.asarray(mask_rows(np.zeros((1, 2)), np.zeros((2, 2)))).tolist() == [[1, 1, 1]]
 
 
 def test_score_continuation_random_masks_agree(tiny_weights):
-    # under a no-anchor context, ansan and causal scoring coincide
+    # under a no-anchor context, scoring is scoring under the causal oracle mask
     rng = np.random.default_rng(0)
     for _ in range(5):
         seg = random_segmented(rng, max_len=8)
         plain = ctx([i % 11 for i in seg.ids])
         cont = [int(rng.integers(0, 11)) for _ in range(3)]
-        a = score_continuation(tiny_weights, plain, cont, use_ansan=True)
-        b = score_continuation(tiny_weights, plain, cont, use_ansan=False)
+        a = score_continuation(tiny_weights, plain, cont)
+        ids = plain.ids + cont[:-1]
+        logits = forward(tiny_weights, ids, naive_causal_mask(len(ids)).astype(bool)).logits
+        b = sum(naive_log_softmax(logits[len(plain) - 1 + k])[c] for k, c in enumerate(cont))
         assert abs(a - b) < 1e-12
 
 
@@ -377,9 +378,12 @@ def test_generate_builds_no_tensor(tiny_weights, no_tensors):
 @pytest.mark.parametrize("use_ansan", [True, False])
 def test_mc_scoring_builds_no_tensor(tiny_weights, no_tensors, use_ansan):
     prompt = anchored_prefix()
+    demo = prompt.slice(0, 3)
     prepared = [evaluate._PreparedItem(prompt, [[1], [2, 3], [5, 6, 7]], 0)]
-    cached, _ = evaluate._score_cached(tiny_weights, prompt.slice(0, 3), prepared, use_ansan)
-    noncached = evaluate._score_noncache(tiny_weights, prepared, use_ansan)
+    if not use_ansan:
+        demo, prepared = evaluate._without_anchors(demo, prepared)
+    cached, _ = evaluate._score_cached(tiny_weights, demo, prepared)
+    noncached = evaluate._score_noncache(tiny_weights, prepared)
     assert len(cached[0]) == len(noncached[0]) == 3
 
 
@@ -396,7 +400,8 @@ def test_score_continuation_allocates_no_cache(tiny_weights, monkeypatch, use_an
         raise AssertionError("score_continuation read cache slots")
 
     monkeypatch.setattr(AnchorKVCache, "stacked", refuse)
-    score = score_continuation(tiny_weights, anchored_prefix(), [1, 2, 3], use_ansan)
+    prefix = anchored_prefix() if use_ansan else no_anchor(anchored_prefix())
+    score = score_continuation(tiny_weights, prefix, [1, 2, 3])
     assert np.isfinite(score)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlm.corpus import SegmentedText
-from anchorlm.masks import mask_rows, segment_flags
+from anchorlm.masks import mask_rows, no_anchor, segment_flags
 from conftest import causal_rule, random_segmented
 from oracles import naive_anchor_mask, naive_causal_mask
 
@@ -10,9 +12,9 @@ def seg(flags, seqs):
     return SegmentedText(ids=list(range(len(flags))), is_anchor=flags, seq_index=seqs)
 
 
-def dense(s, ansan=True):
+def dense(s):
     """The rule over a segment's own flags, as its 0/1 matrix."""
-    return np.asarray(mask_rows(segment_flags(s), ansan=ansan))
+    return np.asarray(mask_rows(segment_flags(s)))
 
 
 def test_causal_small():
@@ -59,8 +61,26 @@ def test_anchor_mask_matches_oracle_randomized():
     for _ in range(100):
         s = random_segmented(rng)
         assert np.array_equal(dense(s), naive_anchor_mask(s.is_anchor, s.seq_index))
-        # a rule without anchor masking is causal whatever the flags
-        assert np.array_equal(dense(s, ansan=False), naive_causal_mask(len(s)))
+        # the same ids as one sequence with no anchor give the causal rule
+        assert np.array_equal(dense(no_anchor(s)), naive_causal_mask(len(s)))
+        assert no_anchor(s).ids == s.ids
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 39), st.integers(1, 39), st.data())
+def test_rule_over_flags_with_no_anchor_is_causal(K, T, data):
+    # causal masks are the anchor rule over zero flags, one sequence with
+    # no anchor, on cached keys too and read by any rows
+    rule = mask_rows(np.zeros((T, 2), dtype=np.int64), np.zeros((K, 2), dtype=np.int64))
+    rows = data.draw(st.one_of(
+        st.builds(slice, st.integers(-T, T) | st.none(), st.integers(-T, T) | st.none(),
+                  st.sampled_from([None, 1, 2, -1])),
+        st.lists(st.integers(-T, T - 1), max_size=2 * T).map(lambda r: np.array(r, dtype=int)),
+        st.integers(-T, T - 1),
+    ))
+    want = naive_causal_mask(K + T)[K:].astype(bool)[rows]
+    got = rule[rows]
+    assert got.dtype == bool and got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_row_by_row_reconstruction_matches_matrix():

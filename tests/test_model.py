@@ -588,16 +588,17 @@ def test_ids_outside_vocab_rejected(tiny_weights, bad):
 
 def new_rows(rng, kind, n_cached, T):
     """Flags of n_cached + T tokens, and mask rows and positions of the
-    last T: a causal chain, anchor masks, or a trunk and up to three
-    branches that each see the trunk and themselves only."""
+    last T: a causal chain (one sequence with no anchor), anchor masks,
+    or a causal trunk and up to three branches that each see the trunk
+    and themselves only."""
     flags, seq = [], 0
     while len(flags) < n_cached + T:
         run = int(rng.integers(1, 5))
         anchored = kind == "anchor" and rng.random() < 0.7
         flags += [(anchored and i == run - 1, seq) for i in range(run)]
-        seq += 1
+        seq += kind == "anchor"
     flags = np.array(flags[: n_cached + T])
-    rows = mask_rows(flags[n_cached:], flags[:n_cached], ansan=kind == "anchor")
+    rows = mask_rows(flags[n_cached:], flags[:n_cached])
     depth = np.arange(T)
     if kind == "tree":
         trunk = int(rng.integers(1, T + 1))
@@ -687,8 +688,10 @@ def test_kept_rows_match_the_same_rows_of_a_full_forward(
     rng = np.random.default_rng(seed)
     n = n_cached or 0
     flags = chunk_flags(rng, layout, n, T)
+    if not ansan:
+        flags[:] = 0  # one sequence with no anchor: causal masks
     ids = rng.integers(0, config.vocab_size, n + T)
-    rows = mask_rows(flags[n:], flags[:n], ansan)
+    rows = mask_rows(flags[n:], flags[:n])
     reduced = kept_by_reduction(flags[n:])
     kept = data.draw(st.one_of(
         st.just(list(range(T)) if reduced is None else reduced.tolist()),
@@ -702,7 +705,7 @@ def test_kept_rows_match_the_same_rows_of_a_full_forward(
     def prefilled():
         cache = AnchorKVCache()
         if n:
-            advance(tiny_weights, cache, ids[:n], flags[:n], ansan)
+            advance(tiny_weights, cache, ids[:n], flags[:n])
         return cache
 
     cache = prefilled() if n_cached is not None else None
@@ -732,8 +735,8 @@ def test_kept_rows_match_the_same_rows_of_a_full_forward(
         for a in layer:
             a[:, n:] = np.nan  # a slot left unwritten must not stay live
     read = data.draw(st.booleans())
-    got = advance(tiny_weights, one, ids[n:], flags[n:], ansan, reduce=True, logits=read)
-    want = advance(tiny_weights, two, ids[n:], flags[n:], ansan)
+    got = advance(tiny_weights, one, ids[n:], flags[n:], reduce=True, logits=read)
+    want = advance(tiny_weights, two, ids[n:], flags[n:])
     two.reduction()
     assert all_close(got, want) if read else got is None
     assert one.live_positions() == two.live_positions()
@@ -759,7 +762,9 @@ def test_mask_rule_reads_as_its_dense_matrix(
     rng = np.random.default_rng(seed)
     n = n_cached or 0
     flags = chunk_flags(rng, layout, n, T)
-    rule = mask_rows(flags[n:], flags[:n], ansan)
+    if not ansan:
+        flags[:] = 0  # one sequence with no anchor: causal masks
+    rule = mask_rows(flags[n:], flags[:n])
     dense = np.asarray(rule)
     full = naive_anchor_mask(flags[:, 0], flags[:, 1]) if ansan else naive_causal_mask(n + T)
     assert dense.dtype == np.uint8 and rule.shape == (T, n + T)
@@ -783,7 +788,7 @@ def test_mask_rule_reads_as_its_dense_matrix(
     if n_cached is not None:
         cache = AnchorKVCache()
         if n:
-            advance(tiny_weights, cache, rng.integers(0, config.vocab_size, n), flags[:n], ansan)
+            advance(tiny_weights, cache, rng.integers(0, config.vocab_size, n), flags[:n])
     ids = rng.integers(0, config.vocab_size, T)
 
     def run(mask):
@@ -849,8 +854,10 @@ def test_tiled_forward_matches_one_tile(
     rng = np.random.default_rng(seed)
     n = n_cached or 0
     flags = chunk_flags(rng, layout, n, T)
+    if not ansan:
+        flags[:] = 0  # one sequence with no anchor: causal masks
     ids = rng.integers(0, config.vocab_size, n + T)
-    rows = mask_rows(flags[n:], flags[:n], ansan)
+    rows = mask_rows(flags[n:], flags[:n])
     every_row = st.none()
     kept = data.draw(every_row | st.lists(st.integers(0, T - 1), unique=True, max_size=T))
     picked = data.draw(every_row | st.lists(
@@ -861,7 +868,7 @@ def test_tiled_forward_matches_one_tile(
     if n_cached is not None:
         cache = AnchorKVCache()
         if n:
-            advance(tiny_weights, cache, ids[:n], flags[:n], ansan)
+            advance(tiny_weights, cache, ids[:n], flags[:n])
 
     def run(min_pairs):
         kv = None if cache is None else cache.stacked(T, config)
@@ -907,7 +914,7 @@ def test_reducing_advance_skips_rows_only_under_anchor_masks(tiny_weights, layer
     # anchors and its own sequence, which is all the layer below runs
     flags = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 2]])
     for ansan in (False, True):
-        advance(tiny_weights, AnchorKVCache(), [1, 2, 3, 4, 5], flags, ansan, reduce=True)
+        advance(tiny_weights, AnchorKVCache(), [1, 2, 3, 4, 5], flags * ansan, reduce=True)
     assert layer_queries() == [[5, 1], [3, 1]]
 
 

@@ -358,9 +358,9 @@ def mc_items() -> dict:
         return call
 
     def counted(fn):
-        def score_trees(weights, cache, trees, ansan):
+        def score_trees(weights, cache, trees):
             groups.append(sum(len(ids) + sum(len(c) - 1 for c in cs) for ids, _, cs in trees))
-            return fn(weights, cache, trees, ansan)
+            return fn(weights, cache, trees)
 
         return score_trees
 
@@ -372,7 +372,7 @@ def mc_items() -> dict:
         evaluate.ITEM_TOKEN_BUDGET = 10**9 if budget == "all" else budget
         spent[0] = 0.0
         groups.clear()
-        scores, _ = evaluate._score_cached(weights, demo, prepared, use_ansan=True)
+        scores, _ = evaluate._score_cached(weights, demo, prepared)
         return spent[0], np.asarray(scores), list(groups)
 
     points = []

@@ -3,12 +3,14 @@
     PYTHONPATH=src python3 tools/seeded_pipeline.py [--out DIR] [--check FILE]
 
 synth -> prepare -> train -> generate (greedy, then sampled) -> eval ppl
--> eval mc, each through `anchorlm.cli.main` with fixed arguments, seeds
-and prompt. Two commits whose outputs should be bitwise identical print
-the same hashes. The commands' own stdout goes to stderr, so stdout
-holds only the `<sha256>  <artifact>` lines. `--check
-tools/seeded_pipeline.sha256` compares them with the committed hashes,
-names each artifact that differs on stderr and exits 1 if any does.
+-> eval mc under anchor masks, then train, eval ppl and eval mc (with
+and without the demonstration cache) under causal masks, each through
+`anchorlm.cli.main` with fixed arguments, seeds and prompt. Two commits
+whose outputs should be bitwise identical print the same hashes. The
+commands' own stdout goes to stderr, so stdout holds only the
+`<sha256>  <artifact>` lines. `--check tools/seeded_pipeline.sha256`
+compares them with the committed hashes, names each artifact that
+differs on stderr and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -30,18 +32,25 @@ ARTIFACTS = (
     "generate_sampled/generation.txt",
     "ppl/metrics.txt",
     "mc/metrics.txt",
+    "train_causal/losses.log",
+    "ppl_causal/metrics.txt",
+    "mc_causal/metrics.txt",
+    "mc_causal_noncache/metrics.txt",
 )
 
 
 def commands(root: Path) -> list[list[str]]:
     synth, data = root / "synth", root / "data"
     ckpt = ["--ckpt", str(root / "train" / "ckpt.bin"), "--vocab", str(data / "vocab.txt")]
+    train = ["--steps", "20", "--batch-size", "4", "--n-layers", "2", "--d-model", "32",
+             "--n-heads", "4"]
+    mc = ["eval", "--task", "mc", *ckpt, "--policy", "ac", "--items", str(synth / "task.jsonl"),
+          "--demo-pool", str(synth / "demos.jsonl"), "--shots", "3"]
     return [
         ["synth", "--docs", "120", "--items", "12", "--seed", "3", "--out", str(synth)],
         ["prepare", "--corpus", str(synth / "corpus.txt"), "--policy", "ac",
          "--vocab-size", "256", "--context-len", "64", "--out", str(data)],
-        ["train", "--data", str(data), "--mask-mode", "ansan", "--steps", "20",
-         "--batch-size", "4", "--n-layers", "2", "--d-model", "32", "--n-heads", "4",
+        ["train", "--data", str(data), "--mask-mode", "ansan", *train,
          "--out", str(root / "train")],
         ["generate", *ckpt, "--prompt", PROMPT, "--policy", "ac", "--reduce", "on",
          "--max-new", "24", "--out", str(root / "generate")],
@@ -50,9 +59,13 @@ def commands(root: Path) -> list[list[str]]:
          "--out", str(root / "generate_sampled")],
         ["eval", "--task", "ppl", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
          "--text", str(synth / "corpus.txt"), "--out", str(root / "ppl")],
-        ["eval", "--task", "mc", *ckpt, "--policy", "ac", "--mask-mode", "ansan",
-         "--items", str(synth / "task.jsonl"), "--demo-pool", str(synth / "demos.jsonl"),
-         "--shots", "3", "--reuse-demo-cache", "--out", str(root / "mc")],
+        [*mc, "--mask-mode", "ansan", "--reuse-demo-cache", "--out", str(root / "mc")],
+        ["train", "--data", str(data), "--mask-mode", "causal", *train,
+         "--out", str(root / "train_causal")],
+        ["eval", "--task", "ppl", *ckpt, "--policy", "ac", "--mask-mode", "causal",
+         "--text", str(synth / "corpus.txt"), "--out", str(root / "ppl_causal")],
+        [*mc, "--mask-mode", "causal", "--reuse-demo-cache", "--out", str(root / "mc_causal")],
+        [*mc, "--mask-mode", "causal", "--out", str(root / "mc_causal_noncache")],
     ]
 
 
