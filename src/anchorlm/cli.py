@@ -427,12 +427,15 @@ def cmd_eval(args) -> int:
         demo_pool = _load_demo_pool(args)
         if args.demo_pool:
             manifest.add_input(args.demo_pool)
-        report = run_mc_task(
-            weights, vocab, items, args.shots, policy,
-            use_ansan=args.mask_mode == "ansan", reuse_demo_cache=args.reuse_demo_cache,
-            demo_pool=demo_pool, seed=args.seed,
-            measure_timing=args.timing, accel_baseline=args.baseline,
-        )
+        try:
+            report = run_mc_task(
+                weights, vocab, items, args.shots, policy,
+                use_ansan=args.mask_mode == "ansan", reuse_demo_cache=args.reuse_demo_cache,
+                demo_pool=demo_pool, seed=args.seed,
+                measure_timing=args.timing, accel_baseline=args.baseline,
+            )
+        except UndefinedMetricError as exc:
+            raise InputError(f"items file {args.items} has no item to time: {exc}") from exc
         (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
         print(f"accuracy = {report.accuracy!r}  cache_reduction = {report.cache_reduction!r}")
 

@@ -31,7 +31,7 @@ UNK_TOKEN = "<unk>"
 ANCHOR_TOKEN = "<AC>"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-_TERMINATORS = frozenset(".!?")
+_SENTENCE_BREAK_RE = re.compile(r"(?<=[.!?])\s+")
 _ENDPOINT = "."
 
 
@@ -50,23 +50,7 @@ def split_sentences(text: str) -> list[str]:
     Whitespace between sentences is dropped; whitespace inside a sentence
     is preserved. Text with no terminator comes back as one sentence.
     """
-    sentences: list[str] = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            sentences.append(text[start : i + 1])
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-            start = i
-        else:
-            i += 1
-    if start < n:
-        sentences.append(text[start:])
-    return [s for s in sentences if s.strip()]
+    return [s for s in _SENTENCE_BREAK_RE.split(text) if s.strip()]
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,8 @@ def run_mc_task(
 ) -> MetricsReport:
     """Score every item, pick argmax choices, and report accuracy plus
     cache and (optionally) acceleration metrics. Causal masks score the
-    items with no anchor, as the fullcache timing baseline does."""
+    items with no anchor, as the fullcache timing baseline does. Timing
+    with no item that fits the context raises UndefinedMetricError."""
     if not items:
         raise InputError("multiple-choice task needs at least one item")
     if accel_baseline not in ("noncache", "fullcache"):
@@ -394,6 +395,8 @@ def run_mc_task(
     )
 
     if measure_timing:
+        if not prepared:
+            raise UndefinedMetricError("no item fits the context")
         run_anchor = partial(_score_cached, weights, demo, prepared)
         if accel_baseline == "noncache":
             run_baseline = partial(_score_noncache, weights, prepared)

@@ -39,6 +39,7 @@ forward computes a cos or sin.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
 import os
 import platform
@@ -106,6 +107,9 @@ class ModelConfig:
             raise ContractError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ContractError("head dimension must be even for rotary pairs")
+        for name in ("rope_base", "norm_eps"):
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
+                raise ContractError(f"{name} must be finite and positive")
 
     @property
     def head_dim(self) -> int:
@@ -443,7 +447,8 @@ def loss_and_grads(
 
 # -- checkpoint io -----------------------------------------------------------
 
-_CKPT_MAGIC = "anchorlm-checkpoint-v1"
+_CKPT_MAGIC = "anchorlm-checkpoint-v2"
+MOMENTS = ("opt.m.", "opt.v.")  # key prefixes of AdamW's first and second moments
 
 
 def save_checkpoint(
@@ -453,85 +458,79 @@ def save_checkpoint(
     vocab_sha256: str,
     opt_state: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Text manifest followed by raw little-endian float64 tensors in
-    manifest-declared order: the parameters in param_shapes order, then
-    the optimizer state sorted by name."""
+    """A text header (magic line, config fields, vocab_sha256, step,
+    payload_sha256, end), then raw little-endian float64 arrays: the
+    parameters in param_shapes order, then with opt_state the moments
+    `opt.m.<name>` in that order, then `opt.v.<name>`. The config fixes
+    the layout, so the file declares no tensors. An opt_state that lacks
+    a moment raises ContractError."""
     cfg = weights.config
-    tensors = [(name, weights.arrays[name]) for name in param_shapes(cfg)]
+    names = list(param_shapes(cfg))
+    arrays = [weights.arrays[name] for name in names]
     if opt_state:
-        tensors += sorted(opt_state.items())
-    lines = [_CKPT_MAGIC]
-    for f in fields(cfg):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
-    lines.append(f"vocab_sha256 = {vocab_sha256}")
-    lines.append(f"step = {step}")
-    for name, arr in tensors:
-        lines.append("tensor " + name + " " + " ".join(str(d) for d in arr.shape))
-    lines.append("end")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in tensors)
+        try:
+            arrays += [opt_state[prefix + name] for prefix in MOMENTS for name in names]
+        except KeyError as exc:
+            raise ContractError(f"optimizer state lacks the moment {exc}") from None
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    lines = [_CKPT_MAGIC, *(f"{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg))]
+    lines += [f"vocab_sha256 = {vocab_sha256}", f"step = {step}",
+              f"payload_sha256 = {hashlib.sha256(payload).hexdigest()}", "end"]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8") + payload)
 
 
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelWeights, int, str, dict[str, np.ndarray]]:
-    """Inverse of save_checkpoint. A malformed header, a key or tensor
-    declared twice, a payload whose length differs from the declared
-    tensors, or a tensor whose shape does not fit the declared config
-    raises InputError."""
+    """Inverse of save_checkpoint: weights, step, vocab digest and the
+    moments by name (empty if the file has none). InputError for another
+    format (named in the message), a malformed header or a key given
+    twice, a negative step, a payload of other than n or 3n float64
+    values (n: the config's parameter count), or a payload whose sha256
+    is not payload_sha256."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-    header_end = blob.find(b"\nend\n")
-    if not blob.startswith(_CKPT_MAGIC.encode()) or header_end < 0:
-        raise InputError(f"not a checkpoint file: {path}")
-    payload = blob[header_end + 5 :]
+    header, end, payload = blob.partition(b"\nend\n")
+    magic = header.partition(b"\n")[0]
+    if magic != _CKPT_MAGIC.encode() or not end:
+        raise InputError(
+            f"not a checkpoint file of format {_CKPT_MAGIC}: {path} begins {magic[:40]!r}"
+        )
     try:
-        header = blob[: header_end + 5].decode("utf-8").splitlines()
         values: dict[str, str] = {}
-        tensor_decls: list[tuple[str, tuple[int, ...]]] = []
-        for line in header[1:-1]:
-            if line.startswith("tensor "):
-                name, *dims = line.split()[1:]
-                tensor_decls.append((name, tuple(int(d) for d in dims)))
-            else:
-                key, value = line.split(" = ", 1)
-                if key in values:
-                    raise InputError(f"checkpoint {path} gives {key} twice")
-                values[key] = value
+        for line in header.decode("utf-8").splitlines()[1:]:
+            key, value = line.split(" = ", 1)
+            if key in values:
+                raise InputError(f"checkpoint {path} gives {key} twice")
+            values[key] = value
         config = ModelConfig(**{
             f.name: (float if f.type == "float" else int)(values[f.name])
             for f in fields(ModelConfig)
         })
         step, vocab_sha256 = int(values["step"]), values["vocab_sha256"]
+        payload_sha256 = values["payload_sha256"]
     except (UnicodeDecodeError, ValueError, KeyError, ContractError) as exc:
         raise InputError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-
-    sizes = [math.prod(shape) for _, shape in tensor_decls]
-    if any(d < 0 for _, shape in tensor_decls for d in shape) or 8 * sum(sizes) != len(payload):
-        raise InputError(
-            f"checkpoint {path} holds {len(payload)} payload bytes, "
-            f"but its header declares {8 * sum(sizes)}"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for (name, shape), n in zip(tensor_decls, sizes):
-        if name in arrays:
-            raise InputError(f"checkpoint {path} declares tensor {name} twice")
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f8", count=n, offset=offset
-        ).reshape(shape).copy()
-        offset += n * 8
+    if step < 0:
+        raise InputError(f"checkpoint {path} gives a negative step {step}")
 
     shapes = param_shapes(config)
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise InputError(f"checkpoint {path} is missing tensor {name}")
-        if arrays[name].shape != shape:
-            raise InputError(
-                f"checkpoint {path}: tensor {name} has shape {arrays[name].shape}, "
-                f"the config needs {shape}"
-            )
+    n = sum(math.prod(shape) for shape in shapes.values())
+    if len(payload) not in (8 * n, 24 * n):
+        raise InputError(
+            f"checkpoint {path} holds {len(payload)} payload bytes; its config needs "
+            f"{8 * n} (weights) or {24 * n} (weights and moments)"
+        )
+    if hashlib.sha256(payload).hexdigest() != payload_sha256:
+        raise InputError(f"checkpoint {path}: the payload does not match payload_sha256")
+    flat = np.frombuffer(payload, dtype="<f8")
+    arrays, offset = {}, 0
+    for prefix in ("", *MOMENTS)[: flat.size // n]:
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            arrays[prefix + name] = flat[offset : offset + size].reshape(shape).copy()
+            offset += size
     weights = ModelWeights(config, {name: arrays.pop(name) for name in shapes})
     return weights, step, vocab_sha256, arrays

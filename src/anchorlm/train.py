@@ -21,7 +21,9 @@ import numpy as np
 from .corpus import SegmentedText
 from .errors import ConfigError, ContractError, InputError, NumericError
 from .masks import MASK_MODES, mask_rows, no_anchor, segment_flags
-from .model import ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint
+from .model import (
+    MOMENTS, ModelConfig, ModelWeights, init_weights, loss_and_grads, save_checkpoint,
+)
 
 
 @dataclass(frozen=True)
@@ -172,17 +174,13 @@ class AdamW:
             w -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * w)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.m:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
+        return {prefix + name: a for prefix, moments in zip(MOMENTS, (self.m, self.v))
+                for name, a in moments.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name in self.m:
-            if f"opt.m.{name}" in state:
-                self.m[name] = state[f"opt.m.{name}"].copy()
-                self.v[name] = state[f"opt.v.{name}"].copy()
+        for prefix, moments in zip(MOMENTS, (self.m, self.v)):
+            for name in moments:
+                moments[name] = state[prefix + name].copy()
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -49,6 +49,28 @@ def naive_reduction(entries: list[tuple[int, bool]]) -> set[int]:
     return {pos for pos, is_anchor in entries if is_anchor or pos >= last}
 
 
+def naive_split_sentences(text: str) -> list[str]:
+    """Character loop: a sentence ends at '.', '!' or '?' followed by
+    whitespace or end-of-text; the whitespace after it is skipped, and
+    blank pieces are dropped."""
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            sentences.append(text[start : i + 1])
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            start = i
+        else:
+            i += 1
+    if start < n:
+        sentences.append(text[start:])
+    return [s for s in sentences if s.strip()]
+
+
 def naive_log_softmax(row: np.ndarray) -> np.ndarray:
     """Log-softmax of one 1-D row of logits."""
     shifted = row - row.max()

@@ -1,5 +1,6 @@
 """End-to-end CLI tests, run in-process through cli.main()."""
 
+import json
 import shutil
 
 import numpy as np
@@ -554,6 +555,16 @@ def test_ppl_text_with_nothing_to_score_is_input_error(workspace, tmp_path, caps
     assert "short.txt" in err and "Traceback" not in err
 
 
+def test_mc_timing_with_no_item_that_fits_is_input_error(workspace, tmp_path, capsys):
+    # the workspace model's context_len is 48; under ac this context alone is 80 tokens
+    path = tmp_path / "long.jsonl"
+    item = {"context": "the amber lamp holds the stone . " * 10, "choices": ["a", "b"], "gold": 0}
+    path.write_text(json.dumps(item) + "\n", encoding="utf-8")
+    assert eval_on(workspace, tmp_path, "mc", "--items", str(path), "--timing") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "long.jsonl" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", [
     "policy = ac\ncontext_len = abc\n", "policy = ac\n", b"context_len = 64\npolicy = \xff\n",
     "policy = ac\ncontext_len = 0\n", "policy = ac\ncontext_len = 8\n",
@@ -611,6 +622,23 @@ def test_truncated_checkpoint_is_input_error(workspace, tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "payload" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["flipped-byte", "negative-step"])
+def test_resume_from_broken_checkpoint_is_input_error(workspace, tmp_path, capsys, case):
+    blob = (workspace / "train" / "ckpt.bin").read_bytes()
+    if case == "flipped-byte":
+        broken = blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:]
+    else:
+        broken = blob.replace(b"\nstep = 8\n", b"\nstep = -3\n")
+    assert broken != blob
+    path = tmp_path / "broken.bin"
+    path.write_bytes(broken)
+    code = main(_train(workspace, "--n-layers", "1", "--n-heads", "2", "--d-model", "16",
+                       "--resume", str(path), "--out", str(tmp_path / "t")))
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "broken.bin" in err and "Traceback" not in err
 
 
 def test_non_checkpoint_file_is_input_error(workspace, tmp_path, capsys):

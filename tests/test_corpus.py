@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlm.corpus import (
     ANCHOR_TOKEN,
@@ -16,6 +18,7 @@ from anchorlm.corpus import (
     tokenize,
 )
 from anchorlm.errors import ConfigError, ContractError, InputError
+from oracles import naive_split_sentences
 
 EP = AnchorPolicy(mode="ep")
 AC = AnchorPolicy(mode="ac")
@@ -130,6 +133,14 @@ def test_split_preserves_token_stream():
     text = "One two. Three!  Four? trailing bits"
     parts = split_sentences(text)
     assert tokenize(" ".join(parts)) == tokenize(text)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.text(alphabet=".!?ab1 \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000\u200b", max_size=30))
+def test_split_matches_character_loop(text):
+    # whitespace-heavy text, with the Unicode spaces str.isspace knows
+    # (U+200B is not one of them)
+    assert split_sentences(text) == naive_split_sentences(text)
 
 
 # -- annotate ----------------------------------------------------------------------

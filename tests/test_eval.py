@@ -445,6 +445,14 @@ def test_demo_pool_required(ac_vocab, ac_model):
         run_mc_task(ac_model, ac_vocab, items, 5, AC, True, True, demo_pool=None)
 
 
+def test_timing_with_no_item_that_fits_is_undefined(ac_vocab, ac_model):
+    # with nothing scored, both timed calls are empty and their ratio is noise
+    item = MCItem("amber lamp holds the stone . " * 60, ("stone", "river"), 0)
+    assert run_mc_task(ac_model, ac_vocab, [item], 0, AC, True, True).n_skipped == 1
+    with pytest.raises(UndefinedMetricError, match="no item fits the context"):
+        run_mc_task(ac_model, ac_vocab, [item], 0, AC, True, True, measure_timing=True)
+
+
 def test_timing_produces_positive_ratio(ac_vocab, ac_model):
     items, pool = make_task(2, seed=4)
     report = run_mc_task(

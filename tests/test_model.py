@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import platform
+import re
 import weakref
 
 import numpy as np
@@ -465,8 +467,15 @@ def test_short_block_rejected(tiny_weights):
         loss_and_grads(tiny_weights, plain_seg([1]), causal_rule(1))
 
 
+def _moments(weights):
+    """Both AdamW moments of every parameter, each with its own values."""
+    rng = np.random.default_rng(5)
+    return {prefix + name: rng.normal(size=a.shape)
+            for prefix in ("opt.m.", "opt.v.") for name, a in weights.arrays.items()}
+
+
 def test_checkpoint_round_trip(tmp_path, tiny_weights):
-    opt = {"opt.m.head": np.full_like(tiny_weights.arrays["head"], 0.5)}
+    opt = _moments(tiny_weights)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, tiny_weights, step=42, vocab_sha256="ab" * 32, opt_state=opt)
     loaded, step, sha, opt_loaded = load_checkpoint(path)
@@ -474,7 +483,36 @@ def test_checkpoint_round_trip(tmp_path, tiny_weights):
     assert list(loaded.arrays) == list(param_shapes(tiny_weights.config))
     for x, y in zip(tiny_weights.arrays.values(), loaded.arrays.values()):
         assert np.array_equal(x, y)
-    assert np.array_equal(opt_loaded["opt.m.head"], opt["opt.m.head"])
+    assert list(opt_loaded) == list(opt)
+    for name, moment in opt.items():
+        assert np.array_equal(opt_loaded[name], moment)
+
+
+def test_checkpoint_layout_follows_the_config(tmp_path, tiny_weights):
+    # no tensor table: the payload is the parameters in param_shapes order,
+    # then every first moment, then every second moment, under one sha256
+    opt = _moments(tiny_weights)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tiny_weights, step=3, vocab_sha256="ab" * 32, opt_state=opt)
+    header, _, payload = path.read_bytes().partition(b"\nend\n")
+    lines = header.decode("utf-8").splitlines()
+    assert lines[0] == "anchorlm-checkpoint-v2"
+    assert not any(line.startswith("tensor") for line in lines)
+    assert f"payload_sha256 = {hashlib.sha256(payload).hexdigest()}" in lines
+    names = list(param_shapes(tiny_weights.config))
+    arrays = [tiny_weights.arrays[n] for n in names] + [opt["opt.m." + n] for n in names]
+    arrays += [opt["opt.v." + n] for n in names]
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
+    save_checkpoint(path, tiny_weights, step=3, vocab_sha256="ab" * 32)
+    assert load_checkpoint(path)[3] == {}
+
+
+def test_checkpoint_without_a_moment_is_contract_error(tmp_path, tiny_weights):
+    opt = _moments(tiny_weights)
+    del opt["opt.v.head"]
+    with pytest.raises(ContractError, match="opt.v.head"):
+        save_checkpoint(tmp_path / "ckpt.bin", tiny_weights, 1, "ab" * 32, opt_state=opt)
+    assert not (tmp_path / "ckpt.bin").exists()
 
 
 def _truncate(blob):
@@ -490,13 +528,22 @@ def _break_header_line(blob):
 
 
 def _misdeclare_shape(blob):
-    # same payload size, but a shape the config cannot use
-    return blob.replace(b"tensor final_gain 16", b"tensor final_gain 4 4")
+    # same payload, but a config whose shapes it does not fill
+    return blob.replace(b"\nd_ff = 32\n", b"\nd_ff = 16\n")
 
 
-@pytest.mark.parametrize(
-    "corrupt", [_truncate, _append_bytes, _break_header_line, _misdeclare_shape]
-)
+def _header_value(key, value):
+    def corrupt(blob):
+        return re.sub(rf"\n{key} = [^\n]*\n".encode(), f"\n{key} = {value}\n".encode(), blob)
+    return pytest.param(corrupt, id=f"{key}-{value}")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate, _append_bytes, _break_header_line, _misdeclare_shape,
+    # the payload sha256 does not cover the header: the config check must
+    *(_header_value("rope_base", v) for v in ("0.0", "-2.0", "nan", "inf")),
+    *(_header_value("norm_eps", v) for v in ("0.0", "-1.0", "nan")),
+])
 def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, tiny_weights, step=42, vocab_sha256="ab" * 32)
@@ -508,20 +555,50 @@ def test_malformed_checkpoint_is_input_error(tmp_path, tiny_weights, corrupt):
         load_checkpoint(path)
 
 
-def _rename_tensor(blob):
-    # the payload still fits the header, but final_gain is not declared
-    return blob.replace(b"tensor final_gain 16", b"tensor final_gainx 16")
+def _with_payload(blob, edit):
+    # the payload edited, and payload_sha256 made to match it
+    header, _, payload = blob.partition(b"\nend\n")
+    payload = edit(payload)
+    header, count = re.subn(
+        rb"\npayload_sha256 = \w+",
+        b"\npayload_sha256 = " + hashlib.sha256(payload).hexdigest().encode(), header,
+    )
+    assert count == 1
+    return header + b"\nend\n" + payload
 
 
-def _declare_tensor_twice(blob):
-    # a second final_gain, with payload bytes for it: the sizes still fit
-    return blob.replace(b"\nend\n", b"\ntensor final_gain 16\nend\n", 1) + b"\x00" * 128
+def _as_v1(blob):
+    # the same arrays in the v1 layout: a tensor line each, no payload_sha256
+    header, _, payload = blob.partition(b"\nend\n")
+    lines = [line for line in header.split(b"\n") if not line.startswith(b"payload_sha256")]
+    lines[0] = b"anchorlm-checkpoint-v1"
+    lines += [f"tensor {name} {' '.join(map(str, shape))}".encode()
+              for name, shape in param_shapes(tiny_config()).items()]
+    return b"\n".join(lines) + b"\nend\n" + payload
+
+
+def _flip_payload_byte(blob):
+    return blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:]
+
+
+CORRUPT_CHECKPOINT = {
+    "key-twice": lambda blob: blob.replace(b"step = 5\n", b"step = 5\nstep = 9\n", 1),
+    "v1": _as_v1,
+    "flipped-byte": _flip_payload_byte,
+    "no-payload-sha256": lambda blob: re.sub(rb"\npayload_sha256 = \w+", b"", blob),
+    "negative-step": lambda blob: blob.replace(b"\nstep = 5\n", b"\nstep = -3\n"),
+    "two-n-floats": lambda blob: _with_payload(blob, lambda p: p + p),
+    # head, the last array, is 16 x 11 floats
+    "one-array-short": lambda blob: _with_payload(blob, lambda p: p[: -8 * 16 * 11]),
+}
 
 
 @pytest.mark.parametrize("case, message", [
     ("directory", "cannot read checkpoint"), ("missing", "cannot read checkpoint"),
-    ("text", "not a checkpoint"), ("missing-tensor", "missing tensor final_gain"),
-    ("tensor-twice", "declares tensor final_gain twice"), ("key-twice", "gives step twice"),
+    ("text", "not a checkpoint"), ("key-twice", "gives step twice"),
+    ("v1", "anchorlm-checkpoint-v1"), ("flipped-byte", "payload_sha256"),
+    ("no-payload-sha256", "payload_sha256"), ("negative-step", "negative step"),
+    ("two-n-floats", "payload bytes"), ("one-array-short", "payload bytes"),
 ])
 def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, message):
     path = tmp_path / "ckpt.bin"
@@ -529,15 +606,12 @@ def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, mess
         path.mkdir()
     elif case == "text":
         path.write_text("steps = 1\nend\n", encoding="utf-8")
-    elif case == "missing-tensor":
-        save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
-        path.write_bytes(_rename_tensor(path.read_bytes()))
-    elif case == "tensor-twice":
-        save_checkpoint(path, tiny_weights, step=1, vocab_sha256="ab" * 32)
-        path.write_bytes(_declare_tensor_twice(path.read_bytes()))
-    elif case == "key-twice":
+    elif case != "missing":
         save_checkpoint(path, tiny_weights, step=5, vocab_sha256="ab" * 32)
-        path.write_bytes(path.read_bytes().replace(b"step = 5\n", b"step = 5\nstep = 9\n", 1))
+        blob = path.read_bytes()
+        broken = CORRUPT_CHECKPOINT[case](blob)
+        assert broken != blob
+        path.write_bytes(broken)
     with pytest.raises(InputError, match=message):
         load_checkpoint(path)
 
