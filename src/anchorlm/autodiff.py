@@ -8,9 +8,10 @@ weighted sum of values) and `cross_entropy` (the training loss). Like
 `take`, they accept plain arrays or Tensors and build a node only for a
 Tensor, computing the value with the same numpy ops either way, so one
 forward source runs on Tensors (training) or on arrays (inference, no
-Tensor built) and both agree bitwise. `attention` over a large mask
-block runs per tile of query rows, forward and backward, over only the
-key columns each tile keeps. The model joins the fused ops
+Tensor built) and both agree bitwise. `attention` runs, forward and
+backward, over the tiles that `tiles` plans: one over every row and key
+for a small mask block, and for a large one a tile per block of query
+rows, over only the key columns it keeps. The model joins the fused ops
 with the only Tensor operators: `+` (equal shapes), `@` (equal leading
 axes), `reshape` and `swapaxes`; neither broadcasts, since no forward
 needs it. Gradient correctness is pinned down by the finite-difference
@@ -209,6 +210,23 @@ TILE_ROWS = 32
 TILE_MIN_PAIRS = 65_536
 
 
+def tiles(keep: Array) -> list[tuple[slice, Array | slice]]:
+    """The plan of `attention`, (rows, cols) per tile. Below
+    TILE_MIN_PAIRS (row, key) pairs one tile of every row and every key;
+    from there on one per TILE_ROWS query rows, whose cols are the key
+    columns any of its rows keeps, or every column, as slice(None), when
+    those are at least half of them (a gather would save little)."""
+    n_rows, n_keys = keep.shape[-2:]
+    if n_rows * n_keys < TILE_MIN_PAIRS:
+        return [(slice(None), slice(None))]
+    out = []
+    for start in range(0, n_rows, TILE_ROWS):
+        rows = slice(start, start + TILE_ROWS)
+        cols = np.flatnonzero(keep[..., rows, :].reshape(-1, n_keys).any(axis=0))
+        out.append((rows, slice(None) if 2 * len(cols) >= n_keys else cols))
+    return out
+
+
 def _softmax(scores: Array, keep: Array, scale: float) -> Array:
     """The masked softmax of `attention`, in place in scores."""
     scores *= scale
@@ -220,9 +238,18 @@ def _softmax(scores: Array, keep: Array, scale: float) -> Array:
     return scores
 
 
+def _tile_probs(qd: Array, kd: Array, keep: Array, scale: float):
+    """(rows, cols, probabilities) per tile of `tiles(keep)`, each tile's
+    probabilities (..., tile rows, len(cols)) computed into the output
+    of its scores' matmul."""
+    for rows, cols in tiles(keep):
+        scores = qd[..., rows, :] @ kd[..., cols, :].swapaxes(-1, -2)
+        yield rows, cols, _softmax(scores, keep[..., rows, cols], scale)
+
+
 def attention(
     q: Tensor | Array, k: Tensor | Array, v: Tensor | Array, keep: Array
-) -> tuple[Tensor | Array, Array | TiledProbs]:
+) -> Tensor | Array:
     """softmax(q k^T / sqrt(d)) v per head, with the softmax renormalized
     over kept keys only; masked keys contribute 0.
 
@@ -233,100 +260,42 @@ def attention(
     and the shifted scores are clamped at 0 before the exp, so a masked
     key scoring far above that max cannot overflow to inf (inf * 0 would
     turn the row into NaN); kept keys are never above 0 there. Returns
-    the context (..., T, d) and the probabilities (..., T, S). The
-    backward uses dS = P * (dP - rowsum(dP * P)), as in FlashAttention
-    (Dao et al., 2022).
+    the context (..., T, d). The backward uses
+    dS = P * (dP - rowsum(dP * P)), as in FlashAttention (Dao et al.,
+    2022).
 
-    Below TILE_MIN_PAIRS (row, key) pairs, one (..., T, S) buffer per
-    call: the scores are computed into the matmul's output and turned
-    into probabilities there, each step the same IEEE operation on the
-    same operands as the composed expression (scale, subtract the masked
-    row max, clamp, exp, zero the masked keys, divide by the row sum),
-    so the result is bitwise that expression's. The masked max reads
-    `keep` through `where=`, with no masked copy of the scores. The
-    returned probabilities are that buffer, which the backward also
-    reads. From TILE_MIN_PAIRS on, the call runs in tiles (`_tiled`).
+    One forward loop and one backward loop run over the tiles of
+    `tiles(keep)`, each over only the key columns its rows keep, as
+    FlexAttention's block mask skips masked blocks (Dong et al., 2024).
+    Each tile's scores are turned into probabilities in the matmul's
+    output, each step the same IEEE operation on the same operands as
+    the composed expression (scale, subtract the masked row max, clamp,
+    exp, zero the masked keys, divide by the row sum); the masked max
+    reads `keep` through `where=`, with no masked copy of the scores. So
+    below TILE_MIN_PAIRS (row, key) pairs, one tile, the call holds one
+    (..., T, S) buffer and its result is bitwise that expression's. The
+    masked keys a row tile skips add exact zeros to the one tile's sums,
+    so row tiles agree with it to rounding, not bitwise. A taped call
+    keeps each tile's probabilities for its backward; an untaped one
+    keeps none past its tile.
     """
-    if keep.shape[-2] * keep.shape[-1] >= TILE_MIN_PAIRS:
-        return _tiled(q, k, v, keep)
     qd, kd, vd = data_of(q), data_of(k), data_of(v)
     scale = 1.0 / math.sqrt(qd.shape[-1])
-    probs = _softmax(qd @ kd.swapaxes(-1, -2), keep, scale)
-    data = probs @ vd
-    if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
-        return data, probs
-    q, k, v = ensure_tensor(q), ensure_tensor(k), ensure_tensor(v)
-
-    def bwd(g):
-        dp = g @ vd.swapaxes(-1, -2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
-        return ds @ kd, ds.swapaxes(-1, -2) @ qd, probs.swapaxes(-1, -2) @ g
-
-    return Tensor._op(data, (q, k, v), bwd), probs
-
-
-def tiles(keep: Array) -> list[tuple[slice, Array | slice]]:
-    """(rows, cols) per tile of TILE_ROWS query rows: cols are the key
-    columns any of its rows keeps, or every column, as slice(None), when
-    those are at least half of them (a gather would save little)."""
-    n_rows, n_keys = keep.shape[-2:]
-    out = []
-    for start in range(0, n_rows, TILE_ROWS):
-        rows = slice(start, start + TILE_ROWS)
-        cols = np.flatnonzero(keep[..., rows, :].reshape(-1, n_keys).any(axis=0))
-        out.append((rows, slice(None) if 2 * len(cols) >= n_keys else cols))
-    return out
-
-
-def _tile_probs(qd: Array, kd: Array, keep: Array, rows: slice, cols, scale: float) -> Array:
-    """One tile's probabilities, (..., tile rows, len(cols))."""
-    scores = qd[..., rows, :] @ kd[..., cols, :].swapaxes(-1, -2)
-    return _softmax(scores, keep[..., rows, cols], scale)
-
-
-class TiledProbs:
-    """The probabilities of a tiled `attention` call, computed again per
-    tile when read: np.asarray gives the (..., T, S) array, with zeros at
-    the keys a tile does not read, so the call holds no such buffer."""
-
-    __slots__ = ("qd", "kd", "keep", "plan")
-
-    def __init__(self, qd: Array, kd: Array, keep: Array, plan: list):
-        self.qd, self.kd, self.keep, self.plan = qd, kd, keep, plan
-
-    def __array__(self, dtype=None, copy=None) -> Array:
-        scale = 1.0 / math.sqrt(self.qd.shape[-1])
-        out = np.zeros(self.qd.shape[:-1] + self.kd.shape[-2:-1], dtype=dtype)
-        for rows, cols in self.plan:
-            out[..., rows, cols] = _tile_probs(self.qd, self.kd, self.keep, rows, cols, scale)
-        return out
-
-
-def _tiled(
-    q: Tensor | Array, k: Tensor | Array, v: Tensor | Array, keep: Array
-) -> tuple[Tensor | Array, TiledProbs]:
-    """`attention` per tile of query rows (`tiles`), each over only the
-    key columns its rows keep, as FlexAttention's block mask skips
-    masked blocks (Dong et al., 2024). The masked keys a tile skips add
-    exact zeros to the dense call's sums, so the result agrees with it
-    to rounding, not bitwise. No tile's probabilities outlive it: the
-    backward recomputes them per tile, as FlashAttention does, and the
-    returned TiledProbs recomputes them when read."""
-    qd, kd, vd = data_of(q), data_of(k), data_of(v)
-    scale = 1.0 / math.sqrt(qd.shape[-1])
-    plan = tiles(keep)
+    taped = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)
     data = np.empty(qd.shape[:-1] + vd.shape[-1:])
-    for rows, cols in plan:
-        data[..., rows, :] = _tile_probs(qd, kd, keep, rows, cols, scale) @ vd[..., cols, :]
-    probs = TiledProbs(qd, kd, keep, plan)
-    if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
-        return data, probs
+    held = []
+    for rows, cols, p in _tile_probs(qd, kd, keep, scale):
+        np.matmul(p, vd[..., cols, :], out=data[..., rows, :])
+        if taped:
+            held.append((rows, cols, p))
+    if not taped:
+        return data
     q, k, v = ensure_tensor(q), ensure_tensor(k), ensure_tensor(v)
 
     def bwd(g):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for rows, cols in plan:
-            p, gt = _tile_probs(qd, kd, keep, rows, cols, scale), g[..., rows, :]
+        for rows, cols, p in held:
+            gt = g[..., rows, :]
             dp = gt @ vd[..., cols, :].swapaxes(-1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
             dq[..., rows, :] = ds @ kd[..., cols, :]
@@ -334,7 +303,17 @@ def _tiled(
             dv[..., cols, :] += p.swapaxes(-1, -2) @ gt
         return dq, dk, dv
 
-    return Tensor._op(data, (q, k, v), bwd), probs
+    return Tensor._op(data, (q, k, v), bwd)
+
+
+def attention_probs(q: Tensor | Array, k: Tensor | Array, keep: Array) -> Array:
+    """The (..., T, S) probabilities `attention` weighs the values by,
+    from the same tiles, zero at the keys no tile reads."""
+    qd, kd = data_of(q), data_of(k)
+    out = np.zeros(qd.shape[:-1] + kd.shape[-2:-1])
+    for rows, cols, p in _tile_probs(qd, kd, keep, 1.0 / math.sqrt(qd.shape[-1])):
+        out[..., rows, cols] = p
+    return out
 
 
 def cross_entropy(logits: Tensor | Array, targets: np.ndarray) -> Tensor | Array:

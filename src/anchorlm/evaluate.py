@@ -43,10 +43,11 @@ from .model import ModelWeights, forward
 
 # New tokens (item contexts plus choice branches) per packed scoring
 # forward. Over a reduced demonstration cache, a forest of this size
-# attends in one buffer over every (row, key) pair; a larger one reaches
-# autodiff.TILE_MIN_PAIRS and attends in tiles, whose cost does not grow
-# with the forest's square. BENCH_mc_items.json
-# (`tools/curves.py mc-items`) records the items-phase time per budget.
+# attends in one tile over every (row, key) pair; a larger one reaches
+# autodiff.TILE_MIN_PAIRS and attends in tiles of query rows over the
+# keys each keeps, whose cost does not grow with the forest's square.
+# BENCH_mc_items.json (`tools/curves.py mc-items`) records the
+# items-phase time per budget.
 # One forest of every item costs within a quarter of this budget's time
 # (a little less at 32 items, more at 128), where before tiling it cost
 # up to 4x; a budget of 256 is slower than this one at every item count.

@@ -25,12 +25,12 @@ sequence's rows read. The mask is read the same way, only as bool
 that callers pass (`masks.mask_rows`) never builds the other rows.
 When every row is needed nothing is gathered, so training, perplexity
 and one-token decode steps run every row as one block, built once.
-A layer's attention is one (H, rows, keys) buffer while its mask block
-holds fewer than `autodiff.TILE_MIN_PAIRS` (row, key) pairs. From there
-on it runs in tiles of `autodiff.TILE_ROWS` query rows, each over only
-the key columns its rows keep, so a long prompt under anchor masks
-skips almost every masked key; such a forward agrees with the one-buffer
-call to rounding, not bitwise.
+A layer's attention runs over the tiles `autodiff.tiles` plans: one
+(H, rows, keys) tile while its mask block holds fewer than
+`autodiff.TILE_MIN_PAIRS` (row, key) pairs, and from there on one per
+`autodiff.TILE_ROWS` query rows, each over only the key columns its rows
+keep, so a long prompt under anchor masks skips almost every masked key;
+such a forward agrees with the one-tile call to rounding, not bitwise.
 Rotary rows are gathered by position from one read-only cos/sin table
 per (head_dim, rope_base) that grows on demand (`_rope_tables`), so no
 forward computes a cos or sin.
@@ -43,13 +43,16 @@ import hashlib
 import math
 import os
 import platform
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, attention, cross_entropy, data_of, gelu, rmsnorm, rotate, take
+from .autodiff import (
+    Tensor, attention, attention_probs, cross_entropy, data_of, gelu, rmsnorm, rotate, take,
+)
 from .corpus import SegmentedText
 from .errors import ContractError, InputError, NumericError
 from .masks import MaskRule
@@ -148,8 +151,8 @@ class ModelWeights:
 class ForwardOutput:
     logits: np.ndarray  # (R, vocab_size): the logit rows, in the order asked for
     # per layer that runs rows, (H, rows run, keys read) probabilities,
-    # kept only with collect_attn; (H, T, S) when every row runs. A tiled
-    # layer's are built for this list, zero at the keys no tile reads
+    # built only with collect_attn (`autodiff.attention_probs`), zero at
+    # the keys no tile reads; (H, T, S) when every row runs
     attn: list[np.ndarray] = field(default_factory=list)
 
 
@@ -316,10 +319,9 @@ def _forward_graph(
             continue  # nothing reads this layer's output: no attention, no FFN
         q = (a @ p("wq")).reshape(n, H, hd).swapaxes(0, 1)
         q = rotate(q, cos, sin)
-        ctx, probs = attention(q, k_all, v_all, keep)
+        ctx = attention(q, k_all, v_all, keep)
         if collect_attn:
-            out.attn.append(np.asarray(probs))
-        del probs  # (H, n, S): not held through the next layer unless collected
+            out.attn.append(attention_probs(q, k_all, keep))
         h = h + ctx.swapaxes(0, 1).reshape(n, config.d_model) @ p("wo")
         f = rmsnorm(h, p("ffn_gain"), config.norm_eps)
         h = h + gelu(f @ p("w1")) @ p("w2")
@@ -390,12 +392,11 @@ def forward(
     forward must leave something to read; an out-of-range selection
     raises ContractError.
 
-    Each layer's (n_heads, rows run, keys read) attention probabilities
-    are returned in `attn` only with collect_attn, one array per layer
-    that runs a row; otherwise they are released before the next layer
-    runs, so one layer's are alive at a time, and a layer whose
-    attention runs in tiles (`autodiff.attention`) never holds them
-    whole."""
+    With collect_attn, `attn` holds each layer's (n_heads, rows run, keys
+    read) attention probabilities, one array per layer that runs a row,
+    built from the tiles its attention ran. Otherwise no forward holds
+    them past a tile (`autodiff.attention`), so a layer whose attention
+    runs in tiles never holds them whole."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ContractError("forward needs at least one token")
@@ -448,6 +449,7 @@ def loss_and_grads(
 # -- checkpoint io -----------------------------------------------------------
 
 _CKPT_MAGIC = "anchorlm-checkpoint-v2"
+_CKPT_KEYS = {f.name for f in fields(ModelConfig)} | {"vocab_sha256", "step", "payload_sha256"}
 MOMENTS = ("opt.m.", "opt.v.")  # key prefixes of AdamW's first and second moments
 
 
@@ -484,10 +486,11 @@ def load_checkpoint(
 ) -> tuple[ModelWeights, int, str, dict[str, np.ndarray]]:
     """Inverse of save_checkpoint: weights, step, vocab digest and the
     moments by name (empty if the file has none). InputError for another
-    format (named in the message), a malformed header or a key given
-    twice, a negative step, a payload of other than n or 3n float64
-    values (n: the config's parameter count), or a payload whose sha256
-    is not payload_sha256."""
+    format (named in the message), a malformed header, a key given twice
+    or one save_checkpoint does not write, a digest other than 64
+    lowercase hex digits, a negative step, a payload of other than n or
+    3n float64 values (n: the config's parameter count), or a payload
+    whose sha256 is not payload_sha256."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -502,6 +505,8 @@ def load_checkpoint(
         values: dict[str, str] = {}
         for line in header.decode("utf-8").splitlines()[1:]:
             key, value = line.split(" = ", 1)
+            if key not in _CKPT_KEYS:
+                raise InputError(f"checkpoint {path} gives an unknown key {key!r}")
             if key in values:
                 raise InputError(f"checkpoint {path} gives {key} twice")
             values[key] = value
@@ -515,6 +520,9 @@ def load_checkpoint(
         raise InputError(f"malformed checkpoint header in {path}: {exc!r}") from exc
     if step < 0:
         raise InputError(f"checkpoint {path} gives a negative step {step}")
+    for key in ("vocab_sha256", "payload_sha256"):
+        if not re.fullmatch("[0-9a-f]{64}", values[key]):
+            raise InputError(f"checkpoint {path}: {key} is not 64 lowercase hex digits")
 
     shapes = param_shapes(config)
     n = sum(math.prod(shape) for shape in shapes.values())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from anchorlm import autodiff
 from anchorlm.autodiff import (
-    Tensor, attention, cross_entropy, gelu, rmsnorm, rotate, take, tiles,
+    Tensor, attention, attention_probs, cross_entropy, gelu, rmsnorm, rotate, take, tiles,
 )
 from conftest import traced_peak
 from oracles import finite_difference_grads
@@ -172,7 +172,7 @@ def test_attention_grad_with_self_only_rows(rng):
     assert keep[0].sum() == keep[2].sum() == 1
     w = rng.normal(size=(2, 4, 4))
     check_op(
-        lambda t: weighted(attention(t["q"], t["k"], t["v"], keep)[0], w),
+        lambda t: weighted(attention(t["q"], t["k"], t["v"], keep), w),
         {"q": rng.normal(size=(2, 4, 4)), "k": rng.normal(size=(2, 6, 4)),
          "v": rng.normal(size=(2, 6, 4))},
     )
@@ -189,17 +189,19 @@ def test_attention_masked_key_far_above_kept_max_stays_finite(taped):
         q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ctx, probs = attention(q, k, v, keep)
+        ctx, probs = attention(q, k, v, keep), attention_probs(q, k, keep)
     assert np.array_equal(probs, [[[1.0, 0.0]]])
     assert np.array_equal(outputs(ctx)[0], [[[1.0, 2.0]]])
 
 
 def test_attention_holds_one_score_buffer(rng):
     # scores turn into probabilities inside the matmul's output, so a call
-    # allocates one (H, T, S) float64 array, not one per softmax step
-    heads, tokens = 4, 256
+    # below TILE_MIN_PAIRS, one tile, allocates one (H, T, S) float64
+    # array, not one per softmax step
+    heads, tokens = 4, math.isqrt(autodiff.TILE_MIN_PAIRS - 1)
     q, k, v = (rng.normal(size=(heads, tokens, 16)) for _ in range(3))
     keep = np.tril(np.ones((tokens, tokens), dtype=bool))
+    assert tiles(keep) == [(slice(None), slice(None))]
     peak = traced_peak(lambda: attention(q, k, v, keep))
     assert peak <= 1.25 * heads * tokens * tokens * 8
 
@@ -208,12 +210,16 @@ def test_attention_holds_one_score_buffer(rng):
 @given(st.integers(1, 40), st.integers(0, 30), st.integers(1, 9), st.floats(0.0, 1.0),
        st.integers(0, 2**32 - 1))
 def test_tiles_read_exactly_the_columns_their_rows_keep(tokens, cached, tile_rows, density, seed):
-    # the tiles cover the rows in order, TILE_ROWS at a time; a tile reads
-    # every key column when its rows keep at least half of them, and
-    # otherwise exactly the columns they keep
+    # below TILE_MIN_PAIRS (row, key) pairs the plan is one tile of every
+    # row and key; from there on the tiles cover the rows in order,
+    # TILE_ROWS at a time, and a tile reads every key column when its rows
+    # keep at least half of them, and otherwise exactly the columns they keep
     keep = np.random.default_rng(seed).random((tokens, cached + tokens)) < density
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(autodiff, "TILE_ROWS", tile_rows)
+        mp.setattr(autodiff, "TILE_MIN_PAIRS", keep.size + 1)
+        assert tiles(keep) == [(slice(None), slice(None))]
+        mp.setattr(autodiff, "TILE_MIN_PAIRS", 0)
         plan = tiles(keep)
     assert [r.start for r, _ in plan] == list(range(0, tokens, tile_rows))
     assert all(r.stop == r.start + tile_rows for r, _ in plan)
@@ -241,7 +247,7 @@ def test_tiled_attention_grad(rng, monkeypatch, tile_rows):
     assert {isinstance(cols, slice) for _, cols in tiles(keep)} == {False, True}
     w = rng.normal(size=(2, 10, 4))
     check_op(
-        lambda t: weighted(attention(t["q"], t["k"], t["v"], keep)[0], w),
+        lambda t: weighted(attention(t["q"], t["k"], t["v"], keep), w),
         {"q": rng.normal(size=(2, 10, 4)), "k": rng.normal(size=(2, 16, 4)),
          "v": rng.normal(size=(2, 16, 4))},
     )
@@ -279,6 +285,10 @@ def composed_attention(q, k, v, keep):
     return probs @ v, probs
 
 
+def attention_and_probs(q, k, v, keep):
+    return attention(q, k, v, keep), attention_probs(q, k, keep)
+
+
 def composed_cross_entropy(logits, targets):
     n = len(targets)
     pred = logits[:-1]
@@ -296,7 +306,7 @@ def fused_cases(rng):
                     [rng.normal(size=(5, 8)), rng.normal(size=(8,))], []),
         "gelu": (gelu, composed_gelu, [3.0 * rng.normal(size=(5, 8))], []),
         "rotate": (rotate, composed_rotate, [rng.normal(size=(2, 5, 8))], [cos, sin]),
-        "attention": (attention, composed_attention,
+        "attention": (attention_and_probs, composed_attention,
                       [rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 7, 8)),
                        rng.normal(size=(2, 7, 8))], [sparse_keep(rng, 5, 2)[None]]),
         "cross_entropy": (cross_entropy, composed_cross_entropy,

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through cli.main()."""
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -639,6 +640,26 @@ def test_resume_from_broken_checkpoint_is_input_error(workspace, tmp_path, capsy
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "broken.bin" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (rb"\nstep = 8\n", rb"\nstep = 8\nn_layer = 7\n"),
+    (rb"\nvocab_sha256 = \w+\n", rb"\nvocab_sha256 = zz\n"),
+], ids=["unknown-key", "vocab-digest-not-hex"])
+def test_checkpoint_header_edit_is_input_error(workspace, tmp_path, capsys, pattern, replacement):
+    # the payload digest does not cover the header, which is checked key by key
+    blob = (workspace / "train" / "ckpt.bin").read_bytes()
+    broken = re.sub(pattern, replacement, blob, count=1)
+    assert broken != blob
+    path = tmp_path / "edited.bin"
+    path.write_bytes(broken)
+    code = main([
+        "generate", "--ckpt", str(path), "--vocab", str(workspace / "data" / "vocab.txt"),
+        "--prompt", "the amber lamp", "--policy", "ac", "--out", str(tmp_path / "g"),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "edited.bin" in err and "Traceback" not in err
 
 
 def test_non_checkpoint_file_is_input_error(workspace, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import math
 import platform
 import re
 import weakref
@@ -32,6 +33,7 @@ from conftest import (
 from oracles import (
     finite_difference_grads, naive_anchor_mask, naive_attention, naive_causal_mask, naive_init,
 )
+from test_autodiff import composed_attention
 
 
 def zeroed(config):
@@ -108,8 +110,8 @@ def test_attention_rows_sum_to_one(tiny_weights):
 
 def test_dense_forward_peaks_below_two_score_buffers():
     # one layer's (H, T, T) probabilities live at a time, and attention
-    # below autodiff.TILE_MIN_PAIRS builds them in a single buffer
-    heads, tokens = 4, 256
+    # below autodiff.TILE_MIN_PAIRS, one tile, builds them in a single buffer
+    heads, tokens = 4, math.isqrt(autodiff.TILE_MIN_PAIRS - 1)
     config = ModelConfig(
         vocab_size=50, n_layers=2, n_heads=heads, d_model=64, d_ff=256, context_len=tokens
     )
@@ -151,26 +153,32 @@ def test_collect_attn_keeps_what_an_uncollected_forward_releases(tiny_weights, m
     seg = random_segmented(rng, max_len=12)
     ids = [int(i) % tiny_weights.config.vocab_size for i in seg.ids]
     mask = anchor_rule(seg)
-    refs, copies, released = [], [], []
-    attention = model.attention
+    inputs, probs, held = [], [], []
+    attention, softmax = model.attention, autodiff._softmax
 
-    def spy(*args):
-        # by the time a layer's attention runs, the previous layer's
-        # probabilities are gone unless they are collected
-        released.extend(ref() is None for ref in refs[-1:])
-        ctx, probs = attention(*args)
-        refs.append(weakref.ref(probs))
-        copies.append(probs.copy())
-        return ctx, probs
+    def softmax_spy(*args):
+        out = softmax(*args)
+        probs.append(weakref.ref(out))
+        return out
 
-    monkeypatch.setattr(model, "attention", spy)
+    def attention_spy(*args):
+        # an uncollected forward keeps no probabilities past the call
+        inputs.append(args)
+        probs.clear()
+        ctx = attention(*args)
+        held.extend(ref() is not None for ref in probs)
+        return ctx
+
+    monkeypatch.setattr(autodiff, "_softmax", softmax_spy)
+    monkeypatch.setattr(model, "attention", attention_spy)
     plain = forward(tiny_weights, ids, mask)
     monkeypatch.undo()
-    assert plain.attn == [] and released == [True] * (tiny_weights.config.n_layers - 1)
+    assert plain.attn == [] and held == [False] * tiny_weights.config.n_layers
     collected = forward(tiny_weights, ids, mask, collect_attn=True)
     assert np.array_equal(collected.logits, plain.logits)
-    assert len(collected.attn) == len(copies) == tiny_weights.config.n_layers
-    assert all(np.array_equal(got, want) for got, want in zip(collected.attn, copies))
+    composed = [composed_attention(*args)[1] for args in inputs]
+    assert len(collected.attn) == len(composed) == tiny_weights.config.n_layers
+    assert all(np.array_equal(got, want) for got, want in zip(collected.attn, composed))
 
 
 def test_uniform_logits_loss_is_log_vocab():
@@ -590,6 +598,11 @@ CORRUPT_CHECKPOINT = {
     "two-n-floats": lambda blob: _with_payload(blob, lambda p: p + p),
     # head, the last array, is 16 x 11 floats
     "one-array-short": lambda blob: _with_payload(blob, lambda p: p[: -8 * 16 * 11]),
+    # a typo of n_layers, which the loader must not skip
+    "unknown-key": lambda blob: blob.replace(b"\nstep = 5\n", b"\nstep = 5\nn_layer = 7\n"),
+    "vocab-digest-not-hex": lambda blob: blob.replace(b"ab" * 32, b"zz"),
+    "vocab-digest-upper-case": lambda blob: blob.replace(b"ab" * 32, b"AB" * 32),
+    "payload-digest-short": lambda blob: re.sub(rb"(\npayload_sha256 = \w+)\w", rb"\1", blob),
 }
 
 
@@ -599,6 +612,10 @@ CORRUPT_CHECKPOINT = {
     ("v1", "anchorlm-checkpoint-v1"), ("flipped-byte", "payload_sha256"),
     ("no-payload-sha256", "payload_sha256"), ("negative-step", "negative step"),
     ("two-n-floats", "payload bytes"), ("one-array-short", "payload bytes"),
+    ("unknown-key", "unknown key 'n_layer'"),
+    ("vocab-digest-not-hex", "vocab_sha256 is not 64 lowercase hex digits"),
+    ("vocab-digest-upper-case", "vocab_sha256 is not 64 lowercase hex digits"),
+    ("payload-digest-short", "payload_sha256 is not 64 lowercase hex digits"),
 ])
 def test_unloadable_checkpoint_is_input_error(tmp_path, tiny_weights, case, message):
     path = tmp_path / "ckpt.bin"

@@ -33,18 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "anchorlm"
 
 TESTS_ONLY = "only tests call it; inlining it there would move code, not delete it"
-TILED = (
-    "attention in tiles, from autodiff.TILE_MIN_PAIRS (row, key) pairs on, which no audited "
-    "call reaches; tests/test_model.py::test_tiled_forward_matches_one_tile runs it, and "
-    "::test_tiled_training_gradients_match_one_tile its backward"
-)
 # module.qualified name -> why it stays although no entry point enters it
 KEPT = {
-    "autodiff.tiles": TILED,
-    "autodiff._tile_probs": TILED,
-    "autodiff.TiledProbs.__init__": TILED,
-    "autodiff.TiledProbs.__array__": TILED,
-    "autodiff._tiled": TILED,
+    "autodiff.attention_probs": "forward(collect_attn=True), for ROADMAP item 4's diagnostics",
     "cache.AnchorKVCache.live_positions": "the tests read cache positions through it",
     "cache.AnchorKVCache.reduction_metric": "acceptance criterion 5 reads it",
     "cache.AnchorKVCache.entries": "perfbench/test_smoke.py patches it to inject a lossy cache",
